@@ -915,8 +915,17 @@ class PolicyPipeline:
         uncached problem share one single-flight solve (the followers
         count as hits — they ran no solver).  The cache key embeds
         ``budget`` and ``certify``, so results obtained under escalated
-        (or starved) budgets never answer for the default one, and an
-        uncertified verdict never answers for a certified request.
+        (or starved) work budgets never answer for the default one, and
+        an uncertified verdict never answers for a certified request.
+        The wall-clock ``timeout_seconds`` is not in the key (a served
+        request tightens it to its remaining deadline); instead a solve
+        that outlasted it is not stored.  Every wall-clock trip (search,
+        grounding, presolving, or either probe) happens only after that
+        much time, so no result shaped by the clock is ever reused.  Only
+        callers with the same ``timeout_seconds`` share a solve in
+        progress: a short deadline never waits out a longer one's solve,
+        and the followers of a solve that ran out of time get its
+        UNKNOWN at once instead of each re-solving in turn.
 
         With ``PipelineConfig.execution_backend == "process"`` the main
         check-sat script is shipped to the worker pool instead of solved
@@ -943,8 +952,12 @@ class PolicyPipeline:
             else None
         )
 
+        outlasted = False
+
         def run_solver() -> VerificationResult:
-            return verify_encoded(
+            nonlocal outlasted
+            started = time.monotonic()
+            verification = verify_encoded(
                 encoded,
                 budget=budget,
                 via_smtlib=self.config.use_smtlib_roundtrip,
@@ -956,10 +969,19 @@ class PolicyPipeline:
                 else None,
                 run_script=run_script,
             )
+            outlasted = (
+                budget.timeout_seconds is not None
+                and time.monotonic() - started >= budget.timeout_seconds
+            )
+            return verification
 
         if caches is not None:
             verification, computed = caches.get_or_compute(
-                "verification", key, run_solver
+                "verification",
+                key,
+                run_solver,
+                keep=lambda _v: not outlasted,
+                flight_key=(key, budget.timeout_seconds),
             )
             if not computed:
                 metrics.verification_hits += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.encode import EncodedQuery
@@ -203,10 +203,14 @@ def verification_cache_key(
     Content-hashing the script makes the key revision-independent: the
     formulas fully determine the verdict, so a subgraph untouched by a
     policy update could even hit across revisions (the pipeline clears
-    per-model caches on update regardless).
+    per-model caches on update regardless).  The budget's wall-clock
+    ``timeout_seconds`` is left out: a verdict reached inside the
+    deadline does not depend on it, and callers must not store a result
+    whose deadline ran out (see ``PolicyPipeline._verify``).
     """
     digest = hashlib.sha256(script_text.encode("utf-8")).hexdigest()
-    return (digest, budget or SolverBudget(), via_smtlib, check_conditional, certify)
+    budget = replace(budget or SolverBudget(), timeout_seconds=None)
+    return (digest, budget, via_smtlib, check_conditional, certify)
 
 
 def verify_encoded(

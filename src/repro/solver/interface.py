@@ -38,7 +38,7 @@ from repro.solver.result import (
     SolverStatistics,
 )
 from repro.solver.sat import CDCLSolver
-from repro.solver.theory import needs_theory, solve_with_theory
+from repro.solver.theory import solve_with_theory
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,7 +396,7 @@ class Solver:
                             f"{formula}"
                         )
                         break
-                if needs_theory(pool):
+                if pool.needs_theory:
                     report.checks.append("euf-model")
                     if not modelcheck.euf_consistent(named.items()):
                         fail("model is EUF-inconsistent under congruence")

@@ -7,6 +7,16 @@ Luby-sequence restarts, assumption-based solving (the mechanism behind
 
 The implementation favours clarity over raw speed, but is a real CDCL
 solver: it learns clauses, backjumps non-chronologically, and restarts.
+
+Decisions come from a MiniSat-style order heap: a binary max-heap of
+variables keyed on VSIDS activity, ties broken towards the lower
+variable index, so the top is exactly the variable a linear scan with a
+strict ``>`` would pick.  Removal is lazy: assigned variables stay in the
+heap until ``_decide`` pops and discards them, and ``_backtrack``
+reinserts every variable it unassigns that is not already there.  A
+bump only raises an activity, so the bumped variable sifts up in place;
+an activity rescale can round distinct activities into ties the heap
+order does not expect, so it rebuilds the heap instead.
 """
 
 from __future__ import annotations
@@ -103,6 +113,13 @@ class CDCLSolver:
         ]
         self._activity: list[float] = [0.0] * (num_vars + 1)
         self._activity_inc = 1.0
+        # Order heap of decision candidates; _heap_pos[v] is v's slot in
+        # _heap, or -1 when v is not in it.  Every unassigned variable is
+        # in the heap; assigned ones may linger until popped.
+        self._heap: list[int] = []
+        self._heap_pos: list[int] = [-1] * (num_vars + 1)
+        for var in range(1, num_vars + 1):
+            self._heap_insert(var)
         self._trail: list[int] = []
         self._trail_limits: list[int] = []
         self._queue_head = 0
@@ -137,6 +154,8 @@ class CDCLSolver:
             self._reasons.append(-1)
             self._phases.append(seeded_phase(self._num_vars, self.decision_seed))
             self._activity.append(0.0)
+            self._heap_pos.append(-1)
+            self._heap_insert(self._num_vars)
 
     def add_clause(
         self,
@@ -153,8 +172,9 @@ class CDCLSolver:
         if self._trail_limits:
             raise SolverError("add_clause called mid-solve")
         unique = sorted(set(lits), key=abs)
-        for lit in unique:
-            if -lit in unique:
+        # Sorted by variable, a complementary pair sits side by side.
+        for i in range(1, len(unique)):
+            if unique[i] == -unique[i - 1]:
                 return True  # tautology
         if self.proof is not None:
             # Log the clause before level-0 pruning: the checker re-derives
@@ -163,14 +183,18 @@ class CDCLSolver:
                 self.proof.log_theory(unique, theory_premise)
             else:
                 self.proof.log_input(unique)
-        self.ensure_vars(max((abs(l) for l in unique), default=0))
+        if unique and abs(unique[-1]) > self._num_vars:
+            self.ensure_vars(abs(unique[-1]))
         # Remove literals already false at level 0; detect satisfied clauses.
+        values = self._values
+        levels = self._levels
         pruned: list[int] = []
         for lit in unique:
-            val = self._value(lit)
-            if val == _TRUE and self._levels[abs(lit)] == 0:
-                return True
-            if val == _FALSE and self._levels[abs(lit)] == 0:
+            var = abs(lit)
+            val = values[var]
+            if val != _UNASSIGNED and levels[var] == 0:
+                if (val == _TRUE) == (lit > 0):
+                    return True
                 continue
             pruned.append(lit)
         if not pruned:
@@ -294,6 +318,9 @@ class CDCLSolver:
             for v in range(1, self._num_vars + 1):
                 self._activity[v] *= 1.0 / _ACTIVITY_RESCALE
             self._activity_inc *= 1.0 / _ACTIVITY_RESCALE
+            self._heap_rebuild()
+        elif self._heap_pos[var] >= 0:
+            self._sift_up(self._heap_pos[var])
 
     def _analyze(self, conflict_index: int) -> tuple[list[int], int]:
         """1UIP analysis: learned clause and backjump level."""
@@ -383,10 +410,15 @@ class CDCLSolver:
         if self._level <= level:
             return
         limit = self._trail_limits[level]
+        values = self._values
+        reasons = self._reasons
+        heap_pos = self._heap_pos
         for lit in reversed(self._trail[limit:]):
             var = abs(lit)
-            self._values[var] = _UNASSIGNED
-            self._reasons[var] = -1
+            values[var] = _UNASSIGNED
+            reasons[var] = -1
+            if heap_pos[var] < 0:
+                self._heap_insert(var)
         del self._trail[limit:]
         del self._trail_limits[level:]
         self._queue_head = len(self._trail)
@@ -396,16 +428,89 @@ class CDCLSolver:
     # ------------------------------------------------------------------
 
     def _decide(self) -> int:
-        """Pick the unassigned variable with the highest activity, or 0."""
-        best_var = 0
-        best_act = -1.0
-        for var in range(1, self._num_vars + 1):
-            if self._values[var] == _UNASSIGNED and self._activity[var] > best_act:
-                best_var = var
-                best_act = self._activity[var]
-        if best_var == 0:
-            return 0
-        return best_var if self._phases[best_var] else -best_var
+        """Pick the unassigned variable with the highest activity, or 0.
+
+        Ties go to the lowest variable index.  Assigned variables popped
+        on the way are dropped; ``_backtrack`` puts them back.
+        """
+        heap = self._heap
+        values = self._values
+        while heap:
+            var = self._heap_pop()
+            if values[var] == _UNASSIGNED:
+                return var if self._phases[var] else -var
+        return 0
+
+    # ------------------------------------------------------------------
+    # Order heap (binary max-heap on activity, then lower index)
+    # ------------------------------------------------------------------
+
+    def _heap_insert(self, var: int) -> None:
+        self._heap_pos[var] = len(self._heap)
+        self._heap.append(var)
+        self._sift_up(len(self._heap) - 1)
+
+    def _heap_pop(self) -> int:
+        heap = self._heap
+        top = heap[0]
+        last = heap.pop()
+        self._heap_pos[top] = -1
+        if heap:
+            heap[0] = last
+            self._heap_pos[last] = 0
+            self._sift_down(0)
+        return top
+
+    def _heap_rebuild(self) -> None:
+        for i in range(len(self._heap) // 2 - 1, -1, -1):
+            self._sift_down(i)
+
+    def _sift_up(self, i: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self._activity
+        var = heap[i]
+        act = activity[var]
+        while i > 0:
+            parent = (i - 1) >> 1
+            above = heap[parent]
+            above_act = activity[above]
+            if above_act > act or (above_act == act and above < var):
+                break
+            heap[i] = above
+            pos[above] = i
+            i = parent
+        heap[i] = var
+        pos[var] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap = self._heap
+        pos = self._heap_pos
+        activity = self._activity
+        size = len(heap)
+        var = heap[i]
+        act = activity[var]
+        while True:
+            child = 2 * i + 1
+            if child >= size:
+                break
+            below = heap[child]
+            below_act = activity[below]
+            right = child + 1
+            if right < size:
+                other = heap[right]
+                other_act = activity[other]
+                if other_act > below_act or (
+                    other_act == below_act and other < below
+                ):
+                    child, below, below_act = right, other, other_act
+            if act > below_act or (act == below_act and var < below):
+                break
+            heap[i] = below
+            pos[below] = i
+            i = child
+        heap[i] = var
+        pos[var] = i
 
     # ------------------------------------------------------------------
     # Main loop

@@ -11,23 +11,12 @@ from __future__ import annotations
 
 from repro.errors import BudgetExceededError
 from repro.solver import faults as _faults
-from repro.solver.euf import EQ_PREDICATE, check_euf, parse_atom
+from repro.solver.euf import check_euf
 from repro.solver.literals import AtomPool
 from repro.solver.result import SatResult, SolverStatistics
 from repro.solver.sat import CDCLSolver
 
 _MAX_THEORY_ROUNDS = 10_000
-
-
-def needs_theory(pool: AtomPool) -> bool:
-    """True when any named atom involves equality or function terms."""
-    for key in pool.named_atoms():
-        name, args = parse_atom(key)
-        if name == EQ_PREDICATE:
-            return True
-        if any("(" in a for a in args):
-            return True
-    return False
 
 
 def solve_with_theory(
@@ -43,7 +32,7 @@ def solve_with_theory(
     skip theory checking entirely.
     """
     stats = stats or sat.stats
-    theory_active = needs_theory(pool)
+    theory_active = pool.needs_theory
 
     for _round in range(_MAX_THEORY_ROUNDS):
         verdict = sat.solve(assumptions)

@@ -125,6 +125,14 @@ def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
 # ---------------------------------------------------------------------------
 
 
+#: Failures of the interpreter rather than of the bytes being decoded.
+#: Everything else a decoder raises is the payload's fault: numpy and
+#: zipfile alone raise ``ValueError``, ``zlib.error``, ``EOFError``,
+#: ``tokenize.TokenError``, ``NotImplementedError`` and ``RuntimeError``
+#: on damaged archives.
+_INTERPRETER_ERRORS = (MemoryError, RecursionError, SystemError)
+
+
 def _parse_json(payloads: Mapping[str, bytes], name: str) -> object:
     try:
         return json.loads(payloads[name].decode("utf-8"))
@@ -178,7 +186,11 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
     """Reconstruct a :class:`PolicyModel` from :func:`model_artifacts` output.
 
     Raises :class:`~repro.errors.SnapshotCorruptionError` on any missing,
-    unparsable, or structurally inconsistent payload.
+    unparsable, or structurally inconsistent payload.  A failure of the
+    interpreter while decoding (a transient ``SystemError``,
+    ``MemoryError`` or ``RecursionError``) propagates unchanged: it says
+    nothing about the bytes, so it must not get a hash-valid snapshot
+    quarantined.
     """
     meta = _parse_json(payloads, "meta.json")
     raw_segments = _parse_json(payloads, "segments.json")
@@ -225,9 +237,9 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
             graph.restore_edge(_restore_edge(raw_edge))
 
         store = EmbeddingStore.from_bytes(payloads["embeddings.npz"])
-    except SnapshotCorruptionError:
+    except (SnapshotCorruptionError, *_INTERPRETER_ERRORS):
         raise
-    except Exception as exc:  # noqa: BLE001 - any malformed payload is corruption
+    except Exception as exc:  # noqa: BLE001 - any other decode failure is corruption
         raise SnapshotCorruptionError(f"snapshot payload inconsistent: {exc}") from exc
 
     return PolicyModel(

@@ -324,6 +324,36 @@ class TestModelCachesSingleFlight:
         value, computed = caches.get_or_compute("subgraph", "k", lambda: 7)
         assert (value, computed) == (7, True)
 
+    def test_rejected_value_reaches_waiters_unstored(self):
+        caches = ModelCaches()
+        compute, state = self._counting_compute(value="stale", delay=0.05)
+
+        def work(index: int) -> None:
+            value, _ = caches.get_or_compute(
+                "verification", "k", compute, keep=lambda v: False
+            )
+            assert value == "stale"
+
+        errors = _hammer(8, work)
+        assert not errors
+        assert state["calls"] == 1
+        assert caches.size("verification") == 0
+
+    def test_flight_key_separates_computations_not_values(self):
+        caches = ModelCaches()
+        compute, state = self._counting_compute(delay=0.05)
+
+        def work(index: int) -> None:
+            caches.get_or_compute(
+                "verification", "k", compute, flight_key=("k", index % 2)
+            )
+
+        errors = _hammer(8, work)
+        assert not errors
+        # At most one computation per flight key; later callers hit the table.
+        assert 1 <= state["calls"] <= 2
+        assert caches.size("verification") == 1
+
     def test_kinds_are_independent_namespaces(self):
         caches = ModelCaches()
         for kind in ModelCaches.KINDS:

@@ -10,11 +10,16 @@ computed against a previous policy revision.
 from __future__ import annotations
 
 import json
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
 from repro import PipelineConfig, PolicyPipeline, Verdict
+from repro.core import pipeline as pipeline_module
 from repro.core.caches import MISS
+from repro.solver.interface import SolverBudget
 
 # Mix of distinct and repeated questions: repeats exercise cache sharing,
 # the distinct ones exercise misses, the interrogative exercises the
@@ -186,3 +191,129 @@ class TestCacheInvalidation:
         pipeline.update(model, small_policy_text + self.ADDITION, in_place=True)
         batch = pipeline.query_batch(model, [self.QUESTION] * 4, max_workers=4)
         assert all(v is Verdict.VALID for v in batch.verdicts)
+
+
+class TestWallClockAndTheVerificationCache:
+    """The solver's wall-clock timeout is not part of the verification
+    cache key, and a result whose deadline ran out is never stored."""
+
+    QUESTION = "Acme shares the email address with advertisers."
+
+    @pytest.fixture()
+    def fresh(self, small_policy_text):
+        pipeline = PolicyPipeline()
+        return pipeline, pipeline.process(small_policy_text)
+
+    def _budget(self, pipeline, seconds):
+        return replace(pipeline.config.solver_budget, timeout_seconds=seconds)
+
+    def test_decided_verdict_hits_under_any_timeout(self, fresh):
+        pipeline, model = fresh
+        first = pipeline.query(
+            model, self.QUESTION, budget=self._budget(pipeline, 30.0)
+        )
+        second = pipeline.query(
+            model, self.QUESTION, budget=self._budget(pipeline, 7.5)
+        )
+        assert first.verdict is not Verdict.UNKNOWN
+        assert second.as_dict() == first.as_dict()
+        assert model.caches.size("verification") == 1
+        assert model.caches.hits["verification"] == 1
+
+    @pytest.mark.parametrize("phase", ["grounding", "search"])
+    def test_deadline_trip_is_not_cached(self, fresh, phase, monkeypatch):
+        from repro.solver.grounding import GroundingCounter
+
+        pipeline, model = fresh
+        with monkeypatch.context() as patch:
+            if phase == "search":
+                # Grounding ignores the clock, so the trip lands in the SAT loop.
+                spend = GroundingCounter.spend
+
+                def spend_without_deadline(self, n=1):
+                    deadline, self.deadline = self.deadline, None
+                    try:
+                        spend(self, n)
+                    finally:
+                        self.deadline = deadline
+
+                patch.setattr(GroundingCounter, "spend", spend_without_deadline)
+            tripped = pipeline.query(
+                model, self.QUESTION, budget=self._budget(pipeline, 1e-9)
+            )
+        assert tripped.verdict is Verdict.UNKNOWN
+        assert tripped.verification.solver_result.reason == "wall-clock timeout"
+        assert model.caches.size("verification") == 0
+        ample = pipeline.query(
+            model, self.QUESTION, budget=self._budget(pipeline, 30.0)
+        )
+        assert ample.verdict is not Verdict.UNKNOWN
+        assert model.caches.size("verification") == 1
+
+    def test_short_deadline_never_waits_out_a_longer_solve(
+        self, fresh, monkeypatch
+    ):
+        pipeline, model = fresh
+        entered, release = threading.Event(), threading.Event()
+        solve = pipeline_module.verify_encoded
+
+        def slow_long_solve(encoded, *, budget, **kwargs):
+            if budget.timeout_seconds > 10:
+                entered.set()
+                release.wait(30)
+            return solve(encoded, budget=budget, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "verify_encoded", slow_long_solve)
+        outcomes = {}
+
+        def ask(name, seconds):
+            outcomes[name] = pipeline.query(
+                model, self.QUESTION, budget=self._budget(pipeline, seconds)
+            )
+
+        long = threading.Thread(target=ask, args=("long", 30.0))
+        short = threading.Thread(target=ask, args=("short", 2.0))
+        long.start()
+        try:
+            assert entered.wait(10)
+            started = time.monotonic()
+            short.start()
+            short.join(2.0)
+            elapsed = time.monotonic() - started
+            assert not short.is_alive()
+        finally:
+            release.set()
+            long.join()
+            short.join()
+        assert elapsed < 2.0
+        assert outcomes["short"].verdict is not Verdict.UNKNOWN
+        assert outcomes["long"].as_dict() == outcomes["short"].as_dict()
+
+    def test_followers_of_an_outlasted_solve_share_its_answer(
+        self, small_policy_text, monkeypatch
+    ):
+        timeout = 0.5
+        pipeline = PolicyPipeline(
+            config=PipelineConfig(
+                solver_budget=SolverBudget(timeout_seconds=timeout), certify=False
+            )
+        )
+        model = pipeline.process(small_policy_text)
+        calls = []
+        solve = pipeline_module.verify_encoded
+
+        def outlasting_solve(encoded, *, budget, **kwargs):
+            calls.append(budget)
+            time.sleep(budget.timeout_seconds)
+            return solve(encoded, budget=budget, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "verify_encoded", outlasting_solve)
+        started = time.monotonic()
+        batch = pipeline.query_batch(model, [self.QUESTION] * 4, max_workers=4)
+        elapsed = time.monotonic() - started
+        # One solve for the whole batch; its followers take its answer
+        # instead of re-solving one after another.
+        assert len(calls) == 1
+        assert elapsed < 4 * timeout
+        assert len(set(_trace([o]) for o in batch.outcomes)) == 1
+        assert model.caches.size("verification") == 0

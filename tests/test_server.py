@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -469,6 +470,109 @@ class TestDeadlines:
         assert status == 503 and was_shed
         assert body["error"] == "deadline"
         assert server.metrics.deadline_refusals == 1
+
+    def test_identical_queries_share_one_verification(self, serving_root):
+        # Every request tightens the solver budget to its own remaining
+        # deadline; that must not split the verification cache.
+        srv = make_server(serving_root, warm_on_start=-1)
+        srv.start()
+        try:
+            host, port = srv.address
+            client = ServingClient(host, port, timeout=10.0)
+            company = srv.companies()[0]
+            caches = srv._epochs.current_registry.get_model(company).caches
+            entries = caches.size("verification")
+            hits = caches.hits["verification"]
+            replies = [client.query(company, QUESTION) for _ in range(5)]
+            client.close()
+        finally:
+            srv.stop()
+        assert [status for status, _ in replies] == [200] * 5
+        assert len({body["verdict"] for _, body in replies}) == 1
+        assert caches.size("verification") == entries + 1
+        assert caches.hits["verification"] == hits + 4
+
+    def test_short_deadline_never_waits_out_a_longer_solve(
+        self, server, monkeypatch
+    ):
+        # Identical questions with different deadlines share cached
+        # verdicts, never a solve in progress.
+        from repro.core import pipeline as pipeline_module
+
+        entered, release = threading.Event(), threading.Event()
+        solve = pipeline_module.verify_encoded
+
+        def slow_long_solve(encoded, *, budget, **kwargs):
+            if budget.timeout_seconds > 5:
+                entered.set()
+                release.wait(30)
+            return solve(encoded, budget=budget, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "verify_encoded", slow_long_solve)
+        company = server.companies()[0]
+        server._epochs.current_registry.get_model(company).caches.clear()
+        replies = {}
+
+        def ask(name, body):
+            replies[name] = server.handle_query(
+                {"company": company, "question": QUESTION, **body}
+            )
+
+        long = threading.Thread(target=ask, args=("long", {}))
+        short = threading.Thread(
+            target=ask, args=("short", {"deadline_seconds": 2.0})
+        )
+        long.start()
+        try:
+            assert entered.wait(10)
+            started = time.monotonic()
+            short.start()
+            short.join(2.0)
+            elapsed = time.monotonic() - started
+            assert not short.is_alive()
+        finally:
+            release.set()
+            long.join()
+            short.join()
+        assert elapsed < 2.0
+        status, body, _ = replies["short"]
+        assert status == 200 and body["verdict"] in {"VALID", "INVALID"}
+        status, long_body, _ = replies["long"]
+        assert status == 200 and long_body["verdict"] == body["verdict"]
+
+    def test_deadline_tripped_answer_is_not_cached(self, serving_root):
+        starved = True
+
+        def query_fn(model, question, budget, certify):
+            if starved:
+                # As if the request's remaining deadline were all but spent.
+                budget = replace(budget, timeout_seconds=1e-9)
+            return srv.pipeline.query(
+                model, question, budget=budget, certify=certify
+            )
+
+        srv = make_server(serving_root, query_fn=query_fn, warm_on_start=-1)
+        srv.start()
+        try:
+            host, port = srv.address
+            client = ServingClient(host, port, timeout=10.0)
+            company = srv.companies()[0]
+            caches = srv._epochs.current_registry.get_model(company).caches
+            entries = caches.size("verification")
+            tripped = client.query(company, QUESTION, trace=True)
+            entries_after_trip = caches.size("verification")
+            starved = False
+            ample = client.query(company, QUESTION)
+            client.close()
+        finally:
+            srv.stop()
+        status, body = tripped
+        assert status == 200 and body["verdict"] == "UNKNOWN"
+        assert body["trace"]["verification"]["reason"] == "wall-clock timeout"
+        assert entries_after_trip == entries
+        status, body = ample
+        assert status == 200 and body["verdict"] in {"VALID", "INVALID"}
+        assert caches.size("verification") == entries + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the CDCL SAT core."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.errors import BudgetExceededError
@@ -289,3 +292,184 @@ class TestSeededPhases:
             assert solver.solve() is SatResult.SAT
             model = solver.model()
             assert model[1] or model[2]
+
+
+class _TracingSolver(CDCLSolver):
+    """Records every decision literal the search makes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.decision_trace: list[int] = []
+        self.heap_rebuilds = 0
+
+    def _decide(self) -> int:
+        lit = self._pick()
+        if lit:
+            self.decision_trace.append(lit)
+        return lit
+
+    def _pick(self) -> int:
+        return CDCLSolver._decide(self)
+
+    def _heap_rebuild(self) -> None:
+        self.heap_rebuilds += 1
+        super()._heap_rebuild()
+
+
+class _LinearScanSolver(_TracingSolver):
+    """Reference decision rule: scan every variable, keep the first with
+    the strictly highest activity (the rule the order heap replaced)."""
+
+    def _pick(self) -> int:
+        best_var = 0
+        best_act = -1.0
+        for var in range(1, self._num_vars + 1):
+            if self._values[var] == 0 and self._activity[var] > best_act:
+                best_var = var
+                best_act = self._activity[var]
+        if best_var == 0:
+            return 0
+        return best_var if self._phases[best_var] else -best_var
+
+
+def _random_3sat(rng, num_vars, ratio=4.26):
+    clauses = []
+    for _ in range(int(num_vars * ratio)):
+        chosen = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+    return clauses
+
+
+def _run_both(build, drive):
+    """Build and drive a heap solver and a linear-scan solver alike and
+    return both observations (decisions, statistics, answers, proof,
+    heap rebuilds)."""
+    from repro.solver.proof import ProofLog
+
+    seen = []
+    for cls in (_TracingSolver, _LinearScanSolver):
+        solver = build(cls)
+        solver.proof = ProofLog()
+        answers = drive(solver)
+        seen.append(
+            (
+                solver.decision_trace,
+                solver.stats.as_dict(),
+                answers,
+                list(solver.proof.events),
+                solver.heap_rebuilds,
+            )
+        )
+    return seen
+
+
+class TestOrderHeapDecisions:
+    """The order heap makes exactly the linear scan's decisions."""
+
+    def _cnf_solver(self, clauses, num_vars, seed, max_learned):
+        def build(cls):
+            solver = cls(num_vars, decision_seed=seed)
+            solver._max_learned = max_learned
+            return solver
+
+        def drive(solver):
+            for clause in clauses:
+                solver.add_clause(clause)
+            answers = []
+            for assumptions in ((), (1, -2), (3,), ()):
+                verdict = solver.solve(assumptions)
+                model = solver.model() if verdict is SatResult.SAT else None
+                answers.append((verdict, model))
+            return answers
+
+        return build, drive
+
+    @pytest.mark.parametrize("decision_seed", [0, 1, 2])
+    def test_random_3sat_matches_linear_scan(self, decision_seed):
+        rng = random.Random(1000 + decision_seed)
+        totals = Counter()
+        for _ in range(12):
+            num_vars = rng.randint(40, 70)
+            clauses = _random_3sat(rng, num_vars)
+            build, drive = self._cnf_solver(clauses, num_vars, decision_seed, 30)
+            heap, linear = _run_both(build, drive)
+            assert heap == linear
+            totals.update(heap[1])
+        # The instances must exercise the whole search, not just decisions.
+        assert totals["conflicts"] > 500
+        assert totals["restarts"] > 0
+        assert totals["db_reductions"] > 0
+
+    def test_forced_activity_rescales_match_linear_scan(self, monkeypatch):
+        import repro.solver.sat as sat_module
+
+        monkeypatch.setattr(sat_module, "_ACTIVITY_RESCALE", 50.0)
+        rng = random.Random(7)
+        rebuilds = 0
+        for _ in range(6):
+            num_vars = rng.randint(40, 60)
+            clauses = _random_3sat(rng, num_vars)
+            build, drive = self._cnf_solver(clauses, num_vars, 0, 4000)
+            heap, linear = _run_both(build, drive)
+            assert heap == linear
+            rebuilds += heap[4]
+        assert rebuilds > 0
+
+    def test_rescale_that_rounds_activities_into_a_tie(self):
+        # The rescale multiplies by 1e-100, which underflows every
+        # denormal activity below to 0.0: variables 2..5 end up tied and
+        # must then be decided in index order.  A heap that only sifted
+        # the bumped variable up would keep its stale order and decide
+        # variable 3 before variable 2.
+        decisions = []
+        for cls in (_TracingSolver, _LinearScanSolver):
+            solver = cls(5)
+            for var, act in enumerate((3e-320, 1.5e-320, 0.0, 3e-320, 0.0), 1):
+                solver._activity[var] = act
+            solver._heap_rebuild()
+            solver._activity_inc = 2e100
+            solver._bump(1)
+            assert solver._activity[2:] == [0.0] * 4
+            assert solver.solve() is SatResult.SAT
+            decisions.append(solver.decision_trace)
+        assert decisions[0] == decisions[1] == [-1, -2, -3, -4, -5]
+
+    def test_theory_lemmas_between_rounds_match_linear_scan(self):
+        from repro.solver.literals import AtomPool
+        from repro.solver.theory import solve_with_theory
+
+        rng = random.Random(11)
+        constants = ["a", "b", "c", "d", "e"]
+        keys = [f"=({x},{y})" for x in constants for y in constants if x < y]
+        keys += [f"p({x})" for x in constants] + [f"q(f({x}))" for x in constants]
+        theory_conflicts = 0
+        for _ in range(10):
+            clauses = [
+                tuple(
+                    (key, rng.random() < 0.5)
+                    for key in rng.sample(keys, rng.randint(1, 3))
+                )
+                for _ in range(rng.randint(25, 45))
+            ]
+
+            def build(cls):
+                return cls(0)
+
+            def drive(solver):
+                pool = AtomPool()
+                for clause in clauses:
+                    solver.add_clause(
+                        tuple(
+                            pool.variable_for(key) * (1 if positive else -1)
+                            for key, positive in clause
+                        )
+                    )
+                solver.ensure_vars(pool.count)
+                verdict = solve_with_theory(solver, pool)
+                model = solver.model() if verdict is SatResult.SAT else None
+                return verdict, model
+
+            heap, linear = _run_both(build, drive)
+            assert heap == linear
+            theory_conflicts += heap[1]["theory_conflicts"]
+        assert theory_conflicts > 0

@@ -8,7 +8,7 @@ from repro.solver.euf import EQ_PREDICATE
 from repro.solver.literals import AtomPool
 from repro.solver.result import SatResult
 from repro.solver.sat import CDCLSolver
-from repro.solver.theory import needs_theory, solve_with_theory
+from repro.solver.theory import solve_with_theory
 from repro.fol.formula import And, Not, PredicateSymbol
 from repro.fol.terms import Constant, Sort
 
@@ -33,18 +33,18 @@ class TestNeedsTheory:
     def test_equality_atom_triggers(self):
         pool = AtomPool()
         pool.variable_for("=(a,b)")
-        assert needs_theory(pool)
+        assert pool.needs_theory
 
     def test_function_term_triggers(self):
         pool = AtomPool()
         pool.variable_for("p(f(a))")
-        assert needs_theory(pool)
+        assert pool.needs_theory
 
     def test_plain_atoms_do_not(self):
         pool = AtomPool()
         pool.variable_for("p(a)")
         pool.variable_for("flag")
-        assert not needs_theory(pool)
+        assert not pool.needs_theory
 
 
 class TestLazyLoop:

@@ -131,6 +131,33 @@ class TestSnapshotStore:
         assert len(excinfo.value.reports) == 1
         assert excinfo.value.reports[0].snapshot_id == info.snapshot_id
 
+    def test_transient_decode_error_is_a_load_error_not_corruption(
+        self, small_model, tmp_path, monkeypatch
+    ):
+        # A SystemError while decoding a hash-valid snapshot is the
+        # interpreter's failure, not the bytes': the snapshot must stay
+        # published and the error must reach the caller.
+        from repro.embeddings.store import EmbeddingStore
+
+        store = SnapshotStore(tmp_path)
+        info = store.commit(small_model)
+        current = (tmp_path / CURRENT_NAME).read_bytes()
+
+        def failing_from_bytes(payload, model=None):
+            raise SystemError("transient decoder failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                EmbeddingStore, "from_bytes", staticmethod(failing_from_bytes)
+            )
+            with pytest.raises(SystemError, match="transient decoder failure"):
+                store.load()
+        assert store.snapshot_ids() == [info.snapshot_id]
+        assert info.path.is_dir()
+        assert (tmp_path / CURRENT_NAME).read_bytes() == current
+        assert not (tmp_path / "quarantine").exists()
+        assert store.load().clean
+
     def test_quarantined_sequence_never_reissued(self, small_model, tmp_path):
         store = SnapshotStore(tmp_path)
         info = store.commit(small_model)
