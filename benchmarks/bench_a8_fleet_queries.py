@@ -87,7 +87,6 @@ def test_a8_fleet_queries(pipeline, tmp_path, benchmark):
     ckpt = JobConfig(
         max_workers=FLEET_WORKERS,
         checkpoint_dir=tmp_path / "ckpt",
-        checkpoint_fsync=True,
         handle_signals=False,
     )
     killed = False

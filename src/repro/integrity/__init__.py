@@ -9,8 +9,9 @@ of them:
 * :mod:`repro.integrity.findings` — the shared vocabulary: a typed
   :class:`Finding` with a severity ladder, aggregated into one
   :class:`IntegrityReport`;
-* :mod:`repro.integrity.walkers` — per-format artifact walkers that
-  re-verify every durable byte and emit findings;
+* :mod:`repro.integrity.walkers` — per-format artifact walkers (one for
+  both append-only logs) that re-verify every durable byte and emit
+  findings;
 * :mod:`repro.integrity.fsck` — layout discovery + one unified scan
   (the engine behind ``repro-policy fsck``);
 * :mod:`repro.integrity.repair` — the deterministic repair planner:
@@ -32,9 +33,8 @@ from repro.integrity.fsck import classify_root, discover_targets, run_fsck
 from repro.integrity.repair import RepairAction, RepairPlan, plan_repairs
 from repro.integrity.scrub import BackgroundScrubber
 from repro.integrity.walkers import (
-    walk_cassette,
     walk_cert_quarantine,
-    walk_checkpoint,
+    walk_log,
     walk_registry,
     walk_store,
 )
@@ -52,9 +52,8 @@ __all__ = [
     "RepairPlan",
     "plan_repairs",
     "BackgroundScrubber",
-    "walk_cassette",
     "walk_cert_quarantine",
-    "walk_checkpoint",
+    "walk_log",
     "walk_registry",
     "walk_store",
 ]

@@ -10,7 +10,7 @@ convert findings without import cycles.
 Severity ladder (ascending):
 
 * :attr:`Severity.INFO` — cosmetic or garbage-collectable leftovers
-  (orphan staging dirs, stale sidecars); no served state is affected.
+  (orphan staging dirs); no served state is affected.
 * :attr:`Severity.WARN` — damage the format's own redundancy absorbs
   (a torn journal tail, a corrupt non-current snapshot, a skipped
   cassette line); repair restores the clean state, verdicts unchanged.
@@ -39,7 +39,6 @@ KIND_CROSS_REF = "cross-ref-inconsistency"  # two sources of truth disagree
 KIND_FORMAT = "format-error"  # unparsable or structurally invalid payload
 KIND_DUPLICATE = "duplicate-record"  # replayed append (incl. duplicate header)
 KIND_PENDING_JOURNAL = "pending-journal"  # write-ahead record never resolved
-KIND_STALE_SIDECAR = "stale-sidecar"  # damage sidecar disagrees with the file
 
 KINDS = (
     KIND_HASH_MISMATCH,
@@ -50,7 +49,6 @@ KINDS = (
     KIND_FORMAT,
     KIND_DUPLICATE,
     KIND_PENDING_JOURNAL,
-    KIND_STALE_SIDECAR,
 )
 
 

@@ -17,14 +17,14 @@ recursed into, so one ``fsck /var/lib/repro`` covers a whole deployment.
 from __future__ import annotations
 
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.errors import IntegrityError
 from repro.integrity.findings import IntegrityReport
 from repro.integrity.walkers import (
-    walk_cassette,
     walk_cert_quarantine,
-    walk_checkpoint,
+    walk_log,
     walk_registry,
     walk_store,
 )
@@ -33,8 +33,8 @@ from repro.integrity.walkers import (
 _WALKERS = {
     "registry": walk_registry,
     "store": walk_store,
-    "checkpoint": walk_checkpoint,
-    "cassette": walk_cassette,
+    "checkpoint": partial(walk_log, family="checkpoint"),
+    "cassette": partial(walk_log, family="cassette"),
     "certs": walk_cert_quarantine,
 }
 

@@ -17,12 +17,11 @@ formats' own healing machinery instead of inventing new write paths:
   snapshot manifests, dangling entries are dropped *with provenance*
   (the dropped entry is written to ``quarantine/``), and orphan stores
   are adopted back into the index;
-* **checkpoint journals** — torn tails truncate in place (the writer's
-  own reopen repair); mid-file corruption compacts to the trusted
-  prefix with the damaged original kept as ``journal.jsonl.corrupt``;
-* **cassettes** — damaged lines compact away (valid lines kept
-  byte-verbatim), the original preserved as ``<cassette>.corrupt``,
-  and the damage sidecar refreshed;
+* **append-only logs** (checkpoint journals and cassettes) — a journal's
+  torn tail truncates in place (the writer's own reopen repair); other
+  damage compacts the log to what its reader trusts (lines kept
+  byte-verbatim), the original preserved as ``<name>.corrupt``; a
+  headerless journal moves aside whole;
 * **cert quarantines** — damaged evidence is never "fixed" (it *is*
   the forensic record); it moves to ``damaged/`` with a provenance
   note, so triage never trusts bytes that fail their own digest.
@@ -44,12 +43,9 @@ from typing import Callable
 from repro.errors import IntegrityError, SnapshotError
 from repro.integrity.findings import (
     KIND_CROSS_REF,
-    KIND_DUPLICATE,
-    KIND_HASH_MISMATCH,
     KIND_MISSING_REFERENT,
     KIND_ORPHAN,
     KIND_PENDING_JOURNAL,
-    KIND_STALE_SIDECAR,
     KIND_TORN_TAIL,
     Finding,
     IntegrityReport,
@@ -316,71 +312,37 @@ def _plan_registry(root: str, findings: list[Finding]) -> list[RepairAction]:
     return actions
 
 
-def _plan_checkpoint(root: str, findings: list[Finding]) -> list[RepairAction]:
-    journal_path = findings[0].path
-    tail_only = all(
-        f.kind == KIND_TORN_TAIL and f.severity.name == "WARN" for f in findings
-    )
-    has_unrepairable = any(not f.repairable for f in findings)
-    if has_unrepairable:
-        action = RepairAction(
-            action="quarantine-journal",
-            family="checkpoint",
-            root=root,
-            path=journal_path,
-            detail="no header binds these records to a suite: move the "
-            "whole journal aside as journal.jsonl.corrupt (never resumed "
-            "from)",
+def _plan_log(root: str, findings: list[Finding]) -> list[RepairAction]:
+    family = findings[0].family
+    if any(not f.repairable for f in findings):
+        action = "quarantine-journal"
+        detail = (
+            "no header binds these records to a suite: move the whole "
+            "journal aside as journal.jsonl.corrupt (never resumed from)"
         )
-    elif tail_only:
-        action = RepairAction(
-            action="truncate-tail",
-            family="checkpoint",
-            root=root,
-            path=journal_path,
-            detail="truncate the torn final line back to the last "
-            "complete record (the writer's own reopen repair)",
+    elif family == "checkpoint" and all(
+        f.kind == KIND_TORN_TAIL and f.severity.name == "WARN" for f in findings
+    ):
+        action = "truncate-tail"
+        detail = (
+            "truncate the torn final line back to the last complete record "
+            "(the writer's own reopen repair)"
         )
     else:
-        action = RepairAction(
-            action="compact-journal",
-            family="checkpoint",
+        action = "compact-journal" if family == "checkpoint" else "compact-cassette"
+        detail = (
+            "rewrite the log to the lines its reader trusts, byte-verbatim; "
+            "the damaged original is kept as <name>.corrupt"
+        )
+    return [
+        RepairAction(
+            action=action,
+            family=family,
             root=root,
-            path=journal_path,
-            detail="rewrite the trusted prefix (first-occurrence records, "
-            "byte-verbatim lines); the damaged original is kept as "
-            "journal.jsonl.corrupt",
+            path=findings[0].path,
+            detail=detail,
         )
-    return [action]
-
-
-def _plan_cassette(root: str, findings: list[Finding]) -> list[RepairAction]:
-    damage = [f for f in findings if f.kind != KIND_STALE_SIDECAR]
-    actions: list[RepairAction] = []
-    if damage:
-        actions.append(
-            RepairAction(
-                action="compact-cassette",
-                family="cassette",
-                root=root,
-                path=root,
-                detail=f"drop {len(damage)} damaged envelope lines (valid "
-                "lines kept byte-verbatim); the original is kept as "
-                "<cassette>.corrupt and the damage sidecar is refreshed",
-            )
-        )
-    elif any(f.kind == KIND_STALE_SIDECAR for f in findings):
-        actions.append(
-            RepairAction(
-                action="refresh-sidecar",
-                family="cassette",
-                root=root,
-                path=root,
-                detail="re-scan the cassette and rewrite (or remove) the "
-                "damage sidecar so the two agree",
-            )
-        )
-    return actions
+    ]
 
 
 def _plan_certs(root: str, findings: list[Finding]) -> list[RepairAction]:
@@ -409,8 +371,8 @@ def _plan_certs(root: str, findings: list[Finding]) -> list[RepairAction]:
 _PLANNERS = {
     "store": _plan_store,
     "registry": _plan_registry,
-    "checkpoint": _plan_checkpoint,
-    "cassette": _plan_cassette,
+    "checkpoint": _plan_log,
+    "cassette": _plan_log,
     "certs": _plan_certs,
 }
 
@@ -646,120 +608,28 @@ def _apply_registry(
         write_manifest(root, manifest)
 
 
-def _apply_checkpoint(
+def _apply_log(
     root: Path, actions: list[RepairAction], rebuilder: Rebuilder | None
 ) -> None:
-    from repro.jobs.checkpoint import (
-        KIND_HEADER,
-        decode_journal_line,
-        repair_torn_tail,
-    )
-    from repro.store.atomic import atomic_write_text
+    from repro.integrity.walkers import log_schema
+    from repro.store.log import compact, corrupt_path, repair_tail
 
     for action in actions:
-        journal = Path(action.path)
+        log = Path(action.path)
         if action.action == "truncate-tail":
-            repaired = repair_torn_tail(journal)
-            action.status = "applied"
             action.result = (
-                "torn tail truncated" if repaired else "tail already clean"
+                "torn tail truncated" if repair_tail(log) else "tail already clean"
             )
         elif action.action == "quarantine-journal":
-            corrupt = journal.with_name(journal.name + ".corrupt")
-            os.replace(journal, corrupt)
-            action.status = "applied"
-            action.result = f"journal moved to {corrupt.name}"
-        elif action.action == "compact-journal":
-            text = journal.read_text("utf-8", errors="replace")
-            lines = text.splitlines()
-            ends_with_newline = text.endswith("\n")
-            kept: list[str] = []
-            seen_header = False
-            seen_indices: set[int] = set()
-            dropped = 0
-            for number, line in enumerate(lines, start=1):
-                if not line.strip():
-                    continue
-                record = decode_journal_line(line)
-                if record is None:
-                    is_tail = number == len(lines) and not ends_with_newline
-                    dropped += 1
-                    if is_tail:
-                        continue
-                    # Mid-file corruption ends the trusted prefix: later
-                    # records (valid or not) stay only in the .corrupt copy.
-                    dropped += sum(
-                        1 for later in lines[number:] if later.strip()
-                    )
-                    break
-                if record.get("kind") == KIND_HEADER:
-                    if seen_header:
-                        dropped += 1
-                        continue
-                    seen_header = True
-                    kept.append(line)
-                    continue
-                index = record.get("index")
-                if isinstance(index, int):
-                    if index in seen_indices:
-                        dropped += 1
-                        continue
-                    seen_indices.add(index)
-                kept.append(line)
-            shutil.copy2(journal, journal.with_name(journal.name + ".corrupt"))
-            atomic_write_text(
-                journal, "\n".join(kept) + ("\n" if kept else "")
-            )
-            action.status = "applied"
+            os.replace(log, corrupt_path(log))
+            action.result = f"moved to {corrupt_path(log).name}"
+        else:
+            kept, dropped = compact(log, log_schema(action.family))
             action.result = (
-                f"compacted to {len(kept)} trusted lines ({dropped} dropped; "
-                "damaged original kept as journal.jsonl.corrupt)"
+                f"kept {kept} trusted lines, dropped {dropped} (damaged "
+                f"original kept as {corrupt_path(log).name})"
             )
-
-
-def _apply_cassette(
-    root: Path, actions: list[RepairAction], rebuilder: Rebuilder | None
-) -> None:
-    from repro.providers.cassette import (
-        load_cassette,
-        parse_cassette_line,
-        persist_cassette_report,
-    )
-    from repro.store.atomic import atomic_write_text
-
-    for action in actions:
-        cassette = Path(action.path)
-        if action.action == "compact-cassette":
-            text = cassette.read_text("utf-8", errors="replace")
-            kept = []
-            dropped = 0
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    parse_cassette_line(line)
-                except ValueError:
-                    dropped += 1
-                    continue
-                kept.append(line)
-            shutil.copy2(cassette, cassette.with_name(cassette.name + ".corrupt"))
-            atomic_write_text(
-                cassette, "\n".join(kept) + ("\n" if kept else "")
-            )
-            _, report = load_cassette(cassette)
-            persist_cassette_report(report)
-            action.status = "applied"
-            action.result = (
-                f"kept {len(kept)} valid lines, dropped {dropped} "
-                "(original kept as .corrupt; sidecar refreshed)"
-            )
-        elif action.action == "refresh-sidecar":
-            _, report = load_cassette(cassette)
-            side = persist_cassette_report(report)
-            action.status = "applied"
-            action.result = (
-                "sidecar rewritten" if side else "sidecar removed (cassette clean)"
-            )
+        action.status = "applied"
 
 
 def _apply_certs(
@@ -794,7 +664,7 @@ def _apply_certs(
 _APPLIERS = {
     "store": _apply_store,
     "registry": _apply_registry,
-    "checkpoint": _apply_checkpoint,
-    "cassette": _apply_cassette,
+    "checkpoint": _apply_log,
+    "cassette": _apply_log,
     "certs": _apply_certs,
 }

@@ -1,6 +1,7 @@
 """Per-format artifact walkers: re-verify every durable byte.
 
-One walker per artifact family, each returning an
+One walker per artifact family (checkpoint journals and cassettes, both
+append-only logs, share :func:`walk_log`), each returning an
 :class:`~repro.integrity.findings.IntegrityReport` fragment that
 :func:`~repro.integrity.fsck.run_fsck` (or the background scrubber)
 merges.  Walkers only *observe* — they never move, truncate, or rewrite
@@ -8,9 +9,9 @@ anything; that is the repair planner's job — so a scan is always safe to
 run against a live store.
 
 Detection reuses the formats' own verification primitives (the store's
-``verify_snapshot``, the journal's line decoder, the cassette's envelope
-parser) rather than re-implementing them: what the loader would refuse
-to serve is exactly what the walker reports.
+``verify_snapshot``, the shared log scan of :mod:`repro.store.log` with
+each log family's schema) rather than re-implementing them: what the
+loader would refuse to serve is exactly what the walker reports.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.integrity.findings import (
     KIND_MISSING_REFERENT,
     KIND_ORPHAN,
     KIND_PENDING_JOURNAL,
-    KIND_STALE_SIDECAR,
     KIND_TORN_TAIL,
     Finding,
     IntegrityReport,
@@ -377,212 +377,118 @@ def walk_registry(root: str | Path) -> IntegrityReport:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint journals
+# Append-only logs: checkpoint journals and cassettes
 # ----------------------------------------------------------------------
 
+#: Per log family: the scan counters for logs walked and lines scanned,
+#: and whether a duplicate key is a finding.  A cassette's duplicates are
+#: two recorders racing on one prompt, so there is nothing to repair.
+_LOG_FAMILIES = {
+    "checkpoint": ("journals", "journal_records", True),
+    "cassette": ("cassettes", "cassette_lines", False),
+}
 
-def walk_checkpoint(path: str | Path) -> IntegrityReport:
-    """Scan one checkpoint journal (a directory or the file itself).
 
-    Unlike :func:`repro.jobs.checkpoint.read_journal` — which stops at
-    the first bad line because recovery is prefix-trust — the walker
-    reads the whole file, so it distinguishes a torn *tail* (repairable
-    truncation) from *mid-file* corruption (the trusted prefix ends and
-    every later record, valid or not, is unserveable) and reports
-    duplicate headers the reader silently ignores.
+def log_schema(family: str):
+    """The :class:`~repro.store.log.LogSchema` of one log family."""
+    if family == "checkpoint":
+        from repro.jobs.checkpoint import JOURNAL
+
+        return JOURNAL
+    from repro.providers.cassette import CASSETTE
+
+    return CASSETTE
+
+
+def _refused(line, prefix: bool) -> tuple[str, Severity, str]:
+    """``(kind, severity, consequence)`` of one line a log refused."""
+    if line.torn:
+        return (
+            KIND_TORN_TAIL,
+            Severity.WARN,
+            "final line cut mid-append by a crash; truncating to the last "
+            "complete line restores the log",
+        )
+    if prefix:
+        return (
+            KIND_TORN_TAIL if line.last else KIND_HASH_MISMATCH,
+            Severity.ERROR,
+            "the trusted prefix ends here and every later record is "
+            "re-executed on resume",
+        )
+    from repro.providers.cassette import DIGEST_MISMATCH
+    from repro.store.log import CHECKSUM_MISMATCH
+
+    kind = {
+        CHECKSUM_MISMATCH: KIND_HASH_MISMATCH,
+        DIGEST_MISMATCH: KIND_CROSS_REF,
+    }.get(line.reason, KIND_FORMAT)
+    return kind, Severity.WARN, "replay skips it (the log degrades, it never crashes)"
+
+
+def walk_log(path: str | Path, family: str) -> IntegrityReport:
+    """Scan one append-only log: a checkpoint journal (its directory or
+    the file itself) or a cassette.
+
+    The readers only say what they trust; the walker reports every line
+    they refuse, so it tells a torn *tail* (repairable truncation) from
+    mid-file damage, and it reports duplicates the readers silently drop.
     """
-    from repro.jobs.checkpoint import JOURNAL_NAME, KIND_HEADER, decode_journal_line
+    from repro.jobs.checkpoint import JOURNAL_NAME
+    from repro.store.log import read_log
 
     path = Path(path)
-    journal = path / JOURNAL_NAME if path.is_dir() else path
-    root = str(journal.parent)
-    report = IntegrityReport(root=str(path))
-    report.count("journals")
-    if not journal.exists():
+    log_path = path / JOURNAL_NAME if path.is_dir() else path
+    root = str(path)
+    logs, lines, report_duplicates = _LOG_FAMILIES[family]
+    schema = log_schema(family)
+    report = IntegrityReport(root=root)
+    report.count(logs)
+    if not log_path.exists():
         return report
 
-    text = journal.read_text("utf-8", errors="replace")
-    lines = text.splitlines()
-    ends_with_newline = text.endswith("\n")
-    headers = 0
-    seen_indices: set[int] = set()
-    bad_lines: list[int] = []  # 1-based
-    records = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        record = decode_journal_line(line)
-        if record is None:
-            bad_lines.append(number)
-            continue
-        records += 1
-        kind = record.get("kind")
-        if kind == KIND_HEADER:
-            headers += 1
-            if headers > 1:
-                report.add(
-                    Finding(
-                        family="checkpoint",
-                        kind=KIND_DUPLICATE,
-                        severity=Severity.WARN,
-                        path=str(journal),
-                        root=root,
-                        detail=f"duplicate header record at line {number}; "
-                        "recovery trusts the first header only",
-                        subject=f"line {number}",
-                        repairable=True,
-                    )
-                )
-            continue
-        index = record.get("index")
-        if not isinstance(index, int):
-            bad_lines.append(number)
-            records -= 1
-            continue
-        if index in seen_indices:
-            report.add(
-                Finding(
-                    family="checkpoint",
-                    kind=KIND_DUPLICATE,
-                    severity=Severity.WARN,
-                    path=str(journal),
-                    root=root,
-                    detail=f"replayed append of record index {index} at "
-                    f"line {number} (first occurrence wins)",
-                    subject=f"index {index}",
-                    repairable=True,
-                )
-            )
-            continue
-        seen_indices.add(index)
-    report.count("journal_records", records)
-
-    tail_line = len(lines)
-    for number in bad_lines:
-        is_tail = number == tail_line and not ends_with_newline
-        if is_tail:
-            report.add(
-                Finding(
-                    family="checkpoint",
-                    kind=KIND_TORN_TAIL,
-                    severity=Severity.WARN,
-                    path=str(journal),
-                    root=root,
-                    detail="final line cut mid-append by a crash; "
-                    "truncating to the last complete record restores "
-                    "the journal",
-                    subject=f"line {number}",
-                    repairable=True,
-                )
+    log = read_log(log_path, schema)
+    report.count(lines, len(log.lines))
+    for line in log.lines:
+        if line.reason is not None:
+            kind, severity, consequence = _refused(line, schema.prefix)
+            detail = f"line {line.number}: {line.reason}; {consequence}"
+        elif line.duplicate and report_duplicates:
+            kind, severity = KIND_DUPLICATE, Severity.WARN
+            detail = (
+                f"line {line.number}: replayed append of record "
+                f"{line.key!r}; the first occurrence wins"
             )
         else:
-            report.add(
-                Finding(
-                    family="checkpoint",
-                    kind=KIND_HASH_MISMATCH
-                    if number < tail_line
-                    else KIND_TORN_TAIL,
-                    severity=Severity.ERROR,
-                    path=str(journal),
-                    root=root,
-                    detail=f"line {number} fails its checksum mid-file; "
-                    "the trusted prefix ends here and every later record "
-                    "is re-executed on resume",
-                    subject=f"line {number}",
-                    repairable=True,  # compact to the trusted prefix
-                )
-            )
-
-    if headers == 0 and records > 0:
+            continue
         report.add(
             Finding(
-                family="checkpoint",
+                family=family,
+                kind=kind,
+                severity=severity,
+                path=str(log_path),
+                root=root,
+                detail=detail,
+                subject=f"line {line.number}",
+                repairable=True,
+            )
+        )
+
+    keys = {line.key for line in log.lines if line.record is not None}
+    if schema.required is not None and keys and schema.required not in keys:
+        report.add(
+            Finding(
+                family=family,
                 kind=KIND_CROSS_REF,
                 severity=Severity.ERROR,
-                path=str(journal),
+                path=str(log_path),
                 root=root,
-                detail="journal carries records but no header: nothing "
-                "binds them to a question suite or model identity, so "
-                "no resume may trust them",
+                detail=f"log carries records but no {schema.required}: "
+                "nothing binds them to a question suite or model identity, "
+                "so no resume may trust them",
                 repairable=False,
             )
         )
-    return report
-
-
-# ----------------------------------------------------------------------
-# Cassettes
-# ----------------------------------------------------------------------
-
-
-def walk_cassette(path: str | Path) -> IntegrityReport:
-    """Scan one cassette's JSONL envelopes, cross-checked with the damage
-    sidecar its last real load persisted (if any)."""
-    from repro.providers.cassette import parse_cassette_line, sidecar_path
-
-    path = Path(path)
-    root = str(path)
-    report = IntegrityReport(root=root)
-    report.count("cassettes")
-    if not path.exists():
-        return report
-
-    text = path.read_text("utf-8", errors="replace")
-    lines = text.splitlines()
-    ends_with_newline = text.endswith("\n")
-    damaged = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        report.count("cassette_lines")
-        try:
-            parse_cassette_line(line)
-        except ValueError as exc:
-            damaged += 1
-            is_tail = number == len(lines) and not ends_with_newline
-            if is_tail:
-                kind, severity = KIND_TORN_TAIL, Severity.WARN
-            elif "checksum mismatch" in str(exc):
-                kind, severity = KIND_HASH_MISMATCH, Severity.WARN
-            elif "digest does not match" in str(exc):
-                kind, severity = KIND_CROSS_REF, Severity.WARN
-            else:
-                kind, severity = KIND_FORMAT, Severity.WARN
-            report.add(
-                Finding(
-                    family="cassette",
-                    kind=kind,
-                    severity=severity,
-                    path=root,
-                    root=root,
-                    detail=f"line {number}: {exc}; replay skips it "
-                    "(the cassette degrades, it never crashes)",
-                    subject=f"line {number}",
-                    repairable=True,
-                )
-            )
-
-    side = sidecar_path(path)
-    if side.exists():
-        try:
-            recorded = json.loads(side.read_text("utf-8"))
-            recorded_skips = len(recorded.get("skipped", []))
-        except (OSError, json.JSONDecodeError):
-            recorded_skips = None
-        if recorded_skips != damaged:
-            report.add(
-                Finding(
-                    family="cassette",
-                    kind=KIND_STALE_SIDECAR,
-                    severity=Severity.INFO,
-                    path=str(side),
-                    root=root,
-                    detail="damage sidecar disagrees with the cassette "
-                    f"(sidecar records {recorded_skips} skipped lines, "
-                    f"scan found {damaged}); refreshed on repair",
-                    repairable=True,
-                )
-            )
     return report
 
 

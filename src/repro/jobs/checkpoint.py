@@ -2,29 +2,18 @@
 
 One journal file (``journal.jsonl``) per job: a header record naming the
 question list and model identity, then one record per completed query in
-completion order.  Every line is a self-checking envelope —
-``{"sha256": <hex>, "record": {...}}`` with the digest taken over the
-canonical JSON of the record — appended through
-:func:`repro.store.atomic.append_durable_line` (write + flush + fsync), so
-a kill can lose at most the record being appended.
+completion order.  The file is an append-only log in the shared format of
+:mod:`repro.store.log` (self-checking envelopes, fsync'd appends, torn
+tails cut on reopen), so a kill can lose at most the record being
+appended.  :data:`JOURNAL` is the journal's trust rule on top of it:
 
-Recovery (:func:`read_journal`) tolerates exactly the corruptions an
-append-only log can suffer:
-
-* a **torn tail** — the final line was cut mid-write by a crash; it fails
-  to parse (or fails its checksum) and the journal recovers to the last
-  complete prefix.  :class:`CheckpointJournal` also *repairs* the tear on
-  reopen (truncating back to the last newline) — otherwise the resumed
-  run's first append would coalesce onto the torn fragment and every
-  record committed after the crash would fall outside the trusted prefix
-  of the *next* recovery;
-* a **duplicated record** — an append replayed after an ill-timed crash;
-  the first occurrence of an index wins and the duplicate is counted, not
-  trusted.
-
-Anything *before* the tail that fails its checksum is real corruption:
-recovery stops at it (prefix semantics), reports it, and the resumed job
-re-executes everything past that point — never trusts a damaged record.
+* trust is a **prefix** — the first line that fails to decode (or carries
+  no index) ends it, and the resumed job re-executes everything past that
+  point rather than trusting a damaged record;
+* a **duplicated record** — an append replayed after an ill-timed crash —
+  is dropped; the first occurrence of an index wins;
+* a journal needs its **header**; without one nothing binds the records
+  to a question suite or model.
 
 Restored results come back as :class:`CheckpointedOutcome`: a verdict plus
 the exact trace dict the original outcome serialized, so a resumed job's
@@ -35,15 +24,13 @@ uninterrupted run's.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
 
 from repro.core.metrics import PipelineMetrics
 from repro.core.verify import Verdict
-from repro.store.atomic import StepHook, append_durable_line, fsync_dir
+from repro.store.atomic import StepHook, append_durable_line
+from repro.store.log import LogSchema, envelope, open_for_append, read_log
 
 JOURNAL_NAME = "journal.jsonl"
 JOURNAL_VERSION = 1
@@ -56,91 +43,27 @@ KIND_STALL = "stall"  # StallOutcome trace (watchdog replacement)
 KIND_SHED = "shed"  # ShedOutcome trace (refused by admission control)
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def questions_digest(questions: list[str]) -> str:
     """The digest binding a journal header to its question suite."""
     return hashlib.sha256("\n".join(questions).encode("utf-8")).hexdigest()
 
 
-def _truncate_torn_tail(path: Path) -> bool:
-    """Truncate a torn (newline-less) final line left by a crash.
-
-    Reopening in append mode without this would coalesce the next record
-    onto the torn fragment, making that line unreadable — and, since
-    recovery is prefix-based, silently untrusting every record appended
-    after the reopen.  Returns True when a tear was repaired.
-    """
-    with open(path, "rb+") as handle:
-        handle.seek(0, os.SEEK_END)
-        size = handle.tell()
-        if size == 0:
-            return False
-        handle.seek(size - 1)
-        if handle.read(1) == b"\n":
-            return False
-        # Scan backwards for the last newline; everything after it is the
-        # torn fragment a kill left mid-append.
-        keep = 0
-        pos = size
-        chunk = 4096
-        while pos > 0:
-            start = max(0, pos - chunk)
-            handle.seek(start)
-            data = handle.read(pos - start)
-            cut = data.rfind(b"\n")
-            if cut != -1:
-                keep = start + cut + 1
-                break
-            pos = start
-        handle.truncate(keep)
-        handle.flush()
-        os.fsync(handle.fileno())
-    return True
+def _journal_key(record: dict):
+    if record.get("kind") == KIND_HEADER:
+        return KIND_HEADER
+    index = record.get("index")
+    if not isinstance(index, int):
+        raise ValueError("record carries no integer index")
+    return index
 
 
-def repair_torn_tail(path: str | Path) -> bool:
-    """Public seam for the integrity repair planner: truncate a torn
-    final line in place (see :func:`_truncate_torn_tail`).  Returns True
-    when a tear was found and repaired."""
-    return _truncate_torn_tail(Path(path))
+#: The journal's trust rule: a header-bound prefix, first index wins.
+JOURNAL = LogSchema(key=_journal_key, prefix=True, required=KIND_HEADER)
 
 
 def journal_line(record: dict) -> str:
     """Envelope one record as a self-checking journal line."""
-    payload = _canonical(record)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"sha256": digest, "record": record},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def _decode_line(line: str) -> dict | None:
-    """The record carried by ``line``, or None if torn/corrupt."""
-    try:
-        envelope = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(envelope, dict):
-        return None
-    record = envelope.get("record")
-    digest = envelope.get("sha256")
-    if not isinstance(record, dict) or not isinstance(digest, str):
-        return None
-    payload = _canonical(record)
-    if hashlib.sha256(payload.encode("utf-8")).hexdigest() != digest:
-        return None
-    return record
-
-
-def decode_journal_line(line: str) -> dict | None:
-    """Public seam for the integrity walkers: the record carried by one
-    journal line, or ``None`` when the line is torn or corrupt."""
-    return _decode_line(line)
+    return envelope(record)
 
 
 @dataclass(slots=True)
@@ -149,8 +72,7 @@ class JournalRecovery:
 
     header: dict | None = None
     completed: dict[int, dict] = field(default_factory=dict)
-    records_read: int = 0
-    torn_tail: bool = False  # final line incomplete or checksum-invalid
+    torn_tail: bool = False  # a line failed to decode and ended the prefix
     duplicates: int = 0  # replayed appends dropped (first occurrence wins)
 
     def summary(self) -> str:
@@ -163,41 +85,15 @@ class JournalRecovery:
 
 
 def read_journal(path: str | Path) -> JournalRecovery:
-    """Recover the last complete prefix of a checkpoint journal.
-
-    Lines are consumed in order; the first line that fails to parse or
-    fails its checksum ends the trusted prefix (everything after it is
-    ignored — an append-only log has no way to vouch for records past a
-    corruption).  Duplicate indices within the prefix are dropped.
-    """
-    recovery = JournalRecovery()
-    path = Path(path)
-    if not path.exists():
-        return recovery
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            record = _decode_line(stripped)
-            if record is None:
-                recovery.torn_tail = True
-                break
-            recovery.records_read += 1
-            kind = record.get("kind")
-            if kind == KIND_HEADER:
-                if recovery.header is None:
-                    recovery.header = record
-                continue
-            index = record.get("index")
-            if not isinstance(index, int):
-                recovery.torn_tail = True
-                break
-            if index in recovery.completed:
-                recovery.duplicates += 1
-                continue
-            recovery.completed[index] = record
-    return recovery
+    """Recover the trusted prefix of a checkpoint journal (see :data:`JOURNAL`)."""
+    log = read_log(path, JOURNAL)
+    completed = log.trusted
+    return JournalRecovery(
+        header=completed.pop(KIND_HEADER, None),
+        completed=completed,
+        torn_tail=log.end is not None,
+        duplicates=log.duplicates,
+    )
 
 
 @dataclass(slots=True)
@@ -240,34 +136,19 @@ class CheckpointedOutcome:
 class CheckpointJournal:
     """Writer half of the journal: fsync'd appends, one open handle.
 
-    Opening an existing journal repairs a torn tail first (see
-    :func:`_truncate_torn_tail`); :attr:`repaired_tail` records whether a
-    tear was found.  Not thread-safe by itself — the :class:`~repro.jobs.runner.JobRunner`
-    serializes appends under its commit lock, which also pins the record
-    order for a single-worker run.
+    Opening an existing journal cuts a torn tail first (see
+    :func:`~repro.store.log.open_for_append`); :attr:`repaired_tail`
+    records whether a tear was found.  Not thread-safe by itself — the
+    :class:`~repro.jobs.runner.JobRunner` serializes appends under its
+    commit lock, which also pins the record order for a single-worker run.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        fsync: bool = True,
-        step: StepHook | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, *, step: StepHook | None = None) -> None:
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
-        self.fsync = fsync
         self._step = step
         self.records_written = 0
-        self.directory.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists()
-        self.repaired_tail = existed and _truncate_torn_tail(self.path)
-        self._handle: IO[str] = open(self.path, "a", encoding="utf-8")
-        if not existed:
-            # Make the (empty) journal itself durable before any record,
-            # so a crash between creation and the first append cannot
-            # resurrect an older unlinked file.
-            fsync_dir(self.directory)
+        self._handle, self.repaired_tail = open_for_append(self.path)
 
     def write_header(
         self,
@@ -305,23 +186,12 @@ class CheckpointJournal:
 
     def _append(self, record: dict, *, label: str) -> None:
         append_durable_line(
-            self._handle,
-            journal_line(record),
-            fsync=self.fsync,
-            step=self._step,
-            label=label,
+            self._handle, journal_line(record), step=self._step, label=label
         )
         self.records_written += 1
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-            if self.fsync:
-                try:
-                    os.fsync(self._handle.fileno())
-                except OSError:  # pragma: no cover - handle already gone
-                    pass
-            self._handle.close()
+        self._handle.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self

@@ -47,7 +47,6 @@ class JobConfig:
     # Directory for the append-only checkpoint journal; None disables
     # checkpointing (and therefore resume).
     checkpoint_dir: str | Path | None = None
-    checkpoint_fsync: bool = True
     # Per-query wall-clock ceiling composed onto the solver budget: the
     # effective solver deadline is min(budget.timeout_seconds, this).
     # None leaves the configured budget untouched (the default solver

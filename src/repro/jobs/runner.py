@@ -504,11 +504,7 @@ class JobRunner:
     def _open_journal(self) -> CheckpointJournal | None:
         if self.config.checkpoint_dir is None:
             return None
-        return CheckpointJournal(
-            self.config.checkpoint_dir,
-            fsync=self.config.checkpoint_fsync,
-            step=self._journal_step,
-        )
+        return CheckpointJournal(self.config.checkpoint_dir, step=self._journal_step)
 
     def _execute(
         self,

@@ -1,12 +1,11 @@
 """Record/replay cassettes: real-provider runs become offline fixtures.
 
 A cassette is an append-only JSONL file of prompt→completion pairs keyed
-by prompt digest (:func:`~repro.llm.client.prompt_fingerprint`).  Each
-line is the same self-checking envelope the checkpoint journal uses —
-``{"sha256": <hex of canonical record>, "record": {...}}`` — appended
-through :func:`repro.store.atomic.append_durable_line` (write + flush +
-fsync), so a kill mid-recording loses at most the pair being appended
-and never corrupts earlier ones.
+by prompt digest (:func:`~repro.llm.client.prompt_fingerprint`).  The
+file is an append-only log in the shared format of :mod:`repro.store.log`
+— the same self-checking envelopes, fsync'd appends and torn-tail repair
+as the checkpoint journal — so a kill mid-recording loses at most the
+pair being appended and never corrupts earlier ones.
 
 :class:`RecordingLLM` wraps a live backend and captures every completion
 it produces; :class:`ReplayLLM` serves a cassette back deterministically
@@ -15,9 +14,9 @@ call-ordered: any worker count, any arrival order, any retry schedule
 replays to the same completions, which is what makes a recorded
 real-policy run a stable tier-1 fixture.
 
-Replay loading tolerates exactly the damage an append-only log can
-suffer — torn tails, checksum-failed lines, garbage bytes — by skipping
-the bad line and reporting it in a structured
+:data:`CASSETTE` is the cassette's trust rule: a damaged line — torn
+tail, checksum failure, garbage bytes, or a digest that does not match
+its own prompt — is skipped and reported in a structured
 :class:`CassetteReport`; a damaged cassette degrades to a smaller one,
 it never crashes replay.  Duplicate digests are first-wins (two workers
 may race to record the same prompt; both wrote the same completion).
@@ -25,43 +24,46 @@ may race to record the same prompt; both wrote the same completion).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CassetteError, CassetteMissError
 from repro.llm.client import LLMClient, UsageStats, prompt_fingerprint
-from repro.store.atomic import StepHook, append_durable_line, atomic_write_json
+from repro.store.atomic import StepHook, append_durable_line
+from repro.store.log import LogSchema, envelope, open_for_append, read_log
 
 CASSETTE_VERSION = 1
 
-#: Suffix of the damage sidecar written next to a cassette whose load
-#: skipped lines, so ``fsck`` can report cassette damage observed by a
-#: real replay run without replaying the cassette itself.
-SIDECAR_SUFFIX = ".integrity.json"
-
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: Reason a record whose digest names a different prompt is refused.
+DIGEST_MISMATCH = "digest does not match prompt"
 
 
 def cassette_line(prompt: str, completion: str) -> str:
     """Envelope one prompt→completion pair as a self-checking JSONL line."""
-    record = {
-        "v": CASSETTE_VERSION,
-        "digest": prompt_fingerprint(prompt),
-        "prompt": prompt,
-        "completion": completion,
-    }
-    payload = _canonical(record)
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"sha256": digest, "record": record},
-        sort_keys=True,
-        separators=(",", ":"),
+    return envelope(
+        {
+            "v": CASSETTE_VERSION,
+            "digest": prompt_fingerprint(prompt),
+            "prompt": prompt,
+            "completion": completion,
+        }
     )
+
+
+def _cassette_key(record: dict) -> str:
+    digest = record.get("digest")
+    prompt = record.get("prompt")
+    completion = record.get("completion")
+    if not all(isinstance(value, str) for value in (digest, prompt, completion)):
+        raise ValueError("record missing digest/prompt/completion")
+    if prompt_fingerprint(prompt) != digest:
+        raise ValueError(DIGEST_MISMATCH)
+    return digest
+
+
+#: The cassette's trust rule: skip damaged lines, first digest wins.
+CASSETTE = LogSchema(key=_cassette_key, prefix=False)
 
 
 @dataclass(slots=True)
@@ -93,73 +95,6 @@ class CassetteReport:
         }
 
 
-def _parse_line(line: str) -> tuple[str, str, str]:
-    """Validate one envelope line → (digest, prompt, completion).
-
-    Raises ``ValueError`` with a human-readable reason on any damage;
-    the loader converts that into a :class:`SkippedLine`.
-    """
-    try:
-        envelope = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"unparseable JSON: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise ValueError("envelope is not an object")
-    record = envelope.get("record")
-    declared = envelope.get("sha256")
-    if not isinstance(record, dict) or not isinstance(declared, str):
-        raise ValueError("envelope missing record/sha256")
-    actual = hashlib.sha256(_canonical(record).encode("utf-8")).hexdigest()
-    if actual != declared:
-        raise ValueError("checksum mismatch")
-    digest = record.get("digest")
-    prompt = record.get("prompt")
-    completion = record.get("completion")
-    if (
-        not isinstance(digest, str)
-        or not isinstance(prompt, str)
-        or not isinstance(completion, str)
-    ):
-        raise ValueError("record missing digest/prompt/completion")
-    if prompt_fingerprint(prompt) != digest:
-        raise ValueError("digest does not match prompt")
-    return digest, prompt, completion
-
-
-def parse_cassette_line(line: str) -> tuple[str, str, str]:
-    """Public seam for the integrity walkers: validate one envelope line
-    → ``(digest, prompt, completion)``, raising ``ValueError`` with a
-    human-readable reason on any damage."""
-    return _parse_line(line)
-
-
-def sidecar_path(path: str | Path) -> Path:
-    """Where a cassette's damage sidecar lives (``<cassette>.integrity.json``)."""
-    return Path(str(path) + SIDECAR_SUFFIX)
-
-
-def persist_cassette_report(report: CassetteReport) -> Path | None:
-    """Persist damage a cassette load observed; drop the sidecar when clean.
-
-    Called by :class:`RecordingLLM` and :class:`ReplayLLM` after every
-    load: skipped (torn/corrupt) lines are written atomically next to
-    the cassette so a later ``fsck`` can report the damage without a
-    full replay, and a clean load removes any stale sidecar so the two
-    never disagree.  Returns the sidecar path when one was written.
-    """
-    side = sidecar_path(report.path)
-    if report.skipped:
-        atomic_write_json(side, {"v": CASSETTE_VERSION, **report.as_dict()})
-        return side
-    try:
-        side.unlink()
-    except FileNotFoundError:
-        pass
-    except OSError:  # pragma: no cover - unwritable parent; load proceeds
-        pass
-    return None
-
-
 def load_cassette(path: str | Path) -> tuple[dict[str, str], CassetteReport]:
     """Load a cassette into a digest→completion map, skipping damage.
 
@@ -167,27 +102,19 @@ def load_cassette(path: str | Path) -> tuple[dict[str, str], CassetteReport]:
     lookup as a miss — loudly — rather than the load crashing first).
     """
     path = Path(path)
-    table: dict[str, str] = {}
-    report = CassetteReport(path=str(path))
-    if not path.exists():
-        return table, report
     try:
-        text = path.read_text("utf-8", errors="replace")
+        log = read_log(path, CASSETTE)
     except OSError as exc:
         raise CassetteError(f"cassette {path} is unreadable: {exc}") from exc
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            digest, _prompt, completion = _parse_line(line)
-        except ValueError as exc:
-            report.skipped.append(SkippedLine(line_number=number, reason=str(exc)))
-            continue
-        if digest in table:
-            report.duplicates += 1
-            continue
-        table[digest] = completion
-    report.entries = len(table)
+    table = {
+        digest: record["completion"] for digest, record in log.trusted.items()
+    }
+    report = CassetteReport(
+        path=str(path),
+        entries=len(table),
+        duplicates=log.duplicates,
+        skipped=[SkippedLine(line.number, line.reason) for line in log.refused],
+    )
     return table, report
 
 
@@ -207,20 +134,25 @@ class RecordingLLM:
         inner: LLMClient,
         path: str | Path,
         *,
-        fsync: bool = True,
         stats: UsageStats | None = None,
         step: StepHook | None = None,
     ) -> None:
         self._inner = inner
         self._path = Path(path)
-        self._fsync = fsync
         self._step = step
         self.stats = stats if stats is not None else UsageStats()
         self._lock = threading.Lock()
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._recorded, self.report = load_cassette(self._path)
-        persist_cassette_report(self.report)
-        self._handle = open(self._path, "a", encoding="utf-8")
+        # Cut a torn tail before loading: the next append would otherwise
+        # join onto it, and the line it lands in would become unreadable.
+        try:
+            self._handle, _ = open_for_append(self._path)
+        except OSError as exc:
+            raise CassetteError(f"cassette {path} is unreadable: {exc}") from exc
+        try:
+            self._recorded, self.report = load_cassette(self._path)
+        except BaseException:
+            self._handle.close()
+            raise
 
     @property
     def path(self) -> Path:
@@ -236,7 +168,6 @@ class RecordingLLM:
                 append_durable_line(
                     self._handle,
                     cassette_line(prompt, completion),
-                    fsync=self._fsync,
                     step=self._step,
                     label=digest[:12],
                 )
@@ -286,7 +217,6 @@ class ReplayLLM:
         self.stats = stats if stats is not None else UsageStats()
         self._lock = threading.Lock()
         self._table, self.report = load_cassette(self._path)
-        persist_cassette_report(self.report)
 
     @property
     def path(self) -> Path:

@@ -6,6 +6,9 @@ recoverable*:
 
 * :mod:`repro.store.atomic` — fsync'd write-to-temp-then-rename file
   primitives with named crash-step hooks;
+* :mod:`repro.store.log` — the append-only JSONL log format (envelope,
+  torn-tail repair, scan, compaction) under checkpoint journals and
+  cassettes;
 * :mod:`repro.store.serialize` — full round-trip between a
   :class:`~repro.core.pipeline.PolicyModel` and a set of hashable
   artifact payloads;

@@ -51,26 +51,23 @@ def append_durable_line(
     handle,
     line: str,
     *,
-    fsync: bool = True,
     step: StepHook | None = None,
     label: str | None = None,
 ) -> None:
-    """Append one newline-terminated record to an open journal handle.
+    """Append one newline-terminated record to an open log handle.
 
     The complement of :func:`atomic_write_bytes` for append-only logs: the
-    line is written, flushed, and (by default) fsync'd before the call
-    returns, so a crash after the call can lose at most records appended
-    *later*.  A crash *during* the write can leave a torn final line —
-    journal readers must therefore recover to the last complete prefix
-    (see :mod:`repro.jobs.checkpoint`).  Steps: ``append:<label>``,
-    ``sync:<label>``.
+    line is written, flushed, and fsync'd before the call returns, so a
+    crash after the call can lose at most records appended *later*.  A
+    crash *during* the write can leave a torn final line — readers
+    therefore skip it and writers cut it before appending (see
+    :mod:`repro.store.log`).  Steps: ``append:<label>``, ``sync:<label>``.
     """
     label = label or "line"
     handle.write(line + "\n")
     handle.flush()
     _step(step, f"append:{label}")
-    if fsync:
-        os.fsync(handle.fileno())
+    os.fsync(handle.fileno())
     _step(step, f"sync:{label}")
 
 

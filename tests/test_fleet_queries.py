@@ -81,7 +81,6 @@ class TestKillResumeParity:
         return JobConfig(
             max_workers=workers,
             checkpoint_dir=tmp_path / "ckpt",
-            checkpoint_fsync=True,
         )
 
     def test_resume_reproduces_baseline_bytes(

@@ -28,7 +28,7 @@ from repro.integrity.findings import (
 )
 from repro.errors import IntegrityError
 from repro.jobs.checkpoint import JOURNAL_NAME, CheckpointJournal
-from repro.providers.cassette import cassette_line, sidecar_path
+from repro.providers.cassette import cassette_line
 from repro.store.snapshot import SnapshotStore
 
 pytestmark = pytest.mark.integrity
@@ -47,7 +47,7 @@ def make_store(path, model, *, commits=2) -> SnapshotStore:
 
 
 def make_journal(directory) -> "os.PathLike[str]":
-    with CheckpointJournal(directory, fsync=False) as journal:
+    with CheckpointJournal(directory) as journal:
         journal.write_header(["q0", "q1", "q2"], company="Acme", revision=1)
         for index in range(3):
             journal.append_result(
@@ -327,13 +327,3 @@ class TestCorruptionMatrix:
         report = run_fsck(root)
         orphans = [f for f in report.findings if f.kind == KIND_ORPHAN]
         assert orphans and orphans[0].family == "registry"
-
-    def test_stale_sidecar_detected(self, tmp_path):
-        cassette = tmp_path / "tape.jsonl"
-        make_cassette(cassette)
-        sidecar_path(cassette).write_text(
-            json.dumps({"v": 1, "skipped": [{"line_number": 2, "reason": "x"}]}),
-            encoding="utf-8",
-        )
-        report = run_fsck(cassette)
-        assert any(f.kind == "stale-sidecar" for f in report.findings)

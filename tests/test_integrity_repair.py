@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.verify import Verdict
 from repro.errors import IntegrityError, SnapshotError
-from repro.integrity import plan_repairs, run_fsck
+from repro.integrity import plan_repairs, run_fsck, walk_log
 from repro.integrity.faults import flip_bit, truncate_tail, zero_block
 from repro.jobs.checkpoint import (
     JOURNAL_NAME,
@@ -18,11 +18,7 @@ from repro.jobs.checkpoint import (
     journal_line,
     read_journal,
 )
-from repro.providers.cassette import (
-    cassette_line,
-    load_cassette,
-    sidecar_path,
-)
+from repro.providers.cassette import cassette_line, load_cassette
 from repro.store.snapshot import SnapshotStore
 
 pytestmark = pytest.mark.integrity
@@ -38,6 +34,28 @@ def repair(root, *, rebuilder=None):
     plan = plan_repairs(run_fsck(root))
     plan.apply(rebuilder=rebuilder)
     return plan
+
+
+def make_journal(directory):
+    with CheckpointJournal(directory) as journal:
+        journal.write_header(["q0", "q1", "q2", "q3"], company="Acme", revision=1)
+        for index in range(4):
+            journal.append_result(
+                index,
+                f"q{index}",
+                "outcome",
+                Verdict.VALID,
+                {"verdict": "VALID", "question": f"q{index}"},
+            )
+    return directory / JOURNAL_NAME
+
+
+def make_cassette(path, entries=4):
+    lines = [
+        cassette_line(f"prompt number {i}", f"completion number {i}")
+        for i in range(entries)
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestStoreRepair:
@@ -199,23 +217,8 @@ class TestRegistryRepair:
 
 
 class TestCheckpointRepair:
-    def _journal(self, directory):
-        with CheckpointJournal(directory, fsync=False) as journal:
-            journal.write_header(
-                ["q0", "q1", "q2", "q3"], company="Acme", revision=1
-            )
-            for index in range(4):
-                journal.append_result(
-                    index,
-                    f"q{index}",
-                    "outcome",
-                    Verdict.VALID,
-                    {"verdict": "VALID", "question": f"q{index}"},
-                )
-        return directory / JOURNAL_NAME
-
     def test_torn_tail_truncated_resume_state_identical(self, tmp_path):
-        journal = self._journal(tmp_path)
+        journal = make_journal(tmp_path)
         damaged_trust = read_journal(journal)  # prefix-trust on the tear
         truncate_tail(journal, keep_fraction=0.95)
         damaged_trust = read_journal(journal)
@@ -228,7 +231,7 @@ class TestCheckpointRepair:
         assert healed.completed.keys() == damaged_trust.completed.keys()
 
     def test_mid_file_corruption_compacts_to_trusted_prefix(self, tmp_path):
-        journal = self._journal(tmp_path)
+        journal = make_journal(tmp_path)
         trusted_before = read_journal(journal)
         zero_block(journal, offset=len(journal.read_bytes()) // 2, length=16)
         trusted_damaged = read_journal(journal)  # what resume would trust
@@ -264,16 +267,9 @@ class TestCheckpointRepair:
 
 
 class TestCassetteRepair:
-    def _cassette(self, path, entries=4):
-        lines = [
-            cassette_line(f"prompt number {i}", f"completion number {i}")
-            for i in range(entries)
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     def test_damaged_lines_compact_away_valid_lines_verbatim(self, tmp_path):
         cassette = tmp_path / "tape.jsonl"
-        self._cassette(cassette)
+        make_cassette(cassette)
         table_before, _ = load_cassette(cassette)
         flip_bit(cassette)  # lands mid-file in one envelope
 
@@ -287,19 +283,169 @@ class TestCassetteRepair:
             assert table_before[digest] == completion
         assert len(table_after) == len(table_before) - 1
         assert cassette.with_name(cassette.name + ".corrupt").exists()
-        assert not sidecar_path(cassette).exists()  # refreshed to clean
 
-    def test_stale_sidecar_refreshed(self, tmp_path):
-        cassette = tmp_path / "tape.jsonl"
-        self._cassette(cassette)
-        sidecar_path(cassette).write_text(
-            json.dumps({"v": 1, "skipped": [{"line_number": 1, "reason": "x"}]}),
-            encoding="utf-8",
+
+class TestLogFormat:
+    """Envelope bytes pinned to what earlier releases wrote: a journal or
+    cassette on disk today must keep reading back the same records."""
+
+    def test_journal_line_golden(self):
+        header = {
+            "kind": "header",
+            "version": 1,
+            "company": "Acme",
+            "revision": 2,
+            "questions": ["q0", "q1"],
+            "questions_sha256": "ab12",
+        }
+        assert journal_line(header) == (
+            '{"record":{"company":"Acme","kind":"header","questions":["q0","q1"],'
+            '"questions_sha256":"ab12","revision":2,"version":1},'
+            '"sha256":"1396a2cd47b917661e19b32b6498704ee0032846c6d5292a34aec0a7b425d2d7"}'
         )
-        plan = repair(cassette)
-        assert [a.action for a in plan.actions] == ["refresh-sidecar"]
-        assert run_fsck(cassette).clean
-        assert not sidecar_path(cassette).exists()
+        outcome = {
+            "kind": "outcome",
+            "index": 3,
+            "question": "Does Acme sell the e-mail address?",
+            "verdict": "INVALID",
+            "trace": {"verdict": "INVALID", "n": [1, 2.5, None, True]},
+        }
+        assert journal_line(outcome) == (
+            '{"record":{"index":3,"kind":"outcome","question":"Does Acme sell '
+            'the e-mail address?","trace":{"n":[1,2.5,null,true],"verdict":'
+            '"INVALID"},"verdict":"INVALID"},"sha256":"6dad1b813b9e338d4ca275b9'
+            '9ab5350c4b5912f2b666db7455460beabd35a464"}'
+        )
+
+    def test_cassette_line_golden(self):
+        line = cassette_line(
+            "Extract the practices: Acme sells email addresses.",
+            'caf\u00e9 \u2028 line\nnext "quoted"',
+        )
+        assert line == (
+            '{"record":{"completion":"caf\\u00e9 \\u2028 line\\nnext '
+            '\\"quoted\\"","digest":"cfd8d0cc818f3b573992232725b2f2057d9bd871'
+            'fcc675e4e0e4bf16893a84a9","prompt":"Extract the practices: Acme '
+            'sells email addresses.","v":1},"sha256":"4363f601c62624dad686fb3f'
+            'b51132048bdd70703a598071b7fe1a6759e69432"}'
+        )
+
+
+def _tamper(line: str) -> str:
+    """Change a record but keep its old digest: a mid-file checksum failure."""
+    wrapped = json.loads(line)
+    wrapped["record"]["tampered"] = True
+    return json.dumps(wrapped, sort_keys=True, separators=(",", ":"))
+
+
+def _edit_lines(edit):
+    def damage(path):
+        lines = path.read_text("utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+    return damage
+
+
+#: The damage shapes an append-only log can suffer.
+LOG_DAMAGE = {
+    "torn-tail": lambda p: truncate_tail(p, keep_fraction=0.95),
+    "mid-file-checksum": _edit_lines(
+        lambda lines: lines[:2] + [_tamper(lines[2])] + lines[3:]
+    ),
+    "garbage-line": _edit_lines(lambda lines: lines[:2] + ["{not json"] + lines[2:]),
+    "duplicate-key": _edit_lines(lambda lines: lines + [lines[1]]),
+    # Bit rot turned a newline into a vertical tab, joining two lines.
+    "joined-lines": _edit_lines(
+        lambda lines: lines[:2] + [lines[2] + "\x0b" + lines[3]] + lines[4:]
+    ),
+    "empty-file": lambda p: p.write_text("", encoding="utf-8"),
+    "missing-file": lambda p: p.unlink(),
+}
+
+#: What fsck finds for each (family, shape), as (kind, severity,
+#: repairable), and the repair it plans.  Journal damage that ends the
+#: trusted prefix is an error; a cassette only skips the damaged line.
+LOG_EXPECTED = {
+    ("checkpoint", "torn-tail"): ([("torn-tail", "warn", True)], ["truncate-tail"]),
+    ("checkpoint", "mid-file-checksum"): (
+        [("hash-mismatch", "error", True)],
+        ["compact-journal"],
+    ),
+    ("checkpoint", "garbage-line"): (
+        [("hash-mismatch", "error", True)],
+        ["compact-journal"],
+    ),
+    ("checkpoint", "duplicate-key"): (
+        [("duplicate-record", "warn", True)],
+        ["compact-journal"],
+    ),
+    ("checkpoint", "joined-lines"): (
+        [("hash-mismatch", "error", True)],
+        ["compact-journal"],
+    ),
+    ("checkpoint", "empty-file"): ([], []),
+    ("checkpoint", "missing-file"): ([], []),
+    ("cassette", "torn-tail"): ([("torn-tail", "warn", True)], ["compact-cassette"]),
+    ("cassette", "mid-file-checksum"): (
+        [("hash-mismatch", "warn", True)],
+        ["compact-cassette"],
+    ),
+    ("cassette", "garbage-line"): (
+        [("format-error", "warn", True)],
+        ["compact-cassette"],
+    ),
+    # Two recorders racing on one prompt: first wins, nothing to repair.
+    ("cassette", "duplicate-key"): ([], []),
+    ("cassette", "joined-lines"): (
+        [("format-error", "warn", True)],
+        ["compact-cassette"],
+    ),
+    ("cassette", "empty-file"): ([], []),
+    ("cassette", "missing-file"): ([], []),
+}
+
+
+def _trusted(family, log):
+    """What the family's own reader would serve from ``log``."""
+    if family == "checkpoint":
+        recovery = read_journal(log)
+        return recovery.header, recovery.completed
+    table, _ = load_cassette(log)
+    return table
+
+
+class TestLogDamageMatrix:
+    """One damage matrix over both log families: the reader and the
+    walker agree on what is trusted, fsck's verdict on each shape is
+    pinned, and repair leaves a log that re-scans clean."""
+
+    @pytest.mark.parametrize("shape", sorted(LOG_DAMAGE))
+    @pytest.mark.parametrize("family", ["checkpoint", "cassette"])
+    def test_damage_shape(self, tmp_path, family, shape):
+        if family == "checkpoint":
+            target = tmp_path
+            log = make_journal(tmp_path)
+        else:
+            target = log = tmp_path / "tape.jsonl"
+            make_cassette(log)
+        LOG_DAMAGE[shape](log)
+        trusted_before = _trusted(family, log)
+
+        report = walk_log(target, family)
+        findings, actions = LOG_EXPECTED[(family, shape)]
+        assert [
+            (f.kind, str(f.severity), f.repairable) for f in report.findings
+        ] == findings
+        assert all(f.family == family for f in report.findings)
+        plan = plan_repairs(report)
+        plan.apply()
+        assert [a.action for a in plan.actions] == actions
+        assert {a.status for a in plan.actions} <= {"applied"}
+
+        # Repair keeps exactly what the reader trusted, and nothing the
+        # walker would still flag.
+        assert walk_log(target, family).clean
+        assert _trusted(family, log) == trusted_before
 
 
 class TestCertRepair:

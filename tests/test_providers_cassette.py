@@ -151,6 +151,26 @@ class TestIntegrity:
         assert replay.complete("kept") == "kept completion"
         assert len(replay.report.skipped) == 1
 
+    def test_recording_onto_torn_tail_keeps_every_record(self, tmp_path):
+        # A kill tore p1 mid-append.  The next recorder must cut the torn
+        # fragment before appending: otherwise p2 joins onto it, that
+        # line becomes unreadable, and p2 is lost while the recorder still
+        # believes it is on tape.
+        path = tmp_path / "tape.jsonl"
+        torn = cassette_line("p1", "c1")[:25]
+        path.write_text(cassette_line("p0", "c0") + "\n" + torn, encoding="utf-8")
+        with RecordingLLM(CountingLLM(), path) as recorder:
+            recorder.complete("p2")
+            recorder.complete("p3")
+            assert len(recorder) == 3
+        table, report = load_cassette(path)
+        assert report.skipped == []
+        assert table == {
+            prompt_fingerprint("p0"): "c0",
+            prompt_fingerprint("p2"): "completion::p2",
+            prompt_fingerprint("p3"): "completion::p3",
+        }
+
     def test_digest_prompt_mismatch_is_skipped(self, tmp_path):
         path = tmp_path / "tape.jsonl"
         # Re-envelope a record whose digest names a different prompt: the
