@@ -73,6 +73,7 @@ def extract_policy(
     *,
     company: str | None = None,
     cached: dict[str, list[AnnotatedPractice]] | None = None,
+    segments: list[Segment] | None = None,
 ) -> ExtractionResult:
     """Run Phase 1 over a full policy.
 
@@ -83,9 +84,12 @@ def extract_policy(
         cached: previously extracted practices keyed by segment id; segments
             whose id appears here are reused without an LLM call, which is
             the incremental-update mechanism.
+        segments: ``segment_policy(policy_text)`` when the caller already
+            has it (an update diffs the new segmentation before extracting).
     """
     company = company or extract_company(runner, policy_text)
-    segments = segment_policy(policy_text)
+    if segments is None:
+        segments = segment_policy(policy_text)
     result = ExtractionResult(company=company, segments=segments)
     cached = cached or {}
     for segment in segments:

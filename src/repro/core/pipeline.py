@@ -557,6 +557,7 @@ class PolicyPipeline:
             new_policy_text,
             company=model.company,
             cached=cached,
+            segments=new_segments,
         )
         if in_place:
             new_model = self._patch_model(model, extraction, diff)

@@ -50,7 +50,10 @@ _WORD_RE = re.compile(
     re.VERBOSE,
 )
 
-_SENTENCE_END_RE = re.compile(r"[.!?]")
+# Every character that can end a sentence; the splitter visits only these.
+_BOUNDARY_RE = re.compile(r"[.!?\n]")
+# Closing punctuation that stays with the sentence it follows.
+_CLOSERS = ")\"'”]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,39 +108,42 @@ def _is_abbreviation(text: str, dot_index: int) -> bool:
 
 
 def _iter_sentence_spans(text: str) -> Iterator[tuple[int, int]]:
-    """Yield (start, end) spans of sentences within ``text``."""
+    """Yield (start, end) spans of sentences within ``text``.
+
+    Only ``.``, ``!``, ``?`` and newlines can end a sentence, so the scan
+    jumps from one such candidate to the next with a compiled search and
+    decides each candidate on its neighbours; the text between candidates
+    is never visited character by character.
+    """
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
+    search = _BOUNDARY_RE.search
+    match = search(text)
+    while match is not None:
+        i = match.start()
         ch = text[i]
         if ch == "\n":
             # Blank lines and bullet-style line breaks end a sentence: policy
             # documents use lists heavily and list items rarely carry final
             # punctuation.
             nxt = text[i + 1 : i + 2]
-            if nxt in ("\n", "-", "*", "•", "") or (
-                i + 1 < n and text[i + 1].isupper()
-            ):
+            if nxt in ("\n", "-", "*", "•", "") or nxt.isupper():
                 if text[start:i].strip():
                     yield start, i
                 start = i + 1
-            i += 1
+            match = search(text, i + 1)
             continue
-        if _SENTENCE_END_RE.match(ch):
-            if ch == "." and _is_abbreviation(text, i):
-                i += 1
-                continue
-            # Consume trailing closing punctuation after the terminator.
-            j = i + 1
-            while j < n and text[j] in ")\"'”]":
-                j += 1
-            if text[start:j].strip():
-                yield start, j
-            start = j
-            i = j
+        if ch == "." and _is_abbreviation(text, i):
+            match = search(text, i + 1)
             continue
-        i += 1
+        # Consume trailing closing punctuation after the terminator.
+        j = i + 1
+        while j < n and text[j] in _CLOSERS:
+            j += 1
+        if text[start:j].strip():
+            yield start, j
+        start = j
+        match = search(text, j)
     if text[start:].strip():
         yield start, n
 

@@ -1,6 +1,12 @@
 """Unit tests for segmentation, content hashing, and diffing."""
 
+import hashlib
+import json
+
+import pytest
+
 from repro.core.segmenter import Segment, diff_segments, segment_policy
+from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
 
 
 class TestSegmentPolicy:
@@ -89,3 +95,28 @@ class TestDiffSegments:
     def test_empty_to_empty(self):
         diff = diff_segments([], [])
         assert diff.reuse_fraction == 1.0
+
+
+class TestGoldenSegmentations:
+    """Segment ids, texts, sections and indices of the bundled policies.
+
+    The digests were taken from the character-by-character splitter; any
+    change to how the policies segment moves one of them.
+    """
+
+    @pytest.mark.parametrize(
+        "make_policy, count, digest",
+        [
+            (tiktak_policy, 1363, "daf9750864cb27e2"),
+            (metabook_policy, 3633, "896afddf306551e3"),
+            (meditrack_policy, 909, "13ad3b53822cd4ff"),
+        ],
+    )
+    def test_bundled_policy(self, make_policy, count, digest):
+        segments = [
+            [s.segment_id, s.text, s.section, s.index]
+            for s in segment_policy(make_policy().text)
+        ]
+        assert len(segments) == count
+        encoded = json.dumps(segments).encode("utf-8")
+        assert hashlib.sha256(encoded).hexdigest()[:16] == digest

@@ -1,6 +1,18 @@
 """Unit tests for sentence and word tokenization."""
 
-from repro.nlp.tokenizer import Token, sentence_spans, sentences, tokenize, words
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
+from repro.nlp.tokenizer import (
+    Token,
+    _is_abbreviation,
+    _iter_sentence_spans,
+    sentence_spans,
+    sentences,
+    tokenize,
+    words,
+)
 
 
 class TestTokenize:
@@ -85,3 +97,64 @@ class TestSentences:
 
     def test_whitespace_only(self):
         assert sentences("   \n \n") == []
+
+
+def _reference_sentence_spans(text):
+    """The character-by-character splitter the boundary scan replaced."""
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            nxt = text[i + 1 : i + 2]
+            if nxt in ("\n", "-", "*", "•", "") or (
+                i + 1 < n and text[i + 1].isupper()
+            ):
+                if text[start:i].strip():
+                    yield start, i
+                start = i + 1
+            i += 1
+            continue
+        if ch in ".!?":
+            if ch == "." and _is_abbreviation(text, i):
+                i += 1
+                continue
+            j = i + 1
+            while j < n and text[j] in ")\"'”]":
+                j += 1
+            if text[start:j].strip():
+                yield start, j
+            start = j
+            i = j
+            continue
+        i += 1
+    if text[start:].strip():
+        yield start, n
+
+
+class TestBoundaryScanMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet='ab .!?\n-*•A)"\'”]eg', max_size=60))
+    def test_random_strings(self, text):
+        assert list(_iter_sentence_spans(text)) == list(
+            _reference_sentence_spans(text)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=40))
+    def test_arbitrary_unicode(self, text):
+        assert list(_iter_sentence_spans(text)) == list(
+            _reference_sentence_spans(text)
+        )
+
+    def test_bundled_policies_and_their_lines(self):
+        for policy in (tiktak_policy(), metabook_policy(), meditrack_policy()):
+            text = policy.text
+            assert list(_iter_sentence_spans(text)) == list(
+                _reference_sentence_spans(text)
+            )
+            for line in text.splitlines():
+                assert list(_iter_sentence_spans(line)) == list(
+                    _reference_sentence_spans(line)
+                )

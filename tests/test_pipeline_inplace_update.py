@@ -1,8 +1,14 @@
 """Tests for the in-place incremental model update path."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.extraction
+import repro.core.pipeline
 from repro import PolicyPipeline, Verdict
+from repro.core.segmenter import segment_policy
+from repro.corpus.versions import make_version
 from repro.core.hierarchy import Taxonomy, extend_taxonomy
 
 
@@ -58,6 +64,29 @@ class TestInPlaceUpdate:
         assert set(patched_model.graph.graph.nodes) == set(
             rebuilt_model.graph.graph.nodes
         )
+
+    @settings(max_examples=12, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
+    def test_update_segments_once_and_matches_fresh_segmentation(
+        self, small_policy_text, seeds
+    ):
+        pipeline = PolicyPipeline()
+        model = pipeline.process(small_policy_text)
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return segment_policy(text)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repro.core.pipeline, "segment_policy", counted)
+            mp.setattr(repro.core.extraction, "segment_policy", counted)
+            for seed in seeds:
+                text = make_version(small_policy_text, seed=seed).text
+                calls.clear()
+                model, _ = pipeline.update(model, text, in_place=True)
+                assert calls == [text]
+                assert model.extraction.segments == segment_policy(text)
 
     def test_mutates_input_model(self, small_policy_text):
         pipeline = PolicyPipeline()
