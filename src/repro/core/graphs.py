@@ -179,8 +179,12 @@ class PolicyGraph:
             if self.graph.has_edge(source, target, key):
                 self.graph.remove_edge(source, target, key)
                 removed += 1
-        for node in [n for n in self.graph.nodes if self.graph.degree(n) == 0]:
-            self.graph.remove_node(node)
+        # Nodes only enter through _add_edge, so only an endpoint of a
+        # removed edge can have been left without edges.
+        for source, target, _key in entries:
+            for node in (source, target):
+                if node in self.graph and self.graph.degree(node) == 0:
+                    self.graph.remove_node(node)
         return removed
 
     # ------------------------------------------------------------------

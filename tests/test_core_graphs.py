@@ -1,6 +1,8 @@
 """Unit tests for the policy graph (Phase 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.graphs import (
     NODE_DATA,
@@ -114,6 +116,60 @@ class TestPolicyGraph:
         assert removed == 1
         assert "gps location" not in graph.graph
         assert "email" in graph.graph
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        practices=st.lists(
+            st.tuples(
+                st.sampled_from(["acme", "user", "advertisers", "email"]),
+                st.sampled_from([None, "advertisers", "partners"]),
+                st.sampled_from(["email", "gps location", "acme", "cookies"]),
+                st.sampled_from(["s0", "s1", "s2", "s3"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        order=st.lists(st.sampled_from(["s0", "s1", "s2", "s3", "loop"]), max_size=8),
+    )
+    def test_endpoint_pruning_matches_full_orphan_scan(self, practices, order):
+        def build():
+            graph = PolicyGraph("Acme")
+            for sender, receiver, data_type, segment_id in practices:
+                graph.add_practice(
+                    _practice(
+                        sender=sender,
+                        receiver=receiver,
+                        data_type=data_type,
+                        segment_id=segment_id,
+                    )
+                )
+            # A self-loop: the node's only edge both leaves and enters it.
+            graph.restore_edge(
+                PracticeEdge(
+                    source="loop node",
+                    action="collect",
+                    target="loop node",
+                    receiver=None,
+                    condition=None,
+                    permission=True,
+                    segment_id="loop",
+                )
+            )
+            return graph
+
+        def remove_with_full_scan(graph, segment_id):
+            for source, target, key in graph._edges_by_segment.pop(segment_id, []):
+                if graph.graph.has_edge(source, target, key):
+                    graph.graph.remove_edge(source, target, key)
+            for node in [n for n in graph.graph.nodes if graph.graph.degree(n) == 0]:
+                graph.graph.remove_node(node)
+
+        graph, reference = build(), build()
+        for segment_id in order:
+            graph.remove_segment(segment_id)
+            remove_with_full_scan(reference, segment_id)
+            assert list(graph.graph.nodes) == list(reference.graph.nodes)
+            assert graph.edges() == reference.edges()
 
     def test_remove_unknown_segment_noop(self):
         graph = PolicyGraph("Acme")
