@@ -133,7 +133,11 @@ def _iter_sentence_spans(text: str) -> Iterator[tuple[int, int]]:
                 start = i + 1
             match = search(text, i + 1)
             continue
-        if ch == "." and _is_abbreviation(text, i):
+        if ch == "." and (
+            # A period inside a token ("2.5", "3.2", "www.example.com")
+            # or closing an abbreviation does not end the sentence.
+            text[i + 1 : i + 2].isalnum() or _is_abbreviation(text, i)
+        ):
             match = search(text, i + 1)
             continue
         # Consume trailing closing punctuation after the terminator.
