@@ -170,9 +170,6 @@ class PipelineMetrics:
     snapshot_quarantines: int = 0  # corrupt snapshots quarantined during loads
     snapshot_rebuilds: int = 0  # loads that fell back to policy-text re-extraction
     snapshot_journal_recoveries: int = 0  # journal roll-forward/back events
-    audits_run: int = 0  # structural/parity audits executed
-    audit_failures: int = 0  # audits that reported findings
-    audit_heals: int = 0  # models auto-healed after a failed parity audit
     # Job-supervision accounting (repro.jobs): per-run counters attached
     # to each JobResult.metrics.
     queue_high_water: int = 0  # peak admission-queue depth (merged by max)
@@ -324,9 +321,7 @@ class PipelineMetrics:
             f"store: {self.snapshot_saves} saves, {self.snapshot_loads} loads "
             f"({self.snapshot_quarantines} quarantined, "
             f"{self.snapshot_rebuilds} rebuilt, "
-            f"{self.snapshot_journal_recoveries} journal recoveries); "
-            f"audits: {self.audits_run} run, {self.audit_failures} failed, "
-            f"{self.audit_heals} healed",
+            f"{self.snapshot_journal_recoveries} journal recoveries)",
             f"jobs: queue high-water {self.queue_high_water}, "
             f"{self.shed_queries} shed, {self.stalled_queries} stalled "
             f"({self.workers_replaced} workers replaced); "

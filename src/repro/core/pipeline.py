@@ -104,12 +104,6 @@ class PipelineConfig:
     # Raise TranslationError for terms with no embedding candidate at all
     # instead of silently keeping the raw term.
     strict_translation: bool = False
-    # After every update(in_place=True), run the incremental-vs-rebuild
-    # parity audit (repro.store.audit) and attach its report to the
-    # UpdateStats; with auto_heal, a failed audit replaces the patched
-    # state with the rebuild instead of letting drift reach queries.
-    audit_updates: bool = False
-    auto_heal: bool = False
     # Trust-but-verify certification of solver verdicts: re-validate SAT
     # answers against the original formulas, replay UNSAT proofs, and
     # demote any verdict whose certificate fails to UNKNOWN (soundness
@@ -179,10 +173,6 @@ class UpdateStats:
     segments_reextracted: int = 0
     segments_removed: int = 0
     seconds: float = 0.0
-    audited: bool = False  # parity audit ran (PipelineConfig.audit_updates)
-    audit_findings: int = 0
-    healed: bool = False  # drift found and auto-healed from the rebuild
-    audit_report: object | None = None  # repro.store.audit.AuditReport
 
     @property
     def reuse_fraction(self) -> float:
@@ -574,35 +564,8 @@ class PolicyPipeline:
             segments_reextracted=len(diff.added),
             segments_removed=len(diff.removed),
         )
-        if in_place and self.config.audit_updates:
-            self._audit_update(new_model, extraction, stats)
         stats.seconds = time.monotonic() - start
         return new_model, stats
-
-    def _audit_update(self, model: PolicyModel, extraction, stats: UpdateStats) -> None:
-        """Parity-check a patched model against a from-scratch rebuild.
-
-        The rebuild reuses the (fully cached) extraction, so its cost is
-        taxonomy induction plus re-indexing — no LLM re-extraction.  On a
-        failed audit with ``PipelineConfig.auto_heal``, the rebuild
-        *replaces* the patched state in place, so drift never reaches a
-        query.
-        """
-        from repro.store.audit import audit_parity, heal_model
-
-        rebuilt = self._build_model(extraction)
-        rebuilt.revision = model.revision
-        report = audit_parity(model, rebuilt)
-        stats.audited = True
-        stats.audit_report = report
-        stats.audit_findings = len(report.findings)
-        self.metrics.audits_run += 1
-        if not report.passed:
-            self.metrics.audit_failures += 1
-            if self.config.auto_heal:
-                heal_model(model, rebuilt)
-                stats.healed = True
-                self.metrics.audit_heals += 1
 
     def _patch_model(
         self, model: PolicyModel, extraction: ExtractionResult, diff
