@@ -16,6 +16,7 @@ segment produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import networkx as nx
 
@@ -157,16 +158,34 @@ class PolicyGraph:
         for practice in practices:
             self.add_practice(practice)
 
-    def restore_edge(self, edge: PracticeEdge) -> None:
-        """Re-materialize a previously serialized edge verbatim.
+    def restore_edges(self, edges: Iterable[PracticeEdge]) -> None:
+        """Re-materialize previously serialized edges verbatim, in order.
 
         The snapshot-load path replays edges (primary *and* derived) in
         their original insertion order instead of re-deriving them from
         practices, so a round-tripped graph is structurally identical to
-        the one that was saved — including segment provenance, which keeps
-        :meth:`remove_segment` working after a warm start.
+        the one that was saved — node order, node kinds, edge keys and
+        segment provenance, which keeps :meth:`remove_segment` working
+        after a warm start.  Each new node is classified once, and nodes
+        enter in the order edge-by-edge insertion would give them.
         """
-        self._add_edge(edge)
+        edges = list(edges)
+        graph = self.graph
+        new_nodes: dict[str, None] = {}
+        for edge in edges:
+            for name in (edge.source, edge.target):
+                if name not in graph:
+                    new_nodes[name] = None
+        graph.add_nodes_from(
+            (name, {"kind": classify_node(name, self.company)}) for name in new_nodes
+        )
+        add_edge = graph.add_edge
+        by_segment = self._edges_by_segment
+        for edge in edges:
+            key = add_edge(edge.source, edge.target, edge=edge)
+            by_segment.setdefault(edge.segment_id, []).append(
+                (edge.source, edge.target, key)
+            )
 
     def remove_segment(self, segment_id: str) -> int:
         """Drop every edge contributed by ``segment_id``; prune orphan nodes.
@@ -179,8 +198,8 @@ class PolicyGraph:
             if self.graph.has_edge(source, target, key):
                 self.graph.remove_edge(source, target, key)
                 removed += 1
-        # Nodes only enter through _add_edge, so only an endpoint of a
-        # removed edge can have been left without edges.
+        # Nodes only enter with an edge, so only an endpoint of a removed
+        # edge can have been left without edges.
         for source, target, _key in entries:
             for node in (source, target):
                 if node in self.graph and self.graph.degree(node) == 0:
@@ -192,8 +211,22 @@ class PolicyGraph:
     # ------------------------------------------------------------------
 
     def edges(self) -> list[PracticeEdge]:
-        """All practice edges in insertion order."""
+        """All practice edges, grouped by source node in node order."""
         return [data["edge"] for _u, _v, data in self.graph.edges(data=True)]
+
+    def edges_in_insertion_order(self) -> list[PracticeEdge]:
+        """All practice edges, segment by segment in the order they were added.
+
+        Replaying this list through :meth:`restore_edges` gives back the
+        node order of a graph built practice by practice; replaying
+        :meth:`edges` would not, because networkx groups edges by source.
+        """
+        adjacency = self.graph.succ
+        return [
+            adjacency[source][target][key]["edge"]
+            for entries in self._edges_by_segment.values()
+            for source, target, key in entries
+        ]
 
     def nodes_of_kind(self, kind: str) -> list[str]:
         return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == kind]

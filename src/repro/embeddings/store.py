@@ -99,10 +99,16 @@ class EmbeddingStore:
             return list(self._keys), self.matrix()
 
     def to_bytes(self) -> bytes:
-        """Serialize keys and vectors to ``.npz`` bytes (snapshot payload)."""
+        """Serialize keys and vectors to ``.npz`` bytes (snapshot payload).
+
+        The archive is stored, not deflated: float64 embedding vectors are
+        close to random bytes and barely shrink, while inflating them
+        dominated decoding.  :func:`numpy.load` reads stored and deflated
+        entries alike, so archives written deflated still load.
+        """
         buffer = io.BytesIO()
         keys, matrix = self.snapshot()
-        np.savez_compressed(
+        np.savez(
             buffer,
             keys=np.array(keys, dtype=object),
             matrix=matrix,

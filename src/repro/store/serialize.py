@@ -13,12 +13,19 @@ artifact, each hashed individually in the snapshot manifest:
 ``embeddings.npz``        the embedding store (keys + matrix + model config)
 ========================  =====================================================
 
-Deserialization *replays* rather than trusts: taxonomies are rebuilt
-through :meth:`Taxonomy.add` (which rejects cycles and dangling parents)
-and graph edges through :meth:`PolicyGraph.restore_edge` (which rebuilds
-segment provenance), so a payload that hashes correctly but is
-structurally inconsistent still fails the load instead of producing a
-silently broken model.  All structural failures surface as
+``embeddings.npz`` is a stored, not deflated, zip archive: its float64
+vectors barely compress, and inflating them was most of a load's
+decoding time.  :func:`numpy.load` reads deflated archives too, so
+snapshots written before this choice load through the same path.
+
+The snapshot store hands :func:`model_from_artifacts` the very bytes it
+hashed against the manifest; nothing here reads a file.  Deserialization
+*replays* rather than trusts: taxonomies are rebuilt through
+:meth:`Taxonomy.add` (which rejects cycles and dangling parents) and the
+graph edges in one :meth:`PolicyGraph.restore_edges` call (which rebuilds
+node kinds and segment provenance), so a payload that hashes correctly
+but is structurally inconsistent still fails the load instead of
+producing a silently broken model.  All structural failures surface as
 :class:`~repro.errors.SnapshotCorruptionError`.
 """
 
@@ -113,7 +120,9 @@ def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
         "graph.json": _json_bytes(
             {
                 "company": model.graph.company,
-                "edges": [_edge_payload(e) for e in model.graph.edges()],
+                "edges": [
+                    _edge_payload(e) for e in model.graph.edges_in_insertion_order()
+                ],
             }
         ),
         "embeddings.npz": model.store.to_bytes(),
@@ -233,8 +242,7 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
             data_taxonomy=data_taxonomy,
             entity_taxonomy=entity_taxonomy,
         )
-        for raw_edge in raw_graph["edges"]:
-            graph.restore_edge(_restore_edge(raw_edge))
+        graph.restore_edges(_restore_edge(raw_edge) for raw_edge in raw_graph["edges"])
 
         store = EmbeddingStore.from_bytes(payloads["embeddings.npz"])
     except (SnapshotCorruptionError, *_INTERPRETER_ERRORS):

@@ -26,8 +26,9 @@ write-ahead journal naming the base and successor snapshots.  Recovery
 rolls *forward* when the successor exists complete and hash-valid, and
 rolls *back* (dropping partial state) otherwise, then clears the journal.
 
-**Verification & quarantine.**  :meth:`load` re-hashes every artifact
-against the manifest and structurally replays the payloads.  A snapshot
+**Verification & quarantine.**  :meth:`load` reads each artifact once,
+hashes it against the manifest, and structurally replays the bytes it
+hashed, never a second read of the file.  A snapshot
 that fails is moved to ``quarantine/`` with a structured
 :class:`QuarantineReport`, and the store falls back to the newest
 remaining snapshot that verifies; only when none survives does it raise
@@ -208,23 +209,32 @@ class SnapshotStore:
 
     def verify_snapshot(self, snapshot_id: str) -> list[str]:
         """Hash-verify one snapshot; returns failure descriptions (empty = ok)."""
+        return self._read_verified(snapshot_id)[0]
+
+    def _read_verified(self, snapshot_id: str) -> tuple[list[str], dict[str, bytes]]:
+        """Read each artifact once and hash it: ``(failures, payloads)``.
+
+        ``payloads`` holds the bytes that were hashed, so a caller that
+        decodes them decodes exactly what was verified, whatever happens
+        to the files afterwards.  It is complete only when ``failures``
+        is empty.
+        """
         directory = self.snapshots_dir / snapshot_id
         if not directory.is_dir():
-            return [f"snapshot directory {snapshot_id} missing"]
+            return [f"snapshot directory {snapshot_id} missing"], {}
         try:
             manifest = self.manifest(snapshot_id)
         except SnapshotCorruptionError as exc:
-            return [str(exc)]
-        failures: list[str] = []
+            return [str(exc)], {}
         if manifest.get("format_version") != FORMAT_VERSION:
-            failures.append(
+            return [
                 f"unsupported format_version {manifest.get('format_version')!r}"
-            )
-            return failures
+            ], {}
         artifacts = manifest.get("artifacts")
         if not isinstance(artifacts, dict) or set(artifacts) != set(MODEL_ARTIFACTS):
-            failures.append("manifest artifact list does not match the format")
-            return failures
+            return ["manifest artifact list does not match the format"], {}
+        failures: list[str] = []
+        payloads: dict[str, bytes] = {}
         for name, entry in artifacts.items():
             path = directory / name
             try:
@@ -238,14 +248,8 @@ class SnapshotStore:
                     f"{name}: sha256 mismatch (manifest {entry.get('sha256')!r:.20}, "
                     f"actual {digest!r:.20})"
                 )
-        return failures
-
-    def _read_model(self, snapshot_id: str) -> PolicyModel:
-        directory = self.snapshots_dir / snapshot_id
-        payloads = {
-            name: (directory / name).read_bytes() for name in MODEL_ARTIFACTS
-        }
-        return model_from_artifacts(payloads)
+            payloads[name] = payload
+        return failures, payloads
 
     # ------------------------------------------------------------------
     # Commit protocol
@@ -463,10 +467,10 @@ class SnapshotStore:
         )
 
         for snapshot_id in candidates:
-            failures = self.verify_snapshot(snapshot_id)
+            failures, payloads = self._read_verified(snapshot_id)
             if not failures:
                 try:
-                    model = self._read_model(snapshot_id)
+                    model = model_from_artifacts(payloads)
                 except SnapshotCorruptionError as exc:
                     failures = [str(exc)]
             if failures:

@@ -144,16 +144,18 @@ class TestPolicyGraph:
                     )
                 )
             # A self-loop: the node's only edge both leaves and enters it.
-            graph.restore_edge(
-                PracticeEdge(
-                    source="loop node",
-                    action="collect",
-                    target="loop node",
-                    receiver=None,
-                    condition=None,
-                    permission=True,
-                    segment_id="loop",
-                )
+            graph.restore_edges(
+                [
+                    PracticeEdge(
+                        source="loop node",
+                        action="collect",
+                        target="loop node",
+                        receiver=None,
+                        condition=None,
+                        permission=True,
+                        segment_id="loop",
+                    )
+                ]
             )
             return graph
 
@@ -247,3 +249,59 @@ class TestDotExport:
         pipeline.save_artifacts(small_model, tmp_path)
         dot = (tmp_path / "graph.dot").read_text("utf-8")
         assert dot.startswith("digraph policy {")
+
+
+class TestRestoreEdges:
+    """Snapshot replay rebuilds the graph exactly as it was built."""
+
+    @staticmethod
+    def _layout(graph):
+        return (
+            list(graph.graph.nodes(data="kind")),
+            list(graph.graph.edges(keys=True)),
+            graph.edges(),
+            graph._edges_by_segment,
+        )
+
+    def test_round_trip_matches_the_original_graph(
+        self, pipeline, small_policy_text, tmp_path
+    ):
+        from repro.store import SnapshotStore
+
+        original = pipeline.process(small_policy_text).graph
+        store = SnapshotStore(tmp_path)
+        store.commit(pipeline.process(small_policy_text))
+        restored = store.load().model.graph
+        assert any(edge.derived for edge in original.edges())
+        assert list(restored.graph.nodes) == list(original.graph.nodes)
+        assert self._layout(restored) == self._layout(original)
+
+        for segment_id in list(original._edges_by_segment):
+            assert restored.remove_segment(segment_id) == original.remove_segment(
+                segment_id
+            )
+            assert self._layout(restored) == self._layout(original)
+        assert restored.graph.number_of_nodes() == 0
+
+    def test_bulk_replay_matches_edge_by_edge_insertion(self):
+        edges = [
+            PracticeEdge("acme", "collect", "email", None, None, True, "s0"),
+            PracticeEdge("acme", "share", "email", "advertisers", None, True, "s1"),
+            PracticeEdge("advertisers", "receive", "email", None, None, True, "s1", derived=True),
+            PracticeEdge("acme", "collect", "email", None, "consent", True, "s2"),
+            PracticeEdge("loop node", "collect", "loop node", None, None, True, "s2"),
+        ]
+        one_by_one = PolicyGraph("Acme")
+        for edge in edges:
+            one_by_one._add_edge(edge)
+        bulk = PolicyGraph("Acme")
+        bulk.restore_edges(iter(edges))
+        assert self._layout(bulk) == self._layout(one_by_one)
+        # Replaying onto a graph that already has edges continues its keys.
+        one_by_one._add_edge(edges[0])
+        bulk.restore_edges([edges[0]])
+        assert self._layout(bulk) == self._layout(one_by_one)
+        assert bulk._edges_by_segment["s0"] == [
+            ("acme", "email", 0),
+            ("acme", "email", 3),
+        ]

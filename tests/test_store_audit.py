@@ -60,16 +60,18 @@ class TestStructureAudit:
         from repro.core.graphs import PracticeEdge
 
         model = pipeline.process(small_policy_text)
-        model.graph.restore_edge(
-            PracticeEdge(
-                source="Acme",
-                action="collect",
-                target="shoe size",
-                receiver=None,
-                condition=None,
-                permission=True,
-                segment_id="seg-999",
-            )
+        model.graph.restore_edges(
+            [
+                PracticeEdge(
+                    source="Acme",
+                    action="collect",
+                    target="shoe size",
+                    receiver=None,
+                    condition=None,
+                    permission=True,
+                    segment_id="seg-999",
+                )
+            ]
         )
         report = audit_structure(model)
         checks = {f.check for f in report.findings}

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
+import pathlib
+import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from repro.errors import (
     SnapshotNotFoundError,
 )
 from repro.store import SnapshotStore, model_artifacts, model_from_artifacts
-from repro.store.audit import edge_key
+from repro.store import snapshot as snapshot_module
+from repro.store.audit import audit_structure, edge_key
+from repro.store.serialize import MODEL_ARTIFACTS
 from repro.store.snapshot import CURRENT_NAME, MANIFEST_NAME
 
 
@@ -192,6 +198,114 @@ class TestSnapshotStore:
         store.commit_update(small_model)
         assert not (tmp_path / "JOURNAL.json").exists()
         assert store.load().clean
+
+
+class TestLoadReadsOnce:
+    """``load`` decodes the bytes it hashed, read once per artifact."""
+
+    def test_clean_load_reads_each_artifact_once(
+        self, small_model, tmp_path, monkeypatch
+    ):
+        store = SnapshotStore(tmp_path)
+        info = store.commit(small_model)
+        reads: Counter = Counter()
+        real_open = pathlib.Path.open
+
+        def counting_open(path, *args, **kwargs):
+            if path.parent == info.path:
+                reads[path.name] += 1
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        assert store.load().clean
+        assert {name: reads[name] for name in MODEL_ARTIFACTS} == {
+            name: 1 for name in MODEL_ARTIFACTS
+        }
+
+    def test_rewrite_after_hashing_does_not_reach_the_model(
+        self, small_model, tmp_path, monkeypatch
+    ):
+        store = SnapshotStore(tmp_path)
+        info = store.commit(small_model)
+        meta_path = info.path / "meta.json"
+        verified = meta_path.read_bytes()
+        meta = json.loads(verified)
+        meta["revision"] += 41
+        rewritten = json.dumps(meta).encode("utf-8")
+        real_sha256 = snapshot_module._sha256
+
+        def sha256_then_rewrite(payload):
+            digest = real_sha256(payload)
+            if payload == verified:
+                meta_path.write_bytes(rewritten)
+            return digest
+
+        monkeypatch.setattr(snapshot_module, "_sha256", sha256_then_rewrite)
+        result = store.load()
+        assert meta_path.read_bytes() == rewritten
+        assert result.clean
+        assert result.model.revision == small_model.revision
+        assert_models_equal(small_model, result.model)
+
+
+def _deflated_embeddings(store) -> bytes:
+    """``EmbeddingStore.to_bytes`` as snapshots before stored archives wrote it."""
+    buffer = io.BytesIO()
+    keys, matrix = store.snapshot()
+    np.savez_compressed(
+        buffer,
+        keys=np.array(keys, dtype=object),
+        matrix=matrix,
+        model_name=np.array(store.model.name),
+        dim=np.array(store.model.dim),
+    )
+    return buffer.getvalue()
+
+
+def _compression(path) -> set[int]:
+    with zipfile.ZipFile(path) as archive:
+        return {entry.compress_type for entry in archive.infolist()}
+
+
+class TestDeflatedEmbeddingsCompatibility:
+    """Snapshots whose ``embeddings.npz`` is deflated still load."""
+
+    QUESTIONS = (
+        "Acme collects the email address.",
+        "Acme sells your contact information.",
+        "Acme shares location information with advertisers.",
+        "Acme shares the usage information with analytics providers.",
+    )
+
+    def test_deflated_snapshot_loads_like_a_fresh_one(
+        self, pipeline, small_model, tmp_path, monkeypatch
+    ):
+        from repro.embeddings.store import EmbeddingStore
+
+        old_store = SnapshotStore(tmp_path / "old")
+        with monkeypatch.context() as patch:
+            patch.setattr(EmbeddingStore, "to_bytes", _deflated_embeddings)
+            old_info = old_store.commit(small_model)
+        fresh_store = SnapshotStore(tmp_path / "fresh")
+        fresh_info = fresh_store.commit(small_model)
+        assert _compression(old_info.path / "embeddings.npz") == {zipfile.ZIP_DEFLATED}
+        assert _compression(fresh_info.path / "embeddings.npz") == {zipfile.ZIP_STORED}
+
+        result = old_store.load()
+        assert result.clean
+        old, fresh = result.model, fresh_store.load().model
+        assert old.store.keys == small_model.store.keys
+        expected = small_model.store.matrix()
+        for matrix in (old.store.matrix(), fresh.store.matrix()):
+            assert matrix.dtype == expected.dtype
+            assert matrix.shape == expected.shape
+            assert matrix.tobytes() == expected.tobytes()
+        assert audit_structure(old).passed
+        for question in self.QUESTIONS:
+            assert (
+                pipeline.query(old, question).verdict
+                == pipeline.query(fresh, question).verdict
+            ), question
 
 
 class TestPipelinePersistence:
