@@ -28,8 +28,8 @@ rolls *back* (dropping partial state) otherwise, then clears the journal.
 
 **Verification & quarantine.**  :meth:`load` reads each artifact once,
 hashes it against the manifest, and structurally replays the bytes it
-hashed, never a second read of the file.  A snapshot
-that fails is moved to ``quarantine/`` with a structured
+hashed rather than reading the file again.  A snapshot that fails is
+moved to ``quarantine/`` with a structured
 :class:`QuarantineReport`, and the store falls back to the newest
 remaining snapshot that verifies; only when none survives does it raise
 :class:`~repro.errors.SnapshotCorruptionError`.
@@ -214,10 +214,10 @@ class SnapshotStore:
     def _read_verified(self, snapshot_id: str) -> tuple[list[str], dict[str, bytes]]:
         """Read each artifact once and hash it: ``(failures, payloads)``.
 
-        ``payloads`` holds the bytes that were hashed, so a caller that
-        decodes them decodes exactly what was verified, whatever happens
-        to the files afterwards.  It is complete only when ``failures``
-        is empty.
+        ``payloads`` maps each artifact whose hash matched to the bytes
+        that were hashed, so a caller decodes exactly what was verified,
+        whatever happens to the files afterwards.  It is complete only
+        when ``failures`` is empty.
         """
         directory = self.snapshots_dir / snapshot_id
         if not directory.is_dir():
@@ -248,7 +248,8 @@ class SnapshotStore:
                     f"{name}: sha256 mismatch (manifest {entry.get('sha256')!r:.20}, "
                     f"actual {digest!r:.20})"
                 )
-            payloads[name] = payload
+            else:
+                payloads[name] = payload
         return failures, payloads
 
     # ------------------------------------------------------------------
