@@ -260,7 +260,7 @@ class TestRestoreEdges:
             list(graph.graph.nodes(data="kind")),
             list(graph.graph.edges(keys=True)),
             graph.edges(),
-            graph._edges_by_segment,
+            list(graph._edges_by_segment.items()),
         )
 
     def test_round_trip_matches_the_original_graph(
@@ -268,10 +268,10 @@ class TestRestoreEdges:
     ):
         from repro.store import SnapshotStore
 
-        original = pipeline.process(small_policy_text).graph
+        model = pipeline.process(small_policy_text)
         store = SnapshotStore(tmp_path)
-        store.commit(pipeline.process(small_policy_text))
-        restored = store.load().model.graph
+        store.commit(model)
+        original, restored = model.graph, store.load().model.graph
         assert any(edge.derived for edge in original.edges())
         assert list(restored.graph.nodes) == list(original.graph.nodes)
         assert self._layout(restored) == self._layout(original)
@@ -287,7 +287,9 @@ class TestRestoreEdges:
         edges = [
             PracticeEdge("acme", "collect", "email", None, None, True, "s0"),
             PracticeEdge("acme", "share", "email", "advertisers", None, True, "s1"),
-            PracticeEdge("advertisers", "receive", "email", None, None, True, "s1", derived=True),
+            PracticeEdge(
+                "advertisers", "receive", "email", None, None, True, "s1", derived=True
+            ),
             PracticeEdge("acme", "collect", "email", None, "consent", True, "s2"),
             PracticeEdge("loop node", "collect", "loop node", None, None, True, "s2"),
         ]

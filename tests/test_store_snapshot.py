@@ -18,10 +18,14 @@ from repro.errors import (
     SnapshotError,
     SnapshotNotFoundError,
 )
-from repro.store import SnapshotStore, model_artifacts, model_from_artifacts
+from repro.store import (
+    MODEL_ARTIFACTS,
+    SnapshotStore,
+    model_artifacts,
+    model_from_artifacts,
+)
 from repro.store import snapshot as snapshot_module
 from repro.store.audit import audit_structure, edge_key
-from repro.store.serialize import MODEL_ARTIFACTS
 from repro.store.snapshot import CURRENT_NAME, MANIFEST_NAME
 
 
