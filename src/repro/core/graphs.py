@@ -166,26 +166,10 @@ class PolicyGraph:
         practices, so a round-tripped graph is structurally identical to
         the one that was saved — node order, node kinds, edge keys and
         segment provenance, which keeps :meth:`remove_segment` working
-        after a warm start.  Each new node is classified once, and nodes
-        enter in the order edge-by-edge insertion would give them.
+        after a warm start.
         """
-        edges = list(edges)
-        graph = self.graph
-        new_nodes: dict[str, None] = {}
         for edge in edges:
-            for name in (edge.source, edge.target):
-                if name not in graph:
-                    new_nodes[name] = None
-        graph.add_nodes_from(
-            (name, {"kind": classify_node(name, self.company)}) for name in new_nodes
-        )
-        add_edge = graph.add_edge
-        by_segment = self._edges_by_segment
-        for edge in edges:
-            key = add_edge(edge.source, edge.target, edge=edge)
-            by_segment.setdefault(edge.segment_id, []).append(
-                (edge.source, edge.target, key)
-            )
+            self._add_edge(edge)
 
     def remove_segment(self, segment_id: str) -> int:
         """Drop every edge contributed by ``segment_id``; prune orphan nodes.
@@ -220,6 +204,9 @@ class PolicyGraph:
         Replaying this list through :meth:`restore_edges` gives back the
         node order of a graph built practice by practice; replaying
         :meth:`edges` would not, because networkx groups edges by source.
+        Correct only while every graph edge appears in ``_edges_by_segment``
+        exactly once, i.e. edges enter through :meth:`_add_edge` and leave
+        through :meth:`remove_segment`.
         """
         adjacency = self.graph.succ
         return [
