@@ -15,6 +15,10 @@ Two regimes are exercised:
   to per-data-branch decomposition.
 * **starved budget** (the R3 setting) — grounding itself overruns, the
   ladder escalates first, re-hits the contradiction, then decomposes.
+
+The reseed rung runs only after decomposition fails on a budget-limited
+UNKNOWN that grounding did not trip; ``reseed_steps`` counts how often it
+ran here.
 """
 
 import time
@@ -166,9 +170,17 @@ def test_a4_degradation_ladder(tiktak_model):
     base_row = [r for r in rows if r[0].endswith("@R3 budget") and r[1] == "(base)"]
     assert base_row and "budget" in base_row[0][3] or "timeout" in base_row[0][3]
 
+    reseed_steps = sum(
+        1
+        for report in [*reports.values(), starved_report]
+        for step in report.steps
+        if step.rung == "reseed"
+    )
+
     write_bench_json(
         "a4_degradation_ladder",
         {
+            "reseed_steps": reseed_steps,
             "query_terms": len(QUERY_TERMS),
             "unknown_at_default_budget": unknown,
             "rescued": rescued,

@@ -242,44 +242,6 @@ def _apply_query_timeout(pipeline: PolicyPipeline, timeout: float | None) -> Non
     pipeline.config.solver_budget = replace(base, timeout_seconds=effective)
 
 
-def _add_backend_options(sp) -> None:
-    """Execution-backend flags shared by query, batch, registry, serve."""
-    sp.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="solver execution backend: 'thread' solves in-process, "
-        "'process' ships each solve to a supervised worker process with "
-        "hard kills on deadline/stall/RSS and crash retry (default: thread)",
-    )
-    sp.add_argument(
-        "--portfolio",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --backend process: rescue budget-exhausted UNKNOWN "
-        "verdicts by racing N VSIDS-seeded solver variants and keeping "
-        "the first certified decisive answer (0 disables; default: 0)",
-    )
-
-
-def _apply_backend(pipeline: PolicyPipeline, args: argparse.Namespace) -> None:
-    """Map --backend/--portfolio onto the pipeline config."""
-    backend = getattr(args, "backend", "thread")
-    portfolio = getattr(args, "portfolio", 0)
-    if portfolio < 0:
-        raise ReproError(f"--portfolio must be >= 0, got {portfolio}")
-    if portfolio and backend != "process":
-        raise ReproError("--portfolio requires --backend process")
-    pipeline.config.execution_backend = backend
-    if portfolio:
-        from repro.procpool import PortfolioConfig
-
-        pipeline.config.portfolio = PortfolioConfig(
-            seeds=tuple(range(1, portfolio + 1))
-        )
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core.verify import is_certification_failure
 
@@ -294,13 +256,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.quarantine:
         pipeline.config.certification_quarantine_dir = args.quarantine
     _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
     if args.from_snapshot:
         model = pipeline.load_model(args.from_snapshot)
     else:
         model = pipeline.process(_read_policy(args.policy))
     outcome = pipeline.query(model, args.question)
-    pipeline.shutdown()  # reap --backend process workers (thread: no-op)
     print(outcome.summary())
     if args.smtlib:
         print("\n--- SMT-LIB script ---")
@@ -503,7 +463,6 @@ def _add_batch_options(sp, *, checkpoint_required: bool = False) -> None:
         metavar="FILE",
         help="write the full structured result to FILE",
     )
-    _add_backend_options(sp)
     _add_provider_options(sp)
 
 
@@ -619,7 +578,6 @@ def _cmd_registry_query(args: argparse.Namespace) -> int:
 
     pipeline = PolicyPipeline(llm=_build_provider_stack(args))
     _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint DIR")
     registry = PolicyRegistry(
@@ -665,7 +623,6 @@ def _cmd_registry_query(args: argparse.Namespace) -> int:
 
         atomic_write_json(args.json, report.as_dict())
         print(f"wrote JSON results to {args.json}")
-    pipeline.shutdown()
     return _job_exit_code(report.job)
 
 
@@ -693,7 +650,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ReproError(f"invalid serve options: {exc}") from None
     pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_backend(pipeline, args)
     server = PolicyServer(config, pipeline=pipeline)
     try:
         server.start()
@@ -765,12 +721,10 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
 
     pipeline = PolicyPipeline(llm=_build_provider_stack(args))
     _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
     model = pipeline.process(_read_policy(args.policy))
     questions = _read_questions(args.queries)
     runner = JobRunner(pipeline, model, _job_config(args))
     result = runner.run(questions)
-    pipeline.shutdown()
     _render_job_result(result, args, pipeline=pipeline)
     return _job_exit_code(result)
 
@@ -780,11 +734,9 @@ def _cmd_batch_resume(args: argparse.Namespace) -> int:
 
     pipeline = PolicyPipeline(llm=_build_provider_stack(args))
     _apply_query_timeout(pipeline, args.timeout)
-    _apply_backend(pipeline, args)
     model = pipeline.process(_read_policy(args.policy))
     runner = JobRunner(pipeline, model, _job_config(args))
     result = runner.resume()
-    pipeline.shutdown()
     _render_job_result(result, args, pipeline=pipeline)
     return _job_exit_code(result)
 
@@ -875,7 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query wall-clock ceiling in seconds, composed onto the "
         "solver deadline as min(configured, S); default unchanged",
     )
-    _add_backend_options(p)
     _add_provider_options(p)
     p.set_defaults(func=_cmd_query)
 
@@ -1102,7 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print merged pipeline metrics after the drain",
     )
-    _add_backend_options(p)
     _add_provider_options(p)
     p.set_defaults(func=_cmd_serve)
 

@@ -194,13 +194,6 @@ class PipelineMetrics:
     server_drains: int = 0  # graceful drains begun (signal or /drain)
     deadline_refusals: int = 0  # requests refused because the deadline expired
     queue_depth: int = 0  # admission depth gauge (merged by max, like high-water)
-    # Process-pool execution backend accounting (repro.procpool): per-query
-    # counters attached by the pipeline's process-backend script runner.
-    procpool_units: int = 0  # worker attempts dispatched (incl. retries/races)
-    procpool_kills: int = 0  # hard kills (deadline, stall, RSS, cancellation)
-    procpool_crashes: int = 0  # units whose retry also died (surfaced UNKNOWN)
-    procpool_retries: int = 0  # crashed units replayed on a replacement worker
-    procpool_rescues: int = 0  # budget-limited verdicts decided by the portfolio
     # LLM provider boundary accounting (repro.providers + repro.resilience):
     # synced onto PolicyPipeline.metrics from the wrapper stack's UsageStats
     # by sync_resilience_metrics(), so they are lifetime absolutes like the
@@ -338,10 +331,6 @@ class PipelineMetrics:
             f"{self.deadline_refusals} deadline refusals, "
             f"{self.server_reloads} reloads, {self.server_drains} drains; "
             f"queue depth {self.queue_depth}",
-            f"procpool: {self.procpool_units} units, "
-            f"{self.procpool_kills} kills, {self.procpool_crashes} crashes "
-            f"({self.procpool_retries} retried), "
-            f"{self.procpool_rescues} portfolio rescues",
             f"llm boundary: breaker {self.BREAKER_STATES[self.breaker_state]}; "
             f"{self.llm_retries} retries "
             f"({self.retry_after_honored} on server hints), "

@@ -21,7 +21,6 @@ points.
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -93,7 +92,6 @@ class PipelineConfig:
     col_similarity_threshold: float = 0.0  # 0 disables the SciBERT-style filter
     include_hierarchy_axioms: bool = True
     simplify_formulas: bool = True
-    use_smtlib_roundtrip: bool = True
     check_conditional: bool = True
     solver_budget: SolverBudget = field(default_factory=SolverBudget)
     max_subgraph_edges: int | None = None
@@ -120,24 +118,6 @@ class PipelineConfig:
     # defaults.  Annotated lazily to keep repro.jobs import-free here —
     # the jobs package imports this module, never the reverse.
     jobs: "JobConfig | None" = None  # noqa: F821 - resolved lazily
-    # Execution backend for the main verification solve.  "thread" (the
-    # default) solves in-process as before; "process" ships the SMT-LIB
-    # script to a supervised worker process that can be hard-killed on
-    # deadline/stall/RSS and replaced after a crash (repro.procpool).
-    # Traces are byte-identical across backends.  ``procpool`` tunes the
-    # pool (None = ProcPoolConfig() defaults); ``portfolio`` arms the
-    # VSIDS-seed race that rescues budget-limited UNKNOWNs (process
-    # backend only).  Lazy annotations, same reasoning as ``jobs``.
-    execution_backend: str = "thread"
-    procpool: "ProcPoolConfig | None" = None  # noqa: F821 - resolved lazily
-    portfolio: "PortfolioConfig | None" = None  # noqa: F821 - resolved lazily
-
-    def __post_init__(self) -> None:
-        if self.execution_backend not in ("thread", "process"):
-            raise ValueError(
-                "execution_backend must be 'thread' or 'process', got "
-                f"{self.execution_backend!r}"
-            )
 
 
 @dataclass(slots=True)
@@ -379,30 +359,6 @@ class PolicyPipeline:
         # Bounded log of typed integrity findings surfaced by loads (the
         # newest 64; the serving daemon exposes them under /stats).
         self.integrity_log: list = []
-        # Lazily-started worker supervisor for the process execution
-        # backend; shared by every query/batch/job/fleet call on this
-        # pipeline so worker processes stay warm across requests.
-        self._supervisor = None
-        self._supervisor_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Execution backend
-    # ------------------------------------------------------------------
-
-    def _execution_supervisor(self):
-        """The shared process-pool supervisor (created on first use)."""
-        from repro.procpool.supervisor import WorkerSupervisor
-
-        with self._supervisor_lock:
-            if self._supervisor is None or self._supervisor.closed:
-                self._supervisor = WorkerSupervisor(self.config.procpool)
-            return self._supervisor
-
-    def execution_stats(self) -> dict[str, object] | None:
-        """Pool gauges for ``/stats``; None when no worker pool exists."""
-        with self._supervisor_lock:
-            supervisor = self._supervisor
-        return None if supervisor is None else supervisor.stats()
 
     def sync_resilience_metrics(self) -> dict[str, object]:
         """Fold the LLM wrapper stack's current state into ``self.metrics``.
@@ -417,18 +373,6 @@ class PolicyPipeline:
         from repro.providers.introspect import sync_resilience_metrics
 
         return sync_resilience_metrics(self.llm, self.metrics)
-
-    def shutdown(self) -> None:
-        """Reap the worker pool (no-op for the thread backend).
-
-        Idempotent; the next process-backend query transparently starts a
-        fresh pool.  The serving daemon calls this at the tail of a drain
-        so no worker process ever outlives the server.
-        """
-        with self._supervisor_lock:
-            supervisor, self._supervisor = self._supervisor, None
-        if supervisor is not None:
-            supervisor.shutdown()
 
     # ------------------------------------------------------------------
     # Phases 1 + 2
@@ -656,7 +600,6 @@ class PolicyPipeline:
         *,
         budget: SolverBudget | None = None,
         certify: bool | None = None,
-        cancel: threading.Event | None = None,
     ) -> QueryOutcome:
         """Verify a data-practice question against the model.
 
@@ -671,7 +614,7 @@ class PolicyPipeline:
         ``budget`` overrides ``PipelineConfig.solver_budget`` for this one
         query.  When ``PipelineConfig.budget_ladder`` is set and the
         verification comes back UNKNOWN for budget reasons, the ladder
-        escalates (and, failing that, decomposes) before answering; the
+        escalates, then decomposes, then reseeds before answering; the
         attempt trail is attached as :attr:`QueryOutcome.degradation`.
 
         ``certify`` overrides ``PipelineConfig.certify`` for this one
@@ -679,15 +622,6 @@ class PolicyPipeline:
         certification layer, and a failed certificate is demoted to
         UNKNOWN (soundness alarm) rather than surfaced — never escalated
         by the degradation ladder.
-
-        ``cancel`` is an optional abort seam honoured by the *process*
-        execution backend: when the event fires mid-solve the worker
-        process is hard-killed and the query raises
-        :class:`repro.errors.QueryCancelledError` (never cached).  The
-        job watchdog passes its stall-cancellation event here, so a
-        stalled solve actually frees its CPU instead of running to
-        completion on an abandoned thread (the thread backend's
-        documented limitation).
         """
         from repro.core.questions import is_question, normalize_question
 
@@ -779,7 +713,6 @@ class PolicyPipeline:
                 metrics,
                 budget=effective_budget,
                 certify=effective_certify,
-                cancel=cancel,
             )
             ladder = self.config.budget_ladder
             if ladder is not None and is_budget_limited(verification):
@@ -792,7 +725,6 @@ class PolicyPipeline:
                     encoded=encoded,
                     include_hierarchy_axioms=self.config.include_hierarchy_axioms,
                     simplify_formulas=self.config.simplify_formulas,
-                    via_smtlib=self.config.use_smtlib_roundtrip,
                     check_conditional=self.config.check_conditional,
                     verify=lambda enc, b: self._verify(
                         enc,
@@ -800,7 +732,6 @@ class PolicyPipeline:
                         metrics,
                         budget=b,
                         certify=effective_certify,
-                        cancel=cancel,
                     ),
                 )
                 metrics.degraded_queries += 1
@@ -868,7 +799,6 @@ class PolicyPipeline:
         *,
         budget: SolverBudget | None = None,
         certify: bool = False,
-        cancel: threading.Event | None = None,
     ) -> VerificationResult:
         """Verify (or reuse) an encoded query.
 
@@ -890,14 +820,6 @@ class PolicyPipeline:
         progress: a short deadline never waits out a longer one's solve,
         and the followers of a solve that ran out of time get its
         UNKNOWN at once instead of each re-solving in turn.
-
-        With ``PipelineConfig.execution_backend == "process"`` the main
-        check-sat script is shipped to the worker pool instead of solved
-        in-process (the ancillary consistency/conditional probes stay
-        in-process — they are query-sized).  A cancellation raises
-        :class:`~repro.errors.QueryCancelledError` out of the
-        single-flight leader, which clears the flight without caching, so
-        an aborted solve can never poison the verification cache.
         """
         if budget is None:
             budget = self.config.solver_budget
@@ -905,15 +827,8 @@ class PolicyPipeline:
         key = verification_cache_key(
             script_text,
             budget,
-            via_smtlib=self.config.use_smtlib_roundtrip,
             check_conditional=self.config.check_conditional,
             certify=certify,
-        )
-        run_script = (
-            self._pooled_run_script(metrics, cancel)
-            if self.config.execution_backend == "process"
-            and self.config.use_smtlib_roundtrip
-            else None
         )
 
         outlasted = False
@@ -924,14 +839,12 @@ class PolicyPipeline:
             verification = verify_encoded(
                 encoded,
                 budget=budget,
-                via_smtlib=self.config.use_smtlib_roundtrip,
                 check_conditional=self.config.check_conditional,
                 script_text=script_text,
                 certification=self.config.certification if certify else None,
                 quarantine_dir=self.config.certification_quarantine_dir
                 if certify
                 else None,
-                run_script=run_script,
             )
             outlasted = (
                 budget.timeout_seconds is not None
@@ -963,63 +876,6 @@ class PolicyPipeline:
                 if verification.quarantined_to is not None:
                     metrics.certification_quarantines += 1
         return verification
-
-    def _pooled_run_script(self, metrics: PipelineMetrics, cancel):
-        """Build the ``verify_encoded`` seam for the process backend.
-
-        The returned callable ships an SMT-LIB script to the supervised
-        worker pool (with the portfolio rescue armed when configured) and
-        maps the :class:`~repro.procpool.unit.UnitOutcome` back onto the
-        thread backend's contract: solver results on success, the
-        original exception type re-raised on solver errors, a synthesized
-        UNKNOWN on an unrecoverable worker crash, and
-        :class:`~repro.errors.QueryCancelledError` on cancellation.
-        """
-        import repro.errors as errors_module
-        from repro.errors import ExecutionError, QueryCancelledError
-        from repro.procpool.unit import WorkUnit
-        from repro.solver.result import SatResult, SolverResult, SolverStatistics
-
-        def run_script(text, budget, certification):
-            supervisor = self._execution_supervisor()
-            unit = WorkUnit(
-                script_text=text, budget=budget, certification=certification
-            )
-            outcome = supervisor.run_rescued(
-                unit, portfolio=self.config.portfolio, cancel=cancel
-            )
-            metrics.procpool_units += outcome.attempts
-            metrics.procpool_kills += outcome.kills
-            metrics.procpool_crashes += len(outcome.crashes)
-            if outcome.retried:
-                metrics.procpool_retries += 1
-            if outcome.rescued_seed is not None:
-                metrics.procpool_rescues += 1
-            if outcome.cancelled:
-                raise QueryCancelledError(
-                    "query cancelled: solver worker killed mid-solve"
-                )
-            if outcome.error is not None:
-                type_name, message = outcome.error
-                exc_class = getattr(errors_module, type_name, None)
-                if isinstance(exc_class, type) and issubclass(exc_class, Exception):
-                    raise exc_class(message)
-                raise ExecutionError(f"{type_name}: {message}")
-            if outcome.results is not None:
-                return outcome.results
-            # Crash that exhausted its retry: degrade to UNKNOWN so the
-            # query keeps its slot in the batch instead of erroring out.
-            crash = outcome.crash
-            detail = crash.summary() if crash is not None else "worker lost"
-            return [
-                SolverResult(
-                    status=SatResult.UNKNOWN,
-                    reason=f"worker crashed: {detail}",
-                    statistics=SolverStatistics(),
-                )
-            ]
-
-        return run_script
 
     def query_batch(
         self,

@@ -194,7 +194,6 @@ def verification_cache_key(
     script_text: str,
     budget: SolverBudget | None,
     *,
-    via_smtlib: bool = True,
     check_conditional: bool = True,
     certify: bool = False,
 ) -> tuple:
@@ -210,7 +209,7 @@ def verification_cache_key(
     """
     digest = hashlib.sha256(script_text.encode("utf-8")).hexdigest()
     budget = replace(budget or SolverBudget(), timeout_seconds=None)
-    return (digest, budget, via_smtlib, check_conditional, certify)
+    return (digest, budget, check_conditional, certify)
 
 
 def verify_encoded(
@@ -222,7 +221,6 @@ def verify_encoded(
     script_text: str | None = None,
     certification: CertificationConfig | None = None,
     quarantine_dir: str | Path | None = None,
-    run_script=None,
 ) -> VerificationResult:
     """Check whether the encoded policy entails the encoded query.
 
@@ -235,29 +233,13 @@ def verify_encoded(
     a possibly-wrong VALID / INVALID).  With ``quarantine_dir``, the
     offending formula and certificate are additionally persisted via
     :func:`quarantine_failure`.
-
-    ``run_script`` is the execution-backend seam: a callable
-    ``(script_text, budget, certification) -> list[SolverResult]`` that
-    replaces the in-process :func:`execute_script` for the main validity
-    check (the budget-dominating solve).  The process-pool backend plugs
-    in here — the SMT-LIB text is the wire format, so everything this
-    function does with the results (verdict mapping, counterexample
-    extraction, quarantine digests over ``smtlib_text``) is identical
-    across backends.  The auxiliary consistency and conditional-validity
-    probes stay in-process; they are query-sized by construction.
-    Requires ``via_smtlib`` (the seam *is* the textual round trip).
     """
     if encoded.query_formula is None:
         raise QueryError("encoded query has no query formula")
     text = script_text if script_text is not None else compile_script_text(encoded)
 
     if via_smtlib:
-        if run_script is not None:
-            results = run_script(text, budget, certification)
-        else:
-            results = execute_script(
-                text, budget=budget, certification=certification
-            )
+        results = execute_script(text, budget=budget, certification=certification)
         solver_result = results[-1]
     else:
         solver = Solver(budget=budget, certification=certification)

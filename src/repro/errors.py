@@ -7,6 +7,8 @@ still distinguishing the subsystem that failed.
 
 from __future__ import annotations
 
+import enum
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -63,12 +65,27 @@ class SolverError(ReproError):
     """The SMT solver was driven incorrectly (e.g. pop on empty stack)."""
 
 
+class UnknownCause(enum.Enum):
+    """Which resource budget tripped, for an UNKNOWN that ran out of one."""
+
+    CONFLICTS = "conflicts"
+    PROPAGATIONS = "propagations"
+    THEORY_ROUNDS = "theory rounds"
+    GROUND_INSTANCES = "ground instances"
+    WALL_CLOCK = "wall clock"
+
+
 class BudgetExceededError(SolverError):
     """A solver resource budget was exhausted mid-operation.
 
     Callers normally never see this: the solver converts it into an
-    ``UNKNOWN`` result.  It is public so tests can assert on the mechanism.
+    ``UNKNOWN`` result whose ``cause`` is this error's ``cause``.  It is
+    public so tests can assert on the mechanism.
     """
+
+    def __init__(self, message: str, cause: UnknownCause) -> None:
+        super().__init__(message)
+        self.cause = cause
 
 
 class LLMError(ReproError):
@@ -172,21 +189,6 @@ class CorpusError(ReproError):
 
 class JobError(ReproError):
     """A supervised batch job was misconfigured or cannot resume."""
-
-
-class ExecutionError(ReproError):
-    """The process-pool execution backend was misconfigured or misused."""
-
-
-class QueryCancelledError(ExecutionError):
-    """A solver work unit was cancelled mid-flight and its worker killed.
-
-    Raised by the process backend when a caller-supplied cancel event
-    fires (the job watchdog's stall replacement, portfolio loser
-    cancellation).  Never cached: the single-flight verification cache
-    propagates it without storing a result, so a cancelled solve cannot
-    poison later queries for the same formula.
-    """
 
 
 class RegistryError(ReproError):

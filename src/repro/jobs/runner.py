@@ -648,17 +648,8 @@ class JobRunner:
                 else min(base.timeout_seconds, self.config.query_timeout)
             )
             budget = replace(base, timeout_seconds=effective)
-        # Pass the stall-cancellation event down as the pipeline's abort
-        # seam: under the process execution backend a stalled solve is
-        # hard-killed when the watchdog cancels this worker, so the CPU
-        # is actually reclaimed (the thread backend can only abandon the
-        # thread — see repro.jobs.watchdog).
         return self.pipeline.query(
-            self.model,
-            question,
-            budget=budget,
-            certify=certify,
-            cancel=heartbeat.cancelled,
+            self.model, question, budget=budget, certify=certify
         )
 
     def _spawn_worker(self) -> WorkerHeartbeat:

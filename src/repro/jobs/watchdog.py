@@ -14,16 +14,9 @@ anything — it *reports*; the :class:`~repro.jobs.runner.JobRunner`
 converts the report into a cooperative cancel + worker replacement under
 its own lock (see :class:`StallReport` for what surfaces to the caller).
 
-Known limitation of the **thread** execution backend: "replacement" is
-cooperative only.  The cancelled worker thread cannot be killed — it keeps
-grinding the hung solve to completion (or forever), burning a CPU core;
-the cancel flag merely guarantees its late result is discarded instead of
-committed.  Under ``PipelineConfig(execution_backend="process")`` the
-cancel event is additionally routed into
-:class:`repro.procpool.supervisor.WorkerSupervisor`, which SIGKILLs the
-worker *process* running the solve — a stall then frees its CPU and memory
-for real, and the same supervisor enforces hard wall-clock deadlines and
-RSS ceilings that no cooperative check can.
+Replacement is cooperative: a cancelled worker thread cannot be killed.
+It runs its solve until the solver's wall-clock budget trips, and the
+cancel flag guarantees its late result is discarded instead of committed.
 """
 
 from __future__ import annotations

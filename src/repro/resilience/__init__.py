@@ -11,9 +11,9 @@ through its layers:
   :class:`~repro.llm.client.LLMClient` and composable with
   :class:`~repro.llm.client.CachedLLM`;
 * the **solver boundary** — :class:`BudgetLadder` /
-  :func:`execute_ladder`, which escalates budget-limited UNKNOWN verdicts
-  and falls back to per-data-branch decomposition, reporting every step in
-  a :class:`DegradationReport`;
+  :func:`execute_ladder`, which escalates budget-limited UNKNOWN verdicts,
+  falls back to per-data-branch decomposition, then re-solves under other
+  decision seeds, reporting every step in a :class:`DegradationReport`;
 * the **batch boundary** — fault isolation lives in
   :meth:`repro.core.pipeline.PolicyPipeline.query_batch`, which converts
   per-query failures into structured

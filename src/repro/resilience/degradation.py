@@ -12,7 +12,13 @@ turns that dead end into a ladder of increasingly aggressive recoveries:
    components (:func:`repro.core.subgraph.split_components`) and verify the
    query against its own branch only.  Each branch re-grounds only its own
    hierarchy axioms, so a policy-sized problem shrinks back to query size.
-3. **Partial verdict** — when nothing decides, the original UNKNOWN stands,
+3. **Reseed** — re-verify the full encoding at the original budget under
+   each of :data:`RESEED_SEEDS`, which perturb the SAT core's initial
+   decision phases.  A budget that starves the canonical search can still
+   let another trajectory decide.  It runs last, so every query an earlier
+   rung rescues keeps its report unchanged, and it skips an UNKNOWN whose
+   grounding overran (no seed changes grounding).
+4. **Partial verdict** — when nothing decides, the original UNKNOWN stands,
    but the attached :class:`DegradationReport` records every rung tried,
    its outcome, and its cost, so "genuinely undecidable under vagueness"
    is distinguishable from "ran out of budget at every rung".
@@ -28,7 +34,7 @@ contradiction instead.  Steps record this via ``sound``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.encode import EncodedQuery, encode_query
 from repro.core.subgraph import Subgraph, component_for_terms, split_components
@@ -38,30 +44,29 @@ from repro.core.verify import (
     is_certification_failure,
     verify_encoded,
 )
+from repro.errors import UnknownCause
 from repro.llm.tasks import ExtractedParameters
 from repro.solver.interface import SolverBudget
 
-#: Substrings identifying UNKNOWN reasons caused by resource budgets, as
-#: raised by :class:`repro.errors.BudgetExceededError` call sites.  The
-#: contradiction UNKNOWN ("policy statements ... mutually contradictory")
-#: is decisive, not budget-bound, and must not trigger escalation.
-_BUDGET_MARKERS = ("budget exhausted", "timeout")
+#: Decision seeds the reseed rung tries, in order (seed 0 is the canonical
+#: search the query already ran).
+RESEED_SEEDS = (1, 2, 3)
 
 
 def is_budget_limited(verification: VerificationResult) -> bool:
     """Did this verification fail on resources rather than on substance?
 
-    Certification failures are excluded even when their failure text
-    happens to mention a budget word (e.g. a certifier error wrapping a
-    timeout): the soundness alarm means the solver's answers cannot be
-    trusted, which more budget does not fix.
+    Only an UNKNOWN whose solver result names the budget that tripped
+    (its :class:`~repro.errors.UnknownCause`) qualifies.  The
+    contradiction UNKNOWN is decisive, not budget-bound.  Certification
+    failures are excluded too: the soundness alarm means the solver's
+    answers cannot be trusted, which more budget does not fix.
     """
     if verification.verdict is not Verdict.UNKNOWN:
         return False
     if is_certification_failure(verification):
         return False
-    reason = verification.solver_result.reason or ""
-    return any(marker in reason for marker in _BUDGET_MARKERS)
+    return verification.solver_result.cause is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +97,7 @@ class BudgetLadder:
 class DegradationStep:
     """One rung of the ladder: what was tried and what it cost."""
 
-    rung: str  # "escalate" | "decompose"
+    rung: str  # "escalate" | "decompose" | "reseed"
     detail: str
     verdict: str
     reason: str
@@ -177,10 +182,15 @@ def execute_ladder(
     rung decides, the returned verification is ``initial`` unchanged.
 
     Escalation rungs run while the current result is still
-    budget-limited; the decomposition rung runs for any remaining UNKNOWN —
-    including the contradiction demotion, where isolating the query's data
-    branch from an unrelated contradictory branch is exactly the recovery
-    a human reviewer would attempt.
+    budget-limited; the decomposition rung runs for any remaining UNKNOWN
+    other than a certification failure — including the contradiction
+    demotion, where isolating the query's data branch from an unrelated
+    contradictory branch is exactly the recovery a human analyst would
+    attempt.  The reseed rung runs last, and only
+    while the full encoding's result is still budget-limited by something
+    other than grounding.  It stops at the first decisive answer, or at
+    the first UNKNOWN that is not budget-limited (a contradiction or a
+    certification failure), which becomes the result.
     """
     if is_certification_failure(initial):
         # Soundness alarm: the solver's verdict failed independent
@@ -248,7 +258,11 @@ def execute_ladder(
             report.final_rung = "escalate"
             return attempt, report
 
-    if ladder.decompose and current.verdict is Verdict.UNKNOWN:
+    if (
+        ladder.decompose
+        and current.verdict is Verdict.UNKNOWN
+        and not is_certification_failure(current)
+    ):
         components = split_components(subgraph)
         terms = [params.data_type, params.sender or "", params.receiver or ""]
         component = component_for_terms(components, terms)
@@ -282,6 +296,31 @@ def execute_ladder(
             if attempt.verdict is not Verdict.UNKNOWN:
                 report.rescued = True
                 report.final_rung = "decompose"
+                return attempt, report
+
+    # A seed steers only the search, so it cannot change an UNKNOWN that
+    # grounding tripped before the search began.
+    if (
+        is_budget_limited(current)
+        and current.solver_result.cause is not UnknownCause.GROUND_INSTANCES
+    ):
+        for seed in RESEED_SEEDS:
+            started = time.perf_counter()
+            attempt = verify(encoded, replace(base, decision_seed=seed))
+            record(
+                "reseed",
+                f"seed {seed}",
+                attempt,
+                sound=True,
+                seconds=time.perf_counter() - started,
+            )
+            if attempt.verdict is not Verdict.UNKNOWN:
+                report.rescued = True
+                report.final_rung = "reseed"
+                return attempt, report
+            if not is_budget_limited(attempt):
+                # A contradiction or a certification alarm: another seed
+                # cannot undo either, and the alarm must not be hidden.
                 return attempt, report
 
     return current, report

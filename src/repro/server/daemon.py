@@ -406,9 +406,6 @@ class PolicyServer:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
-        # Reap the solver worker pool (no-op for the thread backend) so
-        # no worker process ever outlives the server.
-        self.pipeline.shutdown()
 
     def serve_until_drained(self) -> DrainReport:
         """Foreground loop for the CLI: serve until a signal or ``POST
@@ -498,7 +495,6 @@ class PolicyServer:
                 "refused_deadline": self.gate.refused_deadline,
             },
             "latency": latency.as_dict() if latency is not None else None,
-            "pool": self.pipeline.execution_stats(),
             "llm": llm_state,
             "integrity": {
                 "findings": merged_metrics.integrity_findings,

@@ -196,19 +196,10 @@ def execute_script(
     *,
     budget: SolverBudget | None = None,
     certification: CertificationConfig | None = None,
-    decision_seed: int = 0,
 ) -> list[SolverResult]:
-    """Run a script against the bundled solver; one result per check command.
-
-    ``decision_seed`` selects the solver's initial decision phases (0 is
-    the canonical trajectory); portfolio workers race the same script
-    under different seeds and keep the first certified decisive answer.
-    """
+    """Run a script against the bundled solver; one result per check command."""
     results, _outputs = execute_script_verbose(
-        script,
-        budget=budget,
-        certification=certification,
-        decision_seed=decision_seed,
+        script, budget=budget, certification=certification
     )
     return results
 
@@ -218,7 +209,6 @@ def execute_script_verbose(
     *,
     budget: SolverBudget | None = None,
     certification: CertificationConfig | None = None,
-    decision_seed: int = 0,
 ) -> tuple[list[SolverResult], list[str]]:
     """Like :func:`execute_script`, also returning get-model/get-value output.
 
@@ -233,9 +223,7 @@ def execute_script_verbose(
     if isinstance(script, str):
         script = parse_script(script)
     env = _Environment()
-    solver = Solver(
-        budget=budget, certification=certification, decision_seed=decision_seed
-    )
+    solver = Solver(budget=budget, certification=certification)
     results: list[SolverResult] = []
     outputs: list[str] = []
     for command in script.commands:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import BudgetExceededError, SolverError
+from repro.errors import BudgetExceededError, SolverError, UnknownCause
 from repro.solver import faults as _faults
 from repro.fol.formula import (
     And,
@@ -91,10 +91,11 @@ class GroundingCounter:
         self.count += n
         if self.budget is not None and self.count > self.budget:
             raise BudgetExceededError(
-                f"grounding budget exhausted ({self.count} > {self.budget} instances)"
+                f"grounding budget exhausted ({self.count} > {self.budget} instances)",
+                UnknownCause.GROUND_INSTANCES,
             )
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("wall-clock timeout")
+            raise BudgetExceededError("wall-clock timeout", UnknownCause.WALL_CLOCK)
 
 
 def ground(

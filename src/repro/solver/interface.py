@@ -48,19 +48,28 @@ class SolverBudget:
     ``None`` disables the corresponding limit.  The defaults are generous
     enough for query-sized problems and small enough that a full-policy
     encoding reliably reports UNKNOWN instead of hanging.
+
+    ``decision_seed`` perturbs the SAT core's initial decision phases
+    (:func:`repro.solver.sat.seeded_phase`).  Seed 0 is the canonical
+    search; another seed explores a different trajectory over the same
+    clauses, so a budget that starves seed 0 may still let it decide.
+    It is a field here so it reaches the solver, and the verification
+    cache key, wherever a budget does.
     """
 
     max_conflicts: int | None = 50_000
     max_propagations: int | None = 5_000_000
     max_ground_instances: int | None = 200_000
     timeout_seconds: float | None = 10.0
+    decision_seed: int = 0
 
     def scaled(self, factor: float) -> "SolverBudget":
         """A budget with every finite limit multiplied by ``factor``.
 
-        Disabled limits (``None``) stay disabled.  This is the escalation
-        primitive of the degradation ladder: UNKNOWN-with-budget-reason
-        queries are re-checked at 4x, 16x, ... of their original budget.
+        Disabled limits (``None``) stay disabled and the decision seed
+        is kept.  This is the escalation primitive of the degradation
+        ladder: UNKNOWN-with-budget-reason queries are re-checked at 4x,
+        16x, ... of their original budget.
         """
         if factor <= 0:
             raise ValueError("scale factor must be > 0")
@@ -77,6 +86,7 @@ class SolverBudget:
                 if self.timeout_seconds is None
                 else self.timeout_seconds * factor
             ),
+            decision_seed=self.decision_seed,
         )
 
 
@@ -116,19 +126,10 @@ class Solver:
         *,
         enable_preprocessing: bool = False,
         certification: CertificationConfig | None = None,
-        decision_seed: int = 0,
     ) -> None:
         self.budget = budget or SolverBudget()
         self.enable_preprocessing = enable_preprocessing
         self.certification = certification
-        # VSIDS diversification for portfolio solving: perturbs the SAT
-        # core's initial decision phases deterministically.  Seed 0 (the
-        # default) is the exact legacy search; any other seed explores a
-        # different trajectory over the same formulas, so a budget that
-        # starves seed 0 may still let seed k decide — soundness is
-        # unaffected because every decisive answer is (optionally)
-        # certified independently of the trajectory that found it.
-        self.decision_seed = decision_seed
         self.universe = Universe()
         self.statistics = SolverStatistics()
         self._stack: list[list[Formula]] = [[]]
@@ -247,7 +248,7 @@ class Solver:
             stats=self.statistics,
             max_conflicts=self.budget.max_conflicts,
             max_propagations=self.budget.max_propagations,
-            decision_seed=self.decision_seed,
+            decision_seed=self.budget.decision_seed,
         )
         if self._certifying:
             sat.proof = ProofLog()
@@ -310,6 +311,7 @@ class Solver:
                 status=SatResult.UNKNOWN,
                 reason=str(exc),
                 statistics=self.statistics,
+                cause=exc.cause,
             )
         self.statistics.solve_time_seconds += time.monotonic() - start
         self.statistics.variables = pool.count

@@ -13,13 +13,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, UnknownCause
 from repro.solver.literals import Clause
 
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("wall-clock timeout")
+        raise BudgetExceededError("wall-clock timeout", UnknownCause.WALL_CLOCK)
 
 
 @dataclass(slots=True)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.errors import UnknownCause
+
 
 class SatResult(enum.Enum):
     """Outcome of a satisfiability check."""
@@ -106,8 +108,10 @@ class SolverResult:
 
     ``reason`` explains UNKNOWN outcomes ("conflict budget exhausted",
     "wall-clock timeout", "grounding budget exhausted", "certification
-    failed: ...").  ``model`` maps atom keys to booleans for SAT
-    outcomes.  ``certificate`` is attached when certification ran.
+    failed: ...").  ``cause`` names the budget that tripped when the
+    UNKNOWN ran out of one, and is ``None`` otherwise.  ``model`` maps
+    atom keys to booleans for SAT outcomes.  ``certificate`` is attached
+    when certification ran.
     """
 
     status: SatResult
@@ -115,6 +119,7 @@ class SolverResult:
     model: dict[str, bool] = field(default_factory=dict)
     statistics: SolverStatistics = field(default_factory=SolverStatistics)
     certificate: CertificateReport | None = None
+    cause: UnknownCause | None = None
 
     @property
     def is_sat(self) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 
-from repro.errors import BudgetExceededError, SolverError
+from repro.errors import BudgetExceededError, SolverError, UnknownCause
 from repro.solver import faults as _faults
 from repro.solver.proof import ProofLog
 from repro.solver.result import SatResult, SolverStatistics
@@ -38,8 +38,8 @@ _ACTIVITY_RESCALE = 1e100
 
 # Knuth-style multiplicative hashes for the seeded initial-phase
 # assignment.  Seed 0 is reserved for the legacy all-False phases so a
-# seeded portfolio member can never silently replace the canonical
-# search trajectory (byte-identical traces depend on it).
+# seeded re-solve can never silently replace the canonical search
+# trajectory (byte-identical traces depend on it).
 _PHASE_HASH_VAR = 2654435761
 _PHASE_HASH_SEED = 2246822519
 
@@ -49,7 +49,8 @@ def seeded_phase(var: int, seed: int) -> bool:
 
     A cheap avalanche over (var, seed): the same pair always yields the
     same polarity, and different seeds flip roughly half the variables —
-    the diversification a portfolio race needs without any RNG state.
+    the diversification the ladder's reseed rung needs without any RNG
+    state.
     """
     if seed == 0:
         return False
@@ -257,7 +258,9 @@ class CDCLSolver:
                 self.max_propagations is not None
                 and self._propagations_this_solve > self.max_propagations
             ):
-                raise BudgetExceededError("propagation budget exhausted")
+                raise BudgetExceededError(
+                    "propagation budget exhausted", UnknownCause.PROPAGATIONS
+                )
             # The deadline also has to be honoured *inside* a propagation
             # pass: a single implication chain can run arbitrarily long
             # before control returns to _check_budgets in the outer loop.
@@ -266,7 +269,9 @@ class CDCLSolver:
                 and self._propagations_this_solve % 1024 == 0
                 and time.monotonic() > self.deadline
             ):
-                raise BudgetExceededError("wall-clock timeout")
+                raise BudgetExceededError(
+                    "wall-clock timeout", UnknownCause.WALL_CLOCK
+                )
             false_lit = -lit
             watching = self._watches.get(false_lit)
             if not watching:
@@ -539,12 +544,14 @@ class CDCLSolver:
 
     def _check_budgets(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("wall-clock timeout")
+            raise BudgetExceededError("wall-clock timeout", UnknownCause.WALL_CLOCK)
         if (
             self.max_conflicts is not None
             and self._conflicts_this_solve > self.max_conflicts
         ):
-            raise BudgetExceededError("conflict budget exhausted")
+            raise BudgetExceededError(
+                "conflict budget exhausted", UnknownCause.CONFLICTS
+            )
 
     def _place_assumptions(self, assumptions: tuple[int, ...]) -> SatResult | None:
         """Propagate at level 0, then stack assumptions as pseudo-decisions.

@@ -9,7 +9,7 @@ congruence axioms up front).
 
 from __future__ import annotations
 
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, UnknownCause
 from repro.solver import faults as _faults
 from repro.solver.euf import check_euf
 from repro.solver.literals import AtomPool
@@ -63,4 +63,6 @@ def solve_with_theory(
         if not sat.add_clause(blocking, theory_premise=tuple(conflict)):
             return SatResult.UNSAT
 
-    raise BudgetExceededError("theory round budget exhausted")
+    raise BudgetExceededError(
+        "theory round budget exhausted", UnknownCause.THEORY_ROUNDS
+    )

@@ -6,18 +6,6 @@ from repro import PipelineConfig, PolicyPipeline, SolverBudget, Verdict
 
 
 class TestConfigKnobs:
-    def test_direct_solver_path_matches_smtlib_path(self, small_policy_text):
-        via_text = PolicyPipeline(
-            config=PipelineConfig(use_smtlib_roundtrip=True)
-        )
-        direct = PolicyPipeline(
-            config=PipelineConfig(use_smtlib_roundtrip=False)
-        )
-        q = "Acme collects the name."
-        v1 = via_text.query(via_text.process(small_policy_text), q).verdict
-        v2 = direct.query(direct.process(small_policy_text), q).verdict
-        assert v1 == v2 == Verdict.VALID
-
     def test_check_conditional_disabled(self, small_policy_text):
         pipeline = PolicyPipeline(config=PipelineConfig(check_conditional=False))
         model = pipeline.process(small_policy_text)

@@ -1,7 +1,7 @@
 """Degradation-ladder and fault-isolation tests for the query pipeline.
 
 Covers the solver UNKNOWN -> QueryOutcome path end-to-end, the
-escalate/decompose ladder, per-query budget overrides, strict translation,
+escalate/decompose/reseed ladder, per-query budget overrides, strict translation,
 and the conversion of raising queries into structured ErrorOutcome records
 inside ``query_batch``.
 """
@@ -14,9 +14,10 @@ from repro import PipelineConfig, PolicyPipeline, Verdict
 from repro.core.encode import encode_query
 from repro.core.pipeline import ErrorOutcome
 from repro.core.subgraph import Subgraph, component_for_terms, split_components
-from repro.core.verify import verify_encoded
-from repro.errors import TranslationError
+from repro.core.verify import VerificationResult, verify_encoded
+from repro.errors import TranslationError, UnknownCause
 from repro.resilience import BudgetLadder, execute_ladder, is_budget_limited
+from repro.resilience.degradation import RESEED_SEEDS
 from repro.resilience.faults import (
     STARVED_BUDGET,
     BudgetStarvingPipeline,
@@ -25,6 +26,12 @@ from repro.resilience.faults import (
 from repro.llm.client import CachedLLM
 from repro.llm.simulated import SimulatedLLM
 from repro.solver.interface import SolverBudget
+from repro.solver.result import (
+    CERTIFICATION_FAILED,
+    CertificateReport,
+    SatResult,
+    SolverResult,
+)
 
 QUESTION = "Does Acme collect my email address?"
 
@@ -54,6 +61,7 @@ class TestUnknownVerdictEndToEnd:
         assert outcome.verdict is Verdict.UNKNOWN
         reason = outcome.verification.solver_result.reason
         assert "budget exhausted" in reason or "timeout" in reason
+        assert outcome.verification.solver_result.cause is not None
         assert is_budget_limited(outcome.verification)
         # Without a ladder configured, no degradation is attempted and the
         # trace stays byte-identical to prior releases.
@@ -88,12 +96,14 @@ class TestBudgetLadder:
             max_propagations=None,
             max_ground_instances=3,
             timeout_seconds=1.0,
+            decision_seed=2,
         )
         scaled = base.scaled(4.0)
         assert scaled.max_conflicts == 40
         assert scaled.max_propagations is None
         assert scaled.max_ground_instances == 12
         assert scaled.timeout_seconds == 4.0
+        assert scaled.decision_seed == 2
         with pytest.raises(ValueError):
             base.scaled(0.0)
 
@@ -198,8 +208,204 @@ class TestBudgetLadder:
         assert report is not None
         assert not report.rescued
         assert report.final_rung is None
+        # The starved budget trips grounding, which no decision seed
+        # changes, so the reseed rung is skipped.
+        assert outcome.verification.solver_result.cause is (
+            UnknownCause.GROUND_INSTANCES
+        )
+        assert [(s.rung, s.detail) for s in report.steps] == [
+            ("escalate", "budget x1.5")
+        ]
         assert "not rescued" in report.summary()
         assert outcome.metrics.ladder_rescues == 0
+
+
+def _budget_unknown(cause=UnknownCause.CONFLICTS) -> VerificationResult:
+    return VerificationResult(
+        verdict=Verdict.UNKNOWN,
+        solver_result=SolverResult(
+            status=SatResult.UNKNOWN, reason="budget exhausted", cause=cause
+        ),
+        smtlib_text="",
+    )
+
+
+def _contradiction_unknown() -> VerificationResult:
+    return VerificationResult(
+        verdict=Verdict.UNKNOWN,
+        solver_result=SolverResult(
+            status=SatResult.UNSAT,
+            reason="policy statements in the relevant subgraph are mutually "
+            "contradictory; human review required",
+        ),
+        smtlib_text="",
+        policy_consistent=False,
+    )
+
+
+def _certification_failure() -> VerificationResult:
+    report = CertificateReport(
+        verdict="unsat", status="failed", failures=["proof replay failed"]
+    )
+    return VerificationResult(
+        verdict=Verdict.UNKNOWN,
+        solver_result=SolverResult(
+            status=SatResult.UNKNOWN,
+            reason=f"{CERTIFICATION_FAILED}: proof replay failed",
+            certificate=report,
+        ),
+        smtlib_text="",
+    )
+
+
+def _valid() -> VerificationResult:
+    return VerificationResult(
+        verdict=Verdict.VALID,
+        solver_result=SolverResult(status=SatResult.UNSAT),
+        smtlib_text="",
+    )
+
+
+class RecordingVerify:
+    """A ``verify`` fake for :func:`execute_ladder` that records its calls.
+
+    The full encoding answers ``full_answers[decision_seed]`` (a budget
+    UNKNOWN by default); the decomposed component answers
+    ``component_answer`` (a budget UNKNOWN by default, so decomposition
+    does not rescue).
+    """
+
+    def __init__(self, full_encoding, full_answers=None, component_answer=None):
+        self.full_encoding = full_encoding
+        self.full_answers = full_answers or {}
+        self.component_answer = component_answer
+        self.calls: list[tuple[str, int, int | None]] = []
+
+    def __call__(self, encoded, budget):
+        kind = "full" if encoded is self.full_encoding else "component"
+        self.calls.append((kind, budget.decision_seed, budget.max_conflicts))
+        if kind == "full" and budget.decision_seed in self.full_answers:
+            return self.full_answers[budget.decision_seed]
+        if kind == "component" and self.component_answer is not None:
+            return self.component_answer
+        return _budget_unknown()
+
+    @property
+    def seeds_tried(self) -> list[int]:
+        return [seed for _kind, seed, _conflicts in self.calls if seed]
+
+
+class TestReseedRung:
+    BASE = SolverBudget(max_conflicts=30)
+
+    @pytest.fixture
+    def problem(self, pipeline, small_model):
+        full = _full_graph_subgraph(small_model)
+        resolved = pipeline.runner.resolve_coreferences(
+            "Acme collects email address.", small_model.company
+        )
+        params = pipeline.runner.extract_parameters(
+            resolved, small_model.company
+        )[0]
+        return full, params, encode_query(full, params)
+
+    def _run(self, problem, initial, verify):
+        full, params, encoded = problem
+        return execute_ladder(
+            full,
+            params,
+            initial,
+            ladder=BudgetLadder(),
+            base_budget=self.BASE,
+            encoded=encoded,
+            verify=verify,
+        )
+
+    def test_runs_after_decompose_in_seed_order_until_decisive(self, problem):
+        valid = _valid()
+        verify = RecordingVerify(problem[2], {2: valid})
+        final, report = self._run(problem, _budget_unknown(), verify)
+        assert verify.calls == [
+            ("full", 0, 120),
+            ("full", 0, 480),
+            ("component", 0, 30),
+            ("full", 1, 30),  # reseed re-verifies at the base budget
+            ("full", 2, 30),  # the first decisive answer ends the rung
+        ]
+        assert [(s.rung, s.detail) for s in report.steps[3:]] == [
+            ("reseed", "seed 1"),
+            ("reseed", "seed 2"),
+        ]
+        assert final is valid
+        assert report.rescued and report.final_rung == "reseed"
+
+    def test_unrescued_rung_tries_every_seed(self, problem):
+        verify = RecordingVerify(problem[2])
+        final, report = self._run(problem, _budget_unknown(), verify)
+        assert verify.seeds_tried == list(RESEED_SEEDS)
+        assert final.verdict is Verdict.UNKNOWN
+        assert is_budget_limited(final)
+        assert not report.rescued and report.final_rung is None
+
+    def test_skips_a_grounding_limited_unknown(self, problem):
+        grounding = _budget_unknown(UnknownCause.GROUND_INSTANCES)
+        verify = RecordingVerify(problem[2], {0: grounding})
+        final, report = self._run(problem, grounding, verify)
+        assert verify.seeds_tried == []
+        assert [s.rung for s in report.steps] == [
+            "escalate",
+            "escalate",
+            "decompose",
+        ]
+        assert final is grounding and not report.rescued
+
+    @pytest.mark.parametrize(
+        "cause",
+        [
+            UnknownCause.CONFLICTS,
+            UnknownCause.PROPAGATIONS,
+            UnknownCause.THEORY_ROUNDS,
+            UnknownCause.WALL_CLOCK,
+        ],
+    )
+    def test_runs_for_every_search_cause(self, problem, cause):
+        verify = RecordingVerify(problem[2], {0: _budget_unknown(cause)})
+        self._run(problem, _budget_unknown(cause), verify)
+        assert verify.seeds_tried == list(RESEED_SEEDS)
+
+    def test_never_runs_for_a_contradiction_unknown(self, problem):
+        initial = _contradiction_unknown()
+        verify = RecordingVerify(problem[2])
+        final, report = self._run(problem, initial, verify)
+        assert verify.calls == [("component", 0, 30)]
+        assert [s.rung for s in report.steps] == ["decompose"]
+        assert final is initial
+
+    def test_never_runs_for_a_certification_failure(self, problem):
+        initial = _certification_failure()
+        verify = RecordingVerify(problem[2])
+        final, report = self._run(problem, initial, verify)
+        assert verify.calls == []
+        assert final is initial and report.steps == []
+
+        # An escalation that trips the alarm ends the ladder: neither a
+        # component VALID nor a seed may replace the alarm.
+        alarm = _certification_failure()
+        verify = RecordingVerify(
+            problem[2], {0: alarm, 1: _valid()}, component_answer=_valid()
+        )
+        final, report = self._run(problem, _budget_unknown(), verify)
+        assert verify.calls == [("full", 0, 120)]
+        assert [s.rung for s in report.steps] == ["escalate"]
+        assert final is alarm and not report.rescued
+
+    def test_certification_failure_is_never_a_rescue(self, problem):
+        alarm = _certification_failure()
+        verify = RecordingVerify(problem[2], {1: alarm, 2: _valid()})
+        final, report = self._run(problem, _budget_unknown(), verify)
+        assert verify.seeds_tried == [1]
+        assert final is alarm
+        assert not report.rescued and report.final_rung is None
 
 
 class TestStrictTranslation:

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, UnknownCause
 from repro.fol.formula import And, Exists, Forall, Implies, Not, Or, PredicateSymbol
 from repro.fol.terms import Constant, Sort, Variable
 from repro.solver import (
@@ -481,8 +481,9 @@ class TestWallClockDeadlines:
         y, z = Variable("y", S), Variable("z", S)
         big = Forall(X, Forall(y, Forall(z, P(X))))
         counter = GroundingCounter(None, deadline=time.monotonic() - 1.0)
-        with pytest.raises(BudgetExceededError, match="wall-clock timeout"):
+        with pytest.raises(BudgetExceededError, match="wall-clock timeout") as info:
             ground(big, universe, counter=counter)
+        assert info.value.cause is UnknownCause.WALL_CLOCK
         # The deadline fired during expansion, far before the 30^3
         # instances a full expansion would have spent.
         assert counter.count < 30**3
@@ -498,12 +499,14 @@ class TestWallClockDeadlines:
         result = solver.check_sat()
         assert result.status is SatResult.UNKNOWN
         assert "timeout" in result.reason
+        assert result.cause is UnknownCause.WALL_CLOCK
         assert result.statistics.ground_instances < 30**3
 
     def test_preprocessing_honours_expired_deadline(self):
         clauses = [(i, i + 1) for i in range(1, 2000)]
-        with pytest.raises(BudgetExceededError, match="wall-clock timeout"):
+        with pytest.raises(BudgetExceededError, match="wall-clock timeout") as info:
             preprocess(clauses, deadline=time.monotonic() - 1.0)
+        assert info.value.cause is UnknownCause.WALL_CLOCK
 
     def test_propagation_chain_honours_deadline_mid_pass(self):
         # One implication chain of 6000 variables: a single _propagate()
@@ -512,8 +515,9 @@ class TestWallClockDeadlines:
         for v in range(1, 6000):
             sat.add_clause((-v, v + 1))
         sat.add_clause((1,))
-        with pytest.raises(BudgetExceededError, match="wall-clock timeout"):
+        with pytest.raises(BudgetExceededError, match="wall-clock timeout") as info:
             sat.solve()
+        assert info.value.cause is UnknownCause.WALL_CLOCK
         # The in-pass check (every 1024 propagations) stopped the chain
         # long before it completed.
         assert sat.stats.propagations <= 2048

@@ -1,8 +1,10 @@
 """Unit tests for the Solver façade and DPLL(T) integration."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import SolverError, UnknownCause
 from repro.fol import (
     DATA,
     ENTITY,
@@ -14,7 +16,10 @@ from repro.fol import (
     negate,
     pred,
 )
+from repro.resilience.degradation import RESEED_SEEDS
+from repro.smtlib.parser import execute_script
 from repro.solver import SatResult, Solver, SolverBudget
+from repro.solver.interface import CertificationConfig
 
 E1 = Constant("tiktak", ENTITY)
 E2 = Constant("advertisers", ENTITY)
@@ -143,6 +148,7 @@ class TestBudgetsToUnknown:
         result = solver.check_sat()
         assert result.is_unknown
         assert "grounding budget" in result.reason
+        assert result.cause is UnknownCause.GROUND_INSTANCES
 
     def test_conflict_budget_reports_unknown(self):
         # PHP(7,6) with a 5-conflict cap cannot finish.
@@ -162,10 +168,98 @@ class TestBudgetsToUnknown:
                     )
         result = solver.check_sat()
         assert result.is_unknown
-        assert "budget" in result.reason or "timeout" in result.reason
+        assert result.reason == "conflict budget exhausted"
+        assert result.cause is UnknownCause.CONFLICTS
+
+    def test_propagation_budget_names_its_cause(self):
+        solver = Solver(SolverBudget(max_propagations=0))
+        solver.assert_formula(SHARE(E1, D1))
+        solver.assert_formula(implies(SHARE(E1, D1), CONSENT(D1)))
+        result = solver.check_sat()
+        assert result.is_unknown
+        assert result.reason == "propagation budget exhausted"
+        assert result.cause is UnknownCause.PROPAGATIONS
+
+    def test_theory_round_budget_names_its_cause(self, monkeypatch):
+        import repro.solver.theory as theory
+
+        monkeypatch.setattr(theory, "_MAX_THEORY_ROUNDS", 0)
+        solver = Solver()
+        solver.assert_formula(SHARE(E1, D1))
+        result = solver.check_sat()
+        assert result.is_unknown
+        assert result.reason == "theory round budget exhausted"
+        assert result.cause is UnknownCause.THEORY_ROUNDS
+
+    def test_decided_and_uncaused_results_carry_no_cause(self):
+        solver = Solver()
+        solver.assert_formula(SHARE(E1, D1))
+        assert solver.check_sat().cause is None
+        solver.assert_formula(negate(SHARE(E1, D1)))
+        assert solver.check_sat().cause is None
 
     def test_statistics_populated(self):
         solver = Solver()
         solver.assert_formula(SHARE(E1, D1))
         result = solver.check_sat()
         assert result.statistics.variables >= 1
+
+
+def guarded_pigeonhole_script(pigeons: int = 6) -> str:
+    """PHP(n, n-1) with every clause escaped by two guard variables.
+
+    The guards ``s`` and ``t`` come first, so they are decision variables
+    1 and 2.  Seed 0's all-False phases dive into the exponentially hard
+    UNSAT pigeonhole below them and exhaust a small conflict budget; a
+    seed that phases either guard True satisfies every clause at once.
+    Seeds 1 and 2 phase ``s`` True and seed 3 phases only ``t`` True, so
+    one guard alone would leave seed 3 in the pigeonhole.
+    """
+    holes = pigeons - 1
+    lines = ["(set-logic UF)", "(declare-fun s () Bool)", "(declare-fun t () Bool)"]
+
+    def var(i: int, j: int) -> str:
+        return f"x{i}_{j}"
+
+    for i in range(pigeons):
+        for j in range(holes):
+            lines.append(f"(declare-fun {var(i, j)} () Bool)")
+    for i in range(pigeons):
+        lits = " ".join(var(i, j) for j in range(holes))
+        lines.append(f"(assert (or s t {lits}))")
+    for j in range(holes):
+        for i in range(pigeons):
+            for k in range(i + 1, pigeons):
+                lines.append(f"(assert (or s t (not {var(i, j)}) (not {var(k, j)})))")
+    lines.append("(check-sat)")
+    return "\n".join(lines)
+
+
+class TestDecisionSeed:
+    """The budget's decision seed: what the ladder's reseed rung varies."""
+
+    def test_reseed_seeds_rescue_the_guarded_pigeonhole(self):
+        script = guarded_pigeonhole_script()
+        budget = SolverBudget(max_conflicts=30)
+        certification = CertificationConfig()
+        runs = []
+        for _ in range(2):  # the same answers on a second run
+            (canonical,) = execute_script(
+                script, budget=budget, certification=certification
+            )
+            assert canonical.is_unknown
+            assert canonical.cause is UnknownCause.CONFLICTS
+            run = [(canonical.status, canonical.reason)]
+            for seed in RESEED_SEEDS:
+                (result,) = execute_script(
+                    script,
+                    budget=replace(budget, decision_seed=seed),
+                    certification=certification,
+                )
+                assert result.is_sat, seed
+                assert result.certificate is not None
+                assert result.certificate.certified
+                assert result.model["s"] or result.model["t"]
+                run.append((result.status, tuple(sorted(result.model.items()))))
+            runs.append(run)
+        assert runs[0] == runs[1]

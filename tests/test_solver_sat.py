@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, UnknownCause
 from repro.solver.result import SatResult
 from repro.solver.sat import CDCLSolver, luby
 
@@ -160,22 +160,25 @@ class TestBudgets:
 
     def test_conflict_budget_raises(self):
         solver = self._hard_instance()
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             solver.solve()
+        assert info.value.cause is UnknownCause.CONFLICTS
 
     def test_propagation_budget_raises(self):
         solver = CDCLSolver(3, max_propagations=1)
         solver.add_clause((1,))
         solver.add_clause((-1, 2))
         solver.add_clause((-2, 3))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             solver.solve()
+        assert info.value.cause is UnknownCause.PROPAGATIONS
 
     def test_deadline_in_past_raises(self):
         solver = CDCLSolver(2, deadline=0.0)
         solver.add_clause((1, 2))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             solver.solve()
+        assert info.value.cause is UnknownCause.WALL_CLOCK
 
 
 class TestStatistics:
@@ -243,7 +246,7 @@ class TestLearnedClauseDBReduction:
 
 
 class TestSeededPhases:
-    """VSIDS decision-seed phases (the portfolio diversification knob)."""
+    """VSIDS decision-seed phases (what the ladder's reseed rung varies)."""
 
     def test_seed_zero_is_the_legacy_all_false_policy(self):
         from repro.solver.sat import seeded_phase
