@@ -802,9 +802,9 @@ class PolicyPipeline:
     ) -> VerificationResult:
         """Verify (or reuse) an encoded query.
 
-        Each miss builds fresh :class:`~repro.solver.interface.Solver`
-        instances inside :func:`verify_encoded`, so concurrent workers
-        never share solver state; hits skip the solver entirely and are
+        Each miss builds one fresh :class:`~repro.solver.interface.Solver`
+        inside :func:`verify_encoded`, so concurrent workers never share
+        solver state; hits skip the solver entirely and are
         not counted in the solver totals.  Concurrent workers on the same
         uncached problem share one single-flight solve (the followers
         count as hits — they ran no solver).  The cache key embeds

@@ -10,7 +10,19 @@ When a verdict involves uninterpreted predicates, the result reports which
 vague terms it depends on, and — when the plain verdict is INVALID — an
 additional ``check-sat-assuming`` pass determines whether the query would
 follow if every vague condition were resolved in the policy's favour
-(CONDITIONALLY VALID).
+(CONDITIONALLY VALID).  A VALID verdict gets a consistency check instead:
+if the policy statements alone are unsatisfiable, the VALID is vacuous.
+
+One question builds one solver.  The script puts the negated query in its
+own ``push`` scope, and both follow-ups reuse the validity check's grounded
+clauses: the conditional check asks ``check-sat-assuming`` of the
+still-loaded core, and the consistency check ``pop``s the negated query
+and reloads the policy's clauses into a fresh core without grounding them
+again.  Either way the follow-up judges the policy over the same universe
+the verdict was reached over (the policy's constants plus the query's), so
+a VALID that holds only because the policy contradicts itself about a
+query constant is caught.  The follow-ups stay uncertified: they refine a
+verdict that certification has already checked.
 """
 
 from __future__ import annotations
@@ -238,15 +250,20 @@ def verify_encoded(
         raise QueryError("encoded query has no query formula")
     text = script_text if script_text is not None else compile_script_text(encoded)
 
+    solver = Solver(budget=budget, certification=certification)
     if via_smtlib:
-        results = execute_script(text, budget=budget, certification=certification)
-        solver_result = results[-1]
+        solver_result = execute_script(text, solver=solver)[-1]
     else:
-        solver = Solver(budget=budget, certification=certification)
         for formula in encoded.policy_formulas:
             solver.assert_formula(formula)
+        solver.push()
         solver.assert_formula(negate(encoded.query_formula))
         solver_result = solver.check_sat()
+    # The statistics describe the validity check alone: the follow-ups
+    # below keep counting on the solver's own object.  They also stay
+    # uncertified.
+    solver_result.statistics = replace(solver_result.statistics)
+    solver.certification = None
 
     verdict = _status_to_verdict(solver_result.status)
     certification_failed = (
@@ -257,10 +274,10 @@ def verify_encoded(
         # A VALID verdict is vacuous when the policy statements themselves
         # are contradictory (the apparent-contradiction pattern); detect and
         # demote it so a human reviews the conflicting statements instead.
-        consistency = Solver(budget=budget)
-        for formula in encoded.policy_formulas:
-            consistency.assert_formula(formula)
-        check = consistency.check_sat()
+        # Popping the negated query leaves the policy grounded over the
+        # universe the verdict used, query constants included.
+        solver.pop()
+        check = solver.check_sat()
         if check.status is SatResult.UNSAT:
             policy_consistent = False
             verdict = Verdict.UNKNOWN
@@ -286,7 +303,7 @@ def verify_encoded(
         and verdict is Verdict.INVALID
         and encoded.uninterpreted
     ):
-        result.conditionally_valid = _conditionally_valid(encoded, budget)
+        result.conditionally_valid = _conditionally_valid(solver, encoded)
     if certification_failed and quarantine_dir is not None:
         quarantine_failure(result, quarantine_dir)
     return result
@@ -321,19 +338,13 @@ def _counterexample(
     }
 
 
-def _conditionally_valid(
-    encoded: EncodedQuery, budget: SolverBudget | None
-) -> bool | None:
+def _conditionally_valid(solver: Solver, encoded: EncodedQuery) -> bool | None:
     """Would the query follow if all vague conditions were resolved true?
 
-    Uses ``check-sat-assuming`` over the uninterpreted predicates — the
-    incremental exploration of query conditions the paper points to as
-    future work.
+    Uses ``check-sat-assuming`` over the uninterpreted predicates on the
+    solver that still holds the validity check — the incremental
+    exploration of query conditions the paper points to as future work.
     """
-    solver = Solver(budget=budget)
-    for formula in encoded.policy_formulas:
-        solver.assert_formula(formula)
-    solver.assert_formula(negate(encoded.query_formula))
     assumptions = [
         PredicateSymbol(name, (), uninterpreted=True, source_text=source)()
         for name, source in sorted(encoded.uninterpreted.items())

@@ -196,10 +196,17 @@ def execute_script(
     *,
     budget: SolverBudget | None = None,
     certification: CertificationConfig | None = None,
+    solver: Solver | None = None,
 ) -> list[SolverResult]:
-    """Run a script against the bundled solver; one result per check command."""
+    """Run a script against the bundled solver; one result per check command.
+
+    ``solver`` runs the script on a caller-built :class:`Solver` instead
+    of a fresh one (its own budget and certification apply), and leaves
+    it loaded, so the caller can ask follow-up questions of the same
+    assertions without grounding them again.
+    """
     results, _outputs = execute_script_verbose(
-        script, budget=budget, certification=certification
+        script, budget=budget, certification=certification, solver=solver
     )
     return results
 
@@ -209,6 +216,7 @@ def execute_script_verbose(
     *,
     budget: SolverBudget | None = None,
     certification: CertificationConfig | None = None,
+    solver: Solver | None = None,
 ) -> tuple[list[SolverResult], list[str]]:
     """Like :func:`execute_script`, also returning get-model/get-value output.
 
@@ -219,11 +227,16 @@ def execute_script_verbose(
     ``certification`` arms the solver's trust-but-verify layer: every
     check answer is independently re-validated, and a failed certificate
     comes back as UNKNOWN with a :class:`CertificateReport` attached.
+    ``solver`` is as for :func:`execute_script`; it excludes ``budget``
+    and ``certification``.
     """
+    if solver is None:
+        solver = Solver(budget=budget, certification=certification)
+    elif budget is not None or certification is not None:
+        raise ValueError("pass budget and certification or a solver, not both")
     if isinstance(script, str):
         script = parse_script(script)
     env = _Environment()
-    solver = Solver(budget=budget, certification=certification)
     results: list[SolverResult] = []
     outputs: list[str] = []
     for command in script.commands:

@@ -32,6 +32,7 @@ from repro.smtlib.script import (
     DeclareConst,
     DeclareFun,
     DeclareSort,
+    Push,
     SetLogic,
     SMTScript,
 )
@@ -158,12 +159,15 @@ def compile_validity_script(
     Asserts every policy formula plus the *negation* of the query; an
     ``unsat`` answer means the query follows from the policy (VALID in the
     paper's terminology), ``sat`` means it does not necessarily follow.
+    The negated query sits in its own ``push`` scope, so a solver that ran
+    the script can ``pop`` it and ask about the policy alone.
     """
     script = SMTScript()
     script.add(SetLogic(logic))
     _declarations(policy_formulas + [query], script)
     for i, formula in enumerate(policy_formulas):
         script.add(Assert(compile_formula(formula)), comment=f"policy fact {i + 1}")
+    script.add(Push(1))
     script.add(
         Assert(["not", compile_formula(query)]),
         comment="negated query: unsat <=> query follows from policy",

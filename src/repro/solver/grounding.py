@@ -39,15 +39,20 @@ class Universe:
 
     _constants: dict[Sort, list[Constant]] = field(default_factory=dict)
 
-    def declare(self, constant: Constant) -> None:
-        """Add ``constant`` to its sort's domain (idempotent)."""
+    def declare(self, constant: Constant) -> bool:
+        """Add ``constant`` to its sort's domain; True when it was new."""
         domain = self._constants.setdefault(constant.sort, [])
-        if constant not in domain:
-            domain.append(constant)
+        if constant in domain:
+            return False
+        domain.append(constant)
+        return True
 
-    def declare_all(self, constants: list[Constant] | set[Constant]) -> None:
+    def declare_all(self, constants: list[Constant] | set[Constant]) -> bool:
+        """Declare each constant in name order; True when any was new."""
+        new = False
         for c in sorted(constants, key=lambda c: c.name):
-            self.declare(c)
+            new = self.declare(c) or new
+        return new
 
     def domain(self, sort: Sort) -> list[Constant]:
         """The constants of ``sort``, in declaration order."""
@@ -65,10 +70,9 @@ class Universe:
     def snapshot(self) -> dict[Sort, tuple[Constant, ...]]:
         """Immutable copy of every domain, in declaration order.
 
-        The certification layer records this alongside each grounded
-        assertion so its independent re-expansion sees exactly the
-        universe the production grounder saw, even if constants are
-        declared later (incremental asserts).
+        The certification layer takes one at check time: every assertion
+        must hold, and must have been grounded, over the universe as it
+        stands when the check runs.
         """
         return {sort: tuple(domain) for sort, domain in self._constants.items()}
 

@@ -7,12 +7,19 @@ grounded over the declared universe at check time.  All resource budgets
 convert to UNKNOWN results with an explanatory reason — the mechanism by
 which the paper's "solver timeouts" are observed rather than suffered.
 
+Each assertion is grounded and Tseitin-encoded once: the clauses are kept
+per assertion, so after a ``pop`` the next check reloads the surviving
+assertions' clauses into a fresh SAT core instead of grounding them again.
+Declaring a constant the universe has not seen drops them all, because it
+widens every quantifier grounded so far.
+
 Thread ownership: a :class:`Solver` instance is single-thread-owned.  It
-carries mutable per-check state (assertion stack, persistent SAT core,
-grounding counters, statistics) with no internal locking; the concurrent
-batch engine (:meth:`repro.core.pipeline.PolicyPipeline.query_batch`)
-therefore builds a fresh instance per verification inside each worker and
-shares only the immutable :class:`SolverBudget` across threads.
+carries mutable per-check state (assertion stack, grounded clauses,
+persistent SAT core, grounding counters, statistics) with no internal
+locking; the concurrent batch engine
+(:meth:`repro.core.pipeline.PolicyPipeline.query_batch`) therefore builds
+a fresh instance per verification inside each worker and shares only the
+immutable :class:`SolverBudget` across threads.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from repro.fol.visitor import collect_constants, free_variables
 from repro.solver import modelcheck
 from repro.solver.cnf import atom_key, tseitin
 from repro.solver.grounding import GroundingCounter, Universe, ground
-from repro.solver.literals import AtomPool
+from repro.solver.literals import AtomPool, Clause
 from repro.solver.preprocess import preprocess
 from repro.solver.proof import ProofLog, check_proof
 from repro.solver.result import (
@@ -113,6 +120,17 @@ class CertificationConfig:
     max_proof_events: int = 100_000
 
 
+@dataclass(slots=True)
+class _Grounded:
+    """One assertion as grounded over the current universe."""
+
+    formula: Formula
+    raw: Formula | None  # the grounder's output, kept for certification
+    clauses: list[Clause]
+    variables: int  # pool size once these clauses were encoded
+    instances: int  # grounding count once this assertion was grounded
+
+
 class Solver:
     """An incremental SMT solver over many-sorted ground/quantified FOL.
 
@@ -133,13 +151,12 @@ class Solver:
         self.universe = Universe()
         self.statistics = SolverStatistics()
         self._stack: list[list[Formula]] = [[]]
-        self._persistent: tuple[CDCLSolver, AtomPool] | None = None
-        # Certification bookkeeping: per grounded assertion, the original
-        # formula, the grounder's pre-simplification output, and the
-        # universe snapshot it was expanded over.  Rebuilt with _build.
-        self._cert_records: list[
-            tuple[Formula, Formula, dict]
-        ] = []
+        # A prefix of self.assertions, grounded and encoded into _pool.
+        self._grounded: list[_Grounded] = []
+        self._pool = AtomPool()
+        # The loaded SAT core over _grounded, kept across checks until a
+        # pop or a universe change makes its learned clauses suspect.
+        self._sat: CDCLSolver | None = None
         # The grounding budget is cumulative over the whole problem: a
         # policy-sized assertion set exhausts it even though each individual
         # quantified axiom is small.  This is the mechanism behind the
@@ -155,33 +172,53 @@ class Solver:
     # ------------------------------------------------------------------
 
     def declare_constant(self, constant) -> None:
-        """Add a constant to the grounding universe."""
-        self.universe.declare(constant)
+        """Add a constant to the grounding universe.
+
+        A new constant widens every quantifier grounded so far, so the
+        grounded clauses and the loaded core are dropped and the next
+        check grounds every assertion again.
+        """
+        if self.universe.declare(constant):
+            self._reset()
 
     def assert_formula(self, formula: Formula) -> None:
         """Assert ``formula`` at the current stack level.
 
-        Constants appearing in the formula are auto-declared.
+        Constants appearing in the formula are auto-declared (see
+        :meth:`declare_constant`).
         """
-        self.universe.declare_all(collect_constants(formula))
+        if self.universe.declare_all(collect_constants(formula)):
+            self._reset()
         self._stack[-1].append(formula)
-        if self._persistent is not None:
-            sat, pool = self._persistent
+        if self._sat is not None:
             try:
-                self._load_formula(formula, sat, pool)
+                for clause in self._ground(formula).clauses:
+                    self._sat.add_clause(clause)
             except BudgetExceededError:
-                self._persistent = None
+                self._reset()
 
     def push(self) -> None:
         """Open a new assertion scope."""
         self._stack.append([])
 
     def pop(self) -> None:
-        """Discard the innermost assertion scope."""
+        """Discard the innermost assertion scope.
+
+        The loaded core goes (its learned clauses may rest on popped
+        assertions); the surviving assertions keep their clauses, and the
+        atom pool and grounding count return to what they were then.
+        """
         if len(self._stack) == 1:
             raise SolverError("pop on empty assertion stack")
         self._stack.pop()
-        self._persistent = None  # learned state may depend on popped clauses
+        self._sat = None
+        keep = len(self.assertions)
+        if len(self._grounded) > keep:
+            del self._grounded[keep:]
+            last = self._grounded[-1] if self._grounded else None
+            self._pool.truncate(last.variables if last else 0)
+            self._ground_counter.count = last.instances if last else 0
+            self.statistics.ground_instances = self._ground_counter.count
 
     @property
     def assertions(self) -> list[Formula]:
@@ -215,34 +252,45 @@ class Solver:
             return None
         return time.monotonic() + self.budget.timeout_seconds
 
-    def _clauses_for(self, formula: Formula, pool: AtomPool) -> list:
+    def _reset(self) -> None:
+        """Forget the grounded clauses and the loaded core."""
+        self._grounded = []
+        self._pool = AtomPool()
+        self._sat = None
+
+    def _ground(self, formula: Formula) -> _Grounded:
+        """Ground and encode the next assertion, and remember its clauses."""
         raw = ground(formula, self.universe, counter=self._ground_counter)
-        if self._certifying:
-            self._cert_records.append((formula, raw, self.universe.snapshot()))
         grounded = simplify(raw)
         self.statistics.ground_instances = self._ground_counter.count
         if free_variables(grounded):
             raise SolverError("assertion has free variables after grounding")
-        return tseitin(grounded, pool)
-
-    def _load_formula(self, formula: Formula, sat: CDCLSolver, pool: AtomPool) -> None:
-        for clause in self._clauses_for(formula, pool):
-            # A False return marks the instance root-unsat; the SAT core
-            # remembers and reports it on the next solve.
-            sat.add_clause(clause)
+        entry = _Grounded(
+            formula,
+            raw if self._certifying else None,
+            tseitin(grounded, self._pool),
+            self._pool.count,
+            self._ground_counter.count,
+        )
+        self._grounded.append(entry)
+        return entry
 
     def _build(self, deadline: float | None = None) -> tuple[CDCLSolver, AtomPool]:
-        if self._persistent is not None:
-            return self._persistent
-        # Rebuilding from scratch re-grounds everything: start the
-        # cumulative budget over.  The deadline rides on the counter so a
-        # slow grounding phase converts into a wall-clock UNKNOWN instead
-        # of overshooting the budget before search even starts.
-        self._ground_counter = GroundingCounter(
-            self.budget.max_ground_instances, deadline=deadline
-        )
-        self._cert_records = []
-        pool = AtomPool()
+        if self._sat is not None:
+            return self._sat, self._pool
+        # The deadline rides on the counter so a slow grounding phase
+        # converts into a wall-clock UNKNOWN instead of overshooting the
+        # budget before search even starts.
+        if self._grounded:
+            self._ground_counter.deadline = deadline
+        else:
+            # Grounding from scratch: start the cumulative budget over.
+            self._ground_counter = GroundingCounter(
+                self.budget.max_ground_instances, deadline=deadline
+            )
+        for formula in self.assertions[len(self._grounded) :]:
+            self._ground(formula)
+        pool = self._pool
         sat = CDCLSolver(
             0,
             stats=self.statistics,
@@ -252,9 +300,7 @@ class Solver:
         )
         if self._certifying:
             sat.proof = ProofLog()
-        clauses: list = []
-        for formula in self.assertions:
-            clauses.extend(self._clauses_for(formula, pool))
+        clauses = [clause for entry in self._grounded for clause in entry.clauses]
         if self.enable_preprocessing:
             # Named atoms stay protected: assumptions and model extraction
             # must see their real values.  Pure-literal elimination is
@@ -268,17 +314,19 @@ class Solver:
                 var = pool.fresh("conflict")
                 sat.add_clause((var,))
                 sat.add_clause((-var,))
-                self._persistent = (sat, pool)
-                return self._persistent
+                self._sat = sat
+                return sat, pool
             clauses = list(result.clauses)
             clauses.extend(
                 (var,) if value else (-var,) for var, value in result.fixed.items()
             )
         for clause in clauses:
+            # A False return marks the instance root-unsat; the SAT core
+            # remembers and reports it on the next solve.
             sat.add_clause(clause)
         sat.ensure_vars(pool.count)
-        self._persistent = (sat, pool)
-        return self._persistent
+        self._sat = sat
+        return sat, pool
 
     def _assumption_literal(self, formula: Formula, pool: AtomPool) -> int:
         negated = False
@@ -305,7 +353,7 @@ class Solver:
                 sat, pool, assumptions=lits, stats=self.statistics
             )
         except BudgetExceededError as exc:
-            self._persistent = None
+            self._reset()
             self.statistics.solve_time_seconds += time.monotonic() - start
             return SolverResult(
                 status=SatResult.UNKNOWN,
@@ -329,9 +377,9 @@ class Solver:
             result.certificate = report
             if report.failed:
                 # Soundness alarm: never surface the uncertified verdict.
-                # The persistent core is dropped — its learned state is
-                # tainted by whatever produced the bogus answer.
-                self._persistent = None
+                # The clauses and the core are dropped — they are tainted
+                # by whatever produced the bogus answer.
+                self._reset()
                 return SolverResult(
                     status=SatResult.UNKNOWN,
                     reason=f"{CERTIFICATION_FAILED}: {report.failures[0]}",
@@ -359,14 +407,17 @@ class Solver:
         try:
             events = sat.proof.events if sat.proof is not None else []
             report.proof_events = len(events)
+            # Every assertion must be grounded over, and hold in, the
+            # universe as it stands now, not as it stood when grounded.
+            universe = self.universe.snapshot()
 
             if config.check_grounding:
                 report.checks.append("grounding-parity")
-                for formula, grounded, snapshot in self._cert_records:
-                    if modelcheck.expand(formula, snapshot) != grounded:
+                for entry in self._grounded:
+                    if modelcheck.expand(entry.formula, universe) != entry.raw:
                         fail(
                             "grounding mismatch: independent expansion of "
-                            f"assertion {formula} disagrees with the grounder"
+                            f"assertion {entry.formula} disagrees with the grounder"
                         )
                         break
 
@@ -391,8 +442,8 @@ class Solver:
                     for key, var in pool.named_atoms().items()
                 }
                 report.checks.append("fol-model")
-                for formula, _grounded, snapshot in self._cert_records:
-                    if not modelcheck.evaluate_formula(formula, named, snapshot):
+                for formula in self.assertions:
+                    if not modelcheck.evaluate_formula(formula, named, universe):
                         fail(
                             "model does not satisfy the original assertion "
                             f"{formula}"

@@ -61,6 +61,15 @@ class AtomPool:
     def has_key(self, key: str) -> bool:
         return key in self._by_key
 
+    def truncate(self, count: int) -> None:
+        """Forget every variable above ``count``: the pool as it was then."""
+        for var in range(count + 1, self._next_var):
+            key = self._by_var.pop(var)
+            del self._by_key[key]
+            self._named.pop(key, None)
+        self._next_var = count + 1
+        self.needs_theory = any(map(_is_theory_atom, self._named))
+
     @property
     def count(self) -> int:
         """Number of allocated variables."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.encode import encode_query
+from repro.core.encode import EncodedQuery, encode_query
 from repro.core.graphs import PolicyGraph
 from repro.core.hierarchy import Taxonomy
 from repro.core.parameters import annotate
@@ -10,7 +10,9 @@ from repro.core.subgraph import extract_subgraph
 from repro.core.translation import translate_query_terms, translate_term
 from repro.core.verify import Verdict, verify_encoded
 from repro.embeddings.store import EmbeddingStore
+from repro.fol import DATA, ENTITY, Constant, PredicateSymbol, Variable, forall, negate
 from repro.llm.tasks import ExtractedParameters
+from repro.smtlib.parser import execute_script
 
 
 def _practice(sender, action, data_type, receiver=None, condition=None, permission=True, seg="s1"):
@@ -236,6 +238,91 @@ class TestVerify:
         result = verify_encoded(encoded)
         assert result.verdict is Verdict.UNKNOWN
         assert result.policy_consistent is False
+
+    @pytest.mark.parametrize("via_smtlib", [True, False])
+    def test_contradiction_over_a_query_constant_is_not_valid(self, via_smtlib):
+        # The policy contradicts itself only once `email` is in the
+        # universe, and only the query brings it there.  The VALID is
+        # vacuous, so the consistency check must judge the policy over
+        # the validity check's universe, not over the policy's own.
+        tiktak = Constant("tiktak", ENTITY)
+        y = Variable("y", DATA)
+        collect = PredicateSymbol("collect", (ENTITY, DATA))
+        encoded = EncodedQuery(
+            policy_formulas=[
+                forall(y, collect(tiktak, y)),
+                forall(y, negate(collect(tiktak, y))),
+            ],
+            query_formula=collect(tiktak, Constant("email", DATA)),
+        )
+        result = verify_encoded(encoded, via_smtlib=via_smtlib)
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.policy_consistent is False
+
+    @pytest.mark.parametrize(
+        "term, action, verdict",
+        [
+            ("location", "collect", Verdict.VALID),
+            ("contact information", "share", Verdict.INVALID),
+        ],
+    )
+    def test_each_assertion_grounded_once_per_question(
+        self, graph, monkeypatch, term, action, verdict
+    ):
+        # The follow-up check (consistency for VALID, the vague-condition
+        # check for INVALID) reuses the validity check's clauses.
+        import repro.solver.interface as interface
+
+        grounded = []
+        real_ground = interface.ground
+
+        def spy(formula, *args, **kwargs):
+            grounded.append(formula)
+            return real_ground(formula, *args, **kwargs)
+
+        encoded = encode_query(
+            extract_subgraph(graph, [term], []), _query("acme", action, term)
+        )
+        monkeypatch.setattr(interface, "ground", spy)
+        result = verify_encoded(encoded)
+        assert result.verdict is verdict
+        assert (result.policy_consistent, result.conditionally_valid) != (None, None)
+        assert len(grounded) == len(encoded.policy_formulas) + 1
+
+    def test_statistics_describe_the_validity_check_alone(self, graph):
+        encoded = encode_query(
+            extract_subgraph(graph, ["location"], []), _query("acme", "collect", "location")
+        )
+        result = verify_encoded(encoded)
+        assert result.policy_consistent is True  # a follow-up check ran
+        (alone,) = execute_script(result.smtlib_text)
+        got = result.solver_result.statistics.as_dict()
+        expected = alone.statistics.as_dict()
+        got.pop("solve_time_seconds")
+        expected.pop("solve_time_seconds")
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "term, action", [("location", "collect"), ("contact information", "share")]
+    )
+    def test_only_the_validity_check_is_certified(self, graph, monkeypatch, term, action):
+        from repro.solver.interface import CertificationConfig, Solver
+
+        certified = []
+        real_certify = Solver._certify
+
+        def spy(self, verdict, *args):
+            certified.append(verdict)
+            return real_certify(self, verdict, *args)
+
+        monkeypatch.setattr(Solver, "_certify", spy)
+        encoded = encode_query(
+            extract_subgraph(graph, [term], []), _query("acme", action, term)
+        )
+        result = verify_encoded(encoded, certification=CertificationConfig())
+        assert (result.policy_consistent, result.conditionally_valid) != (None, None)
+        assert len(certified) == 1
+        assert result.certificate.certified
 
     def test_smtlib_text_attached(self, graph):
         sub = extract_subgraph(graph, ["location"], [])

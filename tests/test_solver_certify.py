@@ -149,9 +149,8 @@ class TestCertifiedVerdicts:
         assert result.certificate.certified
 
     def test_incremental_asserts_keep_per_formula_universe_snapshots(self):
-        # A constant declared *after* a quantified assert must not make the
-        # parity check re-expand the earlier formula over the larger
-        # universe.
+        # A constant declared *after* a quantified assert, before any
+        # check, is in the universe the check grounds and certifies over.
         solver = certified_solver()
         solver.declare_constant(A)
         solver.assert_formula(Forall(X, P(X)))
@@ -160,6 +159,54 @@ class TestCertifiedVerdicts:
         result = solver.check_sat()
         assert result.certificate is not None
         assert result.certificate.certified
+
+    def test_grounding_that_missed_a_new_constant_raises_the_alarm(
+        self, monkeypatch
+    ):
+        # Simulate a solver that fails to notice the universe growing after
+        # a check: the axiom stays grounded over {a} alone, and the loaded
+        # core wrongly finds p(c), not t(c) satisfiable.  The fol-model leg
+        # evaluates every assertion over the check-time universe {a, c},
+        # so it raises the alarm instead of certifying the stale answer.
+        real_declare_all = Universe.declare_all
+
+        def declare_all_unnoticed(universe, constants):
+            real_declare_all(universe, constants)
+            return False
+
+        monkeypatch.setattr(Universe, "declare_all", declare_all_unnoticed)
+        t = PredicateSymbol("t", (S,))
+        solver = certified_solver(check_grounding=False)
+        solver.assert_formula(Forall(X, Implies(P(X), t(X))))
+        solver.assert_formula(P(A))
+        assert solver.check_sat().status is SatResult.SAT
+        solver.assert_formula(P(C))
+        solver.assert_formula(Not(t(C)))
+        result = solver.check_sat()
+        assert result.status is SatResult.UNKNOWN
+        assert result.reason.startswith(CERTIFICATION_FAILED)
+        assert any(
+            "does not satisfy the original assertion" in failure
+            for failure in result.certificate.failures
+        )
+
+    def test_pop_leaves_no_record_of_popped_assertions(self):
+        solver = certified_solver()
+        solver.declare_constant(A)
+        solver.declare_constant(B)
+        solver.assert_formula(Forall(X, Or((P(X), Q()))))
+        solver.push()
+        solver.assert_formula(Not(Q()))
+        solver.assert_formula(Not(P(A)))
+        unsat = solver.check_sat()
+        assert unsat.status is SatResult.UNSAT and unsat.certificate.certified
+        solver.pop()
+        # The grounding records are the certifier's view of the assertions.
+        assert [entry.formula for entry in solver._grounded] == solver.assertions
+        sat = solver.check_sat()
+        assert sat.status is SatResult.SAT
+        assert sat.certificate.certified
+        assert "fol-model" in sat.certificate.checks
 
     def test_no_certification_config_means_no_report(self):
         solver = Solver()

@@ -22,6 +22,8 @@ import random
 
 import pytest
 
+from repro.core.encode import EncodedQuery
+from repro.core.verify import verify_encoded
 from repro.fol.formula import (
     And,
     Exists,
@@ -34,6 +36,7 @@ from repro.fol.formula import (
     PredicateSymbol,
 )
 from repro.fol.terms import Constant, FunctionSymbol, Sort, Variable
+from repro.fol.visitor import collect_constants
 from repro.solver import CertificationConfig, SatResult, Solver
 from repro.solver.modelcheck import brute_force_status, collect_atom_keys
 
@@ -177,3 +180,65 @@ class TestDifferentialFuzz:
         assert [first.case() for _ in range(5)] == [
             second.case() for _ in range(5)
         ]
+
+
+QUERY_ONLY = Constant("c", S)
+
+
+def _flag(status: SatResult, true_when: SatResult) -> bool | None:
+    if status is SatResult.UNKNOWN:
+        return None
+    return status is true_when
+
+
+def fresh_follow_ups(policy, query, vague) -> tuple[bool | None, bool | None]:
+    """(policy_consistent, conditionally_valid) from fresh solvers, each
+    grounded over the validity check's universe: the constants of the
+    policy and of the query."""
+    constants = sorted(collect_constants(And((*policy, query))), key=lambda c: c.name)
+
+    def fresh(*formulas) -> Solver:
+        solver = Solver()
+        for constant in constants:
+            solver.declare_constant(constant)
+        for formula in formulas:
+            solver.assert_formula(formula)
+        return solver
+
+    validity = fresh(*policy, Not(query)).check_sat().status
+    if validity is SatResult.UNSAT:
+        consistent = fresh(*policy).check_sat().status
+        return _flag(consistent, SatResult.SAT), None
+    if validity is SatResult.SAT and vague:
+        assumptions = [PredicateSymbol(name, ())() for name in sorted(vague)]
+        outcome = fresh(*policy, Not(query)).check_sat_assuming(assumptions)
+        return None, _flag(outcome.status, SatResult.UNSAT)
+    return None, None
+
+
+class TestSharedSolverFollowUps:
+    """verify_encoded answers its follow-up checks from the validity
+    check's solver; fresh solvers over the same universe must agree."""
+
+    @pytest.mark.parametrize("via_smtlib", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_follow_ups_match_fresh_solvers(self, seed, via_smtlib):
+        generator = FormulaGenerator(200 + seed, euf=seed == 2)
+        vague = {prop.name: prop.name for prop in PROPS}
+        seen = set()
+        for _ in range(40):
+            policy = generator.case()
+            query = generator.formula(2)
+            if generator.rng.random() < 0.5:
+                # A constant only the query mentions widens the universe
+                # every policy quantifier is grounded over.
+                query = Or((query, P(QUERY_ONLY)))
+            encoded = EncodedQuery(
+                policy_formulas=policy, query_formula=query, uninterpreted=vague
+            )
+            result = verify_encoded(encoded, via_smtlib=via_smtlib)
+            got = (result.policy_consistent, result.conditionally_valid)
+            assert got == fresh_follow_ups(policy, query, vague), (policy, query)
+            seen.add(got)
+        # Every kind of follow-up answer turns up across the cases.
+        assert {(True, None), (None, True), (None, False)} <= seen

@@ -28,6 +28,7 @@ D2 = Constant("location", DATA)
 SHARE = PredicateSymbol("share", (ENTITY, DATA))
 CONSENT = PredicateSymbol("consent", (DATA,))
 EQ = PredicateSymbol("=", (ENTITY, ENTITY))
+X = Variable("x", DATA)
 
 
 class TestBasicChecks:
@@ -96,6 +97,97 @@ class TestPushPop:
         solver.pop()
         assert len(solver.assertions) == 0
         solver.pop()
+
+
+    def test_pop_reloads_surviving_clauses_without_grounding(self, monkeypatch):
+        import repro.solver.interface as interface
+
+        policy = [forall(X, implies(SHARE(E1, X), CONSENT(X))), SHARE(E1, D1)]
+        solver = Solver()
+        for formula in policy:
+            solver.assert_formula(formula)
+        solver.push()
+        solver.assert_formula(negate(implies(SHARE(E1, D2), CONSENT(D2))))
+        assert solver.check_sat().is_unsat
+        solver.pop()
+
+        calls = []
+        real_ground = interface.ground
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real_ground(*args, **kwargs)
+
+        monkeypatch.setattr(interface, "ground", spy)
+        reloaded = solver.check_sat()
+        monkeypatch.undo()
+        assert calls == []
+
+        # A fresh solver over the same universe: the query brought `D2`.
+        fresh = Solver()
+        for constant in (E1, D1, D2):
+            fresh.declare_constant(constant)
+        for formula in policy:
+            fresh.assert_formula(formula)
+        expected = fresh.check_sat()
+        assert reloaded.status is expected.status is SatResult.SAT
+        assert reloaded.model == expected.model
+        assert reloaded.statistics.variables == expected.statistics.variables
+
+
+class TestIncrementalUniverse:
+    """A constant declared after a check widens the earlier quantifiers."""
+
+    def test_assert_with_new_constant_regrounds_earlier_axioms(self):
+        # p(c) and not q(c) contradict the axiom only once it is
+        # instantiated over c, which the first check never saw.
+        solver = Solver(certification=CertificationConfig())
+        solver.assert_formula(forall(X, implies(SHARE(E1, X), CONSENT(X))))
+        solver.assert_formula(SHARE(E1, D1))
+        assert solver.check_sat().is_sat
+        solver.assert_formula(SHARE(E1, D2))
+        solver.assert_formula(negate(CONSENT(D2)))
+        result = solver.check_sat()
+        assert result.is_unsat
+        assert result.certificate.certified
+
+    def test_script_declaring_a_constant_after_check_sat(self):
+        script = """
+        (declare-sort Entity 0)
+        (declare-sort Data 0)
+        (declare-fun share (Entity Data) Bool)
+        (declare-fun consent (Data) Bool)
+        (declare-const tiktak Entity)
+        (declare-const email Data)
+        (assert (forall ((x Data)) (=> (share tiktak x) (consent x))))
+        (assert (share tiktak email))
+        (check-sat)
+        (declare-const location Data)
+        (assert (share tiktak location))
+        (assert (not (consent location)))
+        (check-sat)
+        """
+        first, second = execute_script(script, certification=CertificationConfig())
+        assert first.is_sat
+        assert second.is_unsat
+
+    def test_execute_script_runs_on_a_caller_built_solver(self):
+        solver = Solver()
+        script = """
+        (declare-sort Data 0)
+        (declare-fun consent (Data) Bool)
+        (declare-const email Data)
+        (assert (consent email))
+        (push 1)
+        (assert (not (consent email)))
+        (check-sat)
+        """
+        (result,) = execute_script(script, solver=solver)
+        assert result.is_unsat
+        solver.pop()
+        assert solver.check_sat().is_sat
+        with pytest.raises(ValueError):
+            execute_script(script, budget=SolverBudget(), solver=Solver())
 
 
 class TestCheckSatAssuming:
