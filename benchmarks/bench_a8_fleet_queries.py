@@ -18,7 +18,7 @@ resumes from its checkpoint to byte-identical report bytes.
 
 import time
 
-from conftest import print_table, write_bench_json
+from conftest import forget_process_memos, print_table, write_bench_json
 
 from repro import JobConfig, PolicyPipeline
 from repro.registry import MintSpec, PolicyRegistry
@@ -58,6 +58,7 @@ def test_a8_fleet_queries(pipeline, tmp_path, benchmark):
         """N independent invocations: fresh pipeline + shard load each."""
         verdicts = {}
         for company in companies:
+            forget_process_memos()
             solo = PolicyPipeline()
             model = solo.load_model(
                 registry.root / registry.entry(company).store_dir

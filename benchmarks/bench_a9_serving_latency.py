@@ -21,7 +21,7 @@ and writes the numbers to ``BENCH_a9_serving_latency.json``.
 import statistics
 import time
 
-from conftest import print_table, write_bench_json
+from conftest import forget_process_memos, print_table, write_bench_json
 
 from repro import PolicyPipeline, PolicyServer, ServerConfig, ServingClient
 from repro.registry import MintSpec, PolicyRegistry
@@ -46,6 +46,7 @@ def test_a9_serving_latency(pipeline, tmp_path):
     # Cold: the per-invocation cost of the CLI path, end to end.
     cold_samples = []
     for _ in range(COLD_ROUNDS):
+        forget_process_memos()
         start = time.perf_counter()
         solo = PolicyPipeline()
         model = solo.load_model(

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro import PolicyPipeline
+from repro.core.graphs import _phrase_kind
 from repro.corpus import metabook_policy, tiktak_policy
+from repro.embeddings.model import _word_vector
 
 BENCH_DIR = Path(__file__).resolve().parent
 
@@ -32,6 +34,17 @@ def tiktak_model(pipeline):
 @pytest.fixture(scope="session")
 def metabook_model(pipeline):
     return pipeline.process(metabook_policy().text)
+
+
+def forget_process_memos() -> None:
+    """Empty the process-wide memos, as a fresh CLI process starts.
+
+    Word vectors and node-kind answers are memoized per process, so a
+    "cold invocation" simulated inside the bench process would otherwise
+    reuse what earlier invocations (and the mint) computed.
+    """
+    _word_vector.cache_clear()
+    _phrase_kind.cache_clear()
 
 
 def write_bench_json(

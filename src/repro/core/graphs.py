@@ -15,6 +15,7 @@ segment produced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,6 +24,7 @@ import networkx as nx
 from repro.core.hierarchy import Taxonomy
 from repro.core.parameters import AnnotatedPractice
 from repro.nlp.chunker import is_data_phrase
+from repro.nlp.lexicon import ENTITY_TERMS
 
 NODE_ENTITY = "entity"
 NODE_DATA = "data"
@@ -85,10 +87,18 @@ class GraphStatistics:
 def classify_node(name: str, company: str) -> str:
     """Node kind: entity, data, or other."""
     lowered = name.lower()
-    if lowered in {"user", company.lower()}:
+    if lowered == "user" or lowered == company.lower():
         return NODE_ENTITY
-    from repro.nlp.lexicon import ENTITY_TERMS
+    return _phrase_kind(lowered)
 
+
+@functools.lru_cache(maxsize=8192)
+def _phrase_kind(lowered: str) -> str:
+    """The company-independent part of :func:`classify_node`, memoized.
+
+    It reads only frozen lexicons, so every graph (and every snapshot
+    replay) shares one answer per phrase.
+    """
     if lowered in ENTITY_TERMS:
         return NODE_ENTITY
     if is_data_phrase(lowered):

@@ -1040,7 +1040,7 @@ class PolicyPipeline:
         atomic_write_text(
             directory / "graph.dot", model.graph.to_dot(max_edges=500)
         )
-        model.store.save(directory / "embeddings.npz")
+        model.store.save(directory / "embeddings.bin")
 
     def save_model(
         self, model: PolicyModel, directory: str | Path, *, journaled: bool = False

@@ -44,14 +44,18 @@ def top_k(
     # query workers must not shift rows out from under the key list.
     keys, matrix = store.snapshot()
     scores = matrix @ (query_vec / qnorm)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], keys[i]))
-    hits = []
-    for i in order[:k]:
-        score = float(scores[i])
-        if score < min_score:
-            break
-        hits.append(SearchHit(key=keys[i], score=score))
-    return hits
+    # Only keys scoring at least the k-th best eligible score can be hits;
+    # sorting just those by (-score, key) gives the same hits, ties
+    # included, as sorting every key.
+    candidates = np.flatnonzero(scores >= min_score)
+    if len(candidates) > k:
+        eligible = scores[candidates]
+        kth_best = np.partition(eligible, len(eligible) - k)[len(eligible) - k]
+        candidates = candidates[eligible >= kth_best]
+    ranked = sorted(
+        zip((-scores[candidates]).tolist(), (keys[i] for i in candidates.tolist()))
+    )
+    return [SearchHit(key=key, score=-negated) for negated, key in ranked[:k]]
 
 
 def edge_text(source: str, action: str, target: str) -> str:

@@ -2,8 +2,8 @@
 
 The paper pre-computes embeddings for every node and edge of the policy
 graphs and caches them alongside the other pipeline artifacts.  The store
-keeps an insertion-ordered matrix for fast batched cosine search and can be
-persisted to ``.npz``.
+keeps an insertion-ordered matrix for fast batched cosine search and
+persists it as one raw payload (see :meth:`EmbeddingStore.to_bytes`).
 
 The store is thread-safe: concurrent batch queries read (and lazily
 insert) vectors from many workers, so all index mutations and matrix
@@ -15,7 +15,9 @@ yields identical vectors and only one wins the insert.
 from __future__ import annotations
 
 import io
+import json
 import os
+import struct
 import tempfile
 import threading
 from pathlib import Path
@@ -23,6 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.embeddings.model import EmbeddingModel
+
+#: First bytes of a raw embedding payload.
+_MAGIC = b"REMBED\x00\x01"
+#: Byte length of the JSON header that follows the magic.
+_HEADER_LENGTH = struct.Struct("<Q")
+_PREFIX = len(_MAGIC) + _HEADER_LENGTH.size
+#: Row-major little-endian float64: the matrix's on-disk element type.
+_DTYPE = np.dtype("<f8")
 
 
 class EmbeddingStore:
@@ -33,8 +43,10 @@ class EmbeddingStore:
         self._lock = threading.RLock()
         self._keys: list[str] = []
         self._index: dict[str, int] = {}
-        self._rows: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
+        # Rows 0..len(_matrix)-1 are stacked in ``_matrix`` (read-only when
+        # decoded from a payload); rows added since wait in ``_tail``.
+        self._matrix: np.ndarray = np.zeros((0, self.model.dim))
+        self._tail: list[np.ndarray] = []
 
     def __len__(self) -> int:
         with self._lock:
@@ -49,21 +61,24 @@ class EmbeddingStore:
         with self._lock:
             return list(self._keys)
 
+    def _row(self, idx: int) -> np.ndarray:
+        stacked = len(self._matrix)
+        return self._matrix[idx] if idx < stacked else self._tail[idx - stacked]
+
     def add(self, key: str) -> np.ndarray:
         """Embed and store ``key``; idempotent and thread-safe."""
         with self._lock:
             idx = self._index.get(key)
             if idx is not None:
-                return self._rows[idx]
+                return self._row(idx)
         vec = self.model.embed(key)
         with self._lock:
             idx = self._index.get(key)
             if idx is not None:  # another thread won the race
-                return self._rows[idx]
+                return self._row(idx)
             self._index[key] = len(self._keys)
             self._keys.append(key)
-            self._rows.append(vec)
-            self._matrix = None
+            self._tail.append(vec)
             return vec
 
     def add_many(self, keys: list[str]) -> None:
@@ -75,17 +90,15 @@ class EmbeddingStore:
         with self._lock:
             idx = self._index.get(key)
             if idx is not None:
-                return self._rows[idx]
+                return self._row(idx)
         return self.add(key)
 
     def matrix(self) -> np.ndarray:
         """All stored vectors stacked row-wise (cached until mutation)."""
         with self._lock:
-            if self._matrix is None:
-                if self._rows:
-                    self._matrix = np.stack(self._rows)
-                else:
-                    self._matrix = np.zeros((0, self.model.dim))
+            if self._tail:
+                self._matrix = np.concatenate([self._matrix, np.stack(self._tail)])
+                self._tail = []
             return self._matrix
 
     def snapshot(self) -> tuple[list[str], np.ndarray]:
@@ -99,26 +112,38 @@ class EmbeddingStore:
             return list(self._keys), self.matrix()
 
     def to_bytes(self) -> bytes:
-        """Serialize keys and vectors to ``.npz`` bytes (snapshot payload).
+        """Serialize keys, vectors and model configuration (snapshot payload).
 
-        The archive is stored, not deflated: float64 embedding vectors are
-        close to random bytes and barely shrink, while inflating them
-        dominated decoding.  :func:`numpy.load` reads stored and deflated
-        entries alike, so archives written deflated still load.
+        The payload is the 8-byte magic, the little-endian ``uint64``
+        length of a JSON header, the header, and the row-major ``<f8``
+        matrix, one row per key in insertion order.  The header holds
+        ``keys``, ``dim``, ``model_name`` and ``subword_weight``; spaces
+        pad it so the matrix starts 8-byte aligned.  Decoding is one
+        :func:`json.loads` and one :func:`numpy.frombuffer`, no zip
+        archive and no pickle.
         """
-        buffer = io.BytesIO()
         keys, matrix = self.snapshot()
-        np.savez(
-            buffer,
-            keys=np.array(keys, dtype=object),
-            matrix=matrix,
-            model_name=np.array(self.model.name),
-            dim=np.array(self.model.dim),
+        header = json.dumps(
+            {
+                "keys": keys,
+                "dim": self.model.dim,
+                "model_name": self.model.name,
+                "subword_weight": self.model.subword_weight,
+            },
+            separators=(",", ":"),
+        ).encode("ascii")
+        header += b" " * (-(_PREFIX + len(header)) % _DTYPE.itemsize)
+        return b"".join(
+            (
+                _MAGIC,
+                _HEADER_LENGTH.pack(len(header)),
+                header,
+                np.ascontiguousarray(matrix, dtype=_DTYPE).tobytes(),
+            )
         )
-        return buffer.getvalue()
 
     def save(self, path: str | Path) -> None:
-        """Persist keys and vectors to an ``.npz`` file, atomically.
+        """Persist :meth:`to_bytes` to a file, atomically.
 
         The payload lands in a temporary file in the destination directory
         and is renamed into place, so an existing store file is either
@@ -148,21 +173,72 @@ class EmbeddingStore:
     def from_bytes(
         cls, payload: bytes, model: EmbeddingModel | None = None
     ) -> "EmbeddingStore":
-        """Reconstruct a store from :meth:`to_bytes` output."""
-        return cls._from_npz(np.load(io.BytesIO(payload), allow_pickle=True), model)
+        """Reconstruct a store from :meth:`to_bytes` output.
+
+        The matrix is a read-only view of ``payload``, not a copy; adding
+        a key later stacks a new, writable matrix.  Raises
+        :class:`ValueError` on a payload that is not a well-formed raw
+        embedding store.  ``model`` overrides the stored configuration.
+        """
+        if payload[: len(_MAGIC)] != _MAGIC or len(payload) < _PREFIX:
+            raise ValueError("not a raw embedding payload (bad magic)")
+        (length,) = _HEADER_LENGTH.unpack_from(payload, len(_MAGIC))
+        start = _PREFIX + length
+        header = json.loads(payload[_PREFIX:start].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("raw embedding header is not a JSON object")
+        keys, dim = header.get("keys"), header.get("dim")
+        name, weight = header.get("model_name"), header.get("subword_weight")
+        if not (
+            isinstance(keys, list)
+            and all(isinstance(key, str) for key in keys)
+            and isinstance(dim, int)
+            and dim > 0
+            and isinstance(name, str)
+            and isinstance(weight, (int, float))
+        ):
+            raise ValueError("raw embedding header is malformed")
+        if len(payload) - start != len(keys) * dim * _DTYPE.itemsize:
+            raise ValueError(
+                f"raw embedding matrix holds {len(payload) - start} bytes, "
+                f"expected {len(keys)} x {dim} float64"
+            )
+        store = cls(
+            model
+            or EmbeddingModel(dim=dim, name=name, subword_weight=float(weight))
+        )
+        matrix = np.frombuffer(
+            payload, dtype=_DTYPE, count=len(keys) * dim, offset=start
+        )
+        store._adopt(keys, matrix.reshape(len(keys), dim))
+        return store
 
     @classmethod
     def load(cls, path: str | Path, model: EmbeddingModel | None = None) -> "EmbeddingStore":
         """Load a store persisted by :meth:`save`."""
-        return cls._from_npz(np.load(Path(path), allow_pickle=True), model)
+        return cls.from_bytes(Path(path).read_bytes(), model)
 
     @classmethod
-    def _from_npz(cls, data, model: EmbeddingModel | None) -> "EmbeddingStore":
-        store = cls(model or EmbeddingModel(dim=int(data["dim"]), name=str(data["model_name"])))
+    def from_npz_bytes(cls, payload: bytes) -> "EmbeddingStore":
+        """Decode the ``embeddings.npz`` artifact of a format-version-1 snapshot.
+
+        Those archives hold ``keys`` (a pickled object array), ``matrix``,
+        ``model_name`` and ``dim``, stored or deflated; they carry no
+        subword weight, so the model gets the default.  Only the snapshot
+        reader calls this, and only for version-1 manifests.
+        """
+        data = np.load(io.BytesIO(payload), allow_pickle=True)
+        store = cls(EmbeddingModel(dim=int(data["dim"]), name=str(data["model_name"])))
         keys = [str(k) for k in data["keys"]]
-        matrix = data["matrix"]
-        store._keys = keys
-        store._index = {k: i for i, k in enumerate(keys)}
-        store._rows = [matrix[i] for i in range(len(keys))]
-        store._matrix = matrix if len(keys) else None
+        if keys:
+            store._adopt(keys, data["matrix"])
         return store
+
+    def _adopt(self, keys: list[str], matrix: np.ndarray) -> None:
+        """Install decoded ``keys`` and their ``matrix`` rows (fresh store)."""
+        index = dict(zip(keys, range(len(keys))))
+        if len(index) != len(keys) or len(matrix) != len(keys):
+            raise ValueError("embedding keys are duplicated or do not match the rows")
+        self._keys = keys
+        self._index = index
+        self._matrix = matrix

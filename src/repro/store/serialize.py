@@ -10,13 +10,15 @@ artifact, each hashed individually in the snapshot manifest:
 ``data_taxonomy.json``    G_DD as ordered (parent, child) edges
 ``entity_taxonomy.json``  G_ED as ordered (parent, child) edges
 ``graph.json``            every materialized practice edge, insertion order
-``embeddings.npz``        the embedding store (keys + matrix + model config)
+``embeddings.bin``        the embedding store: a JSON header (keys, dim, model
+                          name, subword weight) then the raw ``<f8`` matrix
 ========================  =====================================================
 
-``embeddings.npz`` is a stored, not deflated, zip archive: its float64
-vectors barely compress, and inflating them was most of a load's
-decoding time.  :func:`numpy.load` reads deflated archives too, so
-snapshots written before this choice load through the same path.
+That is snapshot format version 2.  Version 1 stored the embeddings as
+``embeddings.npz``, a zip of ``.npy`` arrays with the keys pickled and no
+subword weight.  :func:`model_from_artifacts` still decodes a version-1
+artifact set, through :meth:`EmbeddingStore.from_npz_bytes`; nothing
+writes one.
 
 The snapshot store hands :func:`model_from_artifacts` the very bytes it
 hashed against the manifest; nothing here reads a file.  Deserialization
@@ -44,16 +46,20 @@ from repro.embeddings.store import EmbeddingStore
 from repro.errors import ReproError, SnapshotCorruptionError
 from repro.llm.tasks import ExtractedParameters
 
-#: Artifact names in write order; the manifest hashes each one.
-MODEL_ARTIFACTS = (
+EMBEDDINGS_ARTIFACT = "embeddings.bin"
+V1_EMBEDDINGS_ARTIFACT = "embeddings.npz"
+_JSON_ARTIFACTS = (
     "meta.json",
     "segments.json",
     "practices.json",
     "data_taxonomy.json",
     "entity_taxonomy.json",
     "graph.json",
-    "embeddings.npz",
 )
+#: Artifact names in write order; the manifest hashes each one.
+MODEL_ARTIFACTS = (*_JSON_ARTIFACTS, EMBEDDINGS_ARTIFACT)
+#: The artifact set of a format-version-1 snapshot (read, never written).
+V1_MODEL_ARTIFACTS = (*_JSON_ARTIFACTS, V1_EMBEDDINGS_ARTIFACT)
 
 
 def _json_bytes(obj: object) -> bytes:
@@ -125,7 +131,7 @@ def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
                 ],
             }
         ),
-        "embeddings.npz": model.store.to_bytes(),
+        EMBEDDINGS_ARTIFACT: model.store.to_bytes(),
     }
 
 
@@ -194,6 +200,9 @@ def _restore_edge(raw: dict[str, object]) -> PracticeEdge:
 def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
     """Reconstruct a :class:`PolicyModel` from :func:`model_artifacts` output.
 
+    ``payloads`` is a :data:`MODEL_ARTIFACTS` set or a version-1
+    :data:`V1_MODEL_ARTIFACTS` set.
+
     Raises :class:`~repro.errors.SnapshotCorruptionError` on any missing,
     unparsable, or structurally inconsistent payload.  A failure of the
     interpreter while decoding (a transient ``SystemError``,
@@ -244,7 +253,10 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
         )
         graph.restore_edges(_restore_edge(raw_edge) for raw_edge in raw_graph["edges"])
 
-        store = EmbeddingStore.from_bytes(payloads["embeddings.npz"])
+        if V1_EMBEDDINGS_ARTIFACT in payloads:
+            store = EmbeddingStore.from_npz_bytes(payloads[V1_EMBEDDINGS_ARTIFACT])
+        else:
+            store = EmbeddingStore.from_bytes(payloads[EMBEDDINGS_ARTIFACT])
     except (SnapshotCorruptionError, *_INTERPRETER_ERRORS):
         raise
     except Exception as exc:  # noqa: BLE001 - any other decode failure is corruption

@@ -9,10 +9,15 @@ Directory layout::
         snap-000001/
           MANIFEST.json    # per-artifact sha256 + sizes, format version
           meta.json  segments.json  practices.json  data_taxonomy.json
-          entity_taxonomy.json  graph.json  embeddings.npz
+          entity_taxonomy.json  graph.json  embeddings.bin
         .tmp-snap-000002/  # commit in progress (garbage-collected on open)
       quarantine/
         snap-000001/       # corrupt snapshot moved aside, with report.json
+
+**Format versions.**  Commits write format version 2, whose embedding
+artifact is ``embeddings.bin`` (see :mod:`repro.store.serialize`).  A
+version-1 snapshot, which lists ``embeddings.npz`` instead, still
+verifies and loads to the same model; it is never rewritten in place.
 
 **Commit protocol.**  A snapshot is staged in a ``.tmp-`` directory (every
 artifact written and fsync'd, then the manifest), renamed to its final
@@ -52,9 +57,16 @@ from repro.errors import (
     SnapshotNotFoundError,
 )
 from repro.store.atomic import StepHook, atomic_write_json, atomic_write_text, fsync_dir
-from repro.store.serialize import MODEL_ARTIFACTS, model_artifacts, model_from_artifacts
+from repro.store.serialize import (
+    MODEL_ARTIFACTS,
+    V1_MODEL_ARTIFACTS,
+    model_artifacts,
+    model_from_artifacts,
+)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: The artifact set a manifest of each readable format version lists.
+_FORMAT_ARTIFACTS = {1: V1_MODEL_ARTIFACTS, FORMAT_VERSION: MODEL_ARTIFACTS}
 MANIFEST_NAME = "MANIFEST.json"
 CURRENT_NAME = "CURRENT"
 JOURNAL_NAME = "JOURNAL.json"
@@ -197,11 +209,16 @@ class SnapshotStore:
     def manifest(self, snapshot_id: str) -> dict[str, object]:
         path = self.snapshots_dir / snapshot_id / MANIFEST_NAME
         try:
-            return json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            manifest = json.loads(path.read_text("utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
             raise SnapshotCorruptionError(
                 f"manifest of {snapshot_id} unreadable: {exc}"
             ) from exc
+        if not isinstance(manifest, dict):
+            raise SnapshotCorruptionError(
+                f"manifest of {snapshot_id} is not a JSON object"
+            )
+        return manifest
 
     # ------------------------------------------------------------------
     # Verification
@@ -226,12 +243,12 @@ class SnapshotStore:
             manifest = self.manifest(snapshot_id)
         except SnapshotCorruptionError as exc:
             return [str(exc)], {}
-        if manifest.get("format_version") != FORMAT_VERSION:
-            return [
-                f"unsupported format_version {manifest.get('format_version')!r}"
-            ], {}
+        version = manifest.get("format_version")
+        expected = _FORMAT_ARTIFACTS.get(version) if type(version) is int else None
+        if expected is None:
+            return [f"unsupported format_version {version!r}"], {}
         artifacts = manifest.get("artifacts")
-        if not isinstance(artifacts, dict) or set(artifacts) != set(MODEL_ARTIFACTS):
+        if not isinstance(artifacts, dict) or set(artifacts) != set(expected):
             return ["manifest artifact list does not match the format"], {}
         failures: list[str] = []
         payloads: dict[str, bytes] = {}

@@ -11,6 +11,7 @@ usage accounting that adds up exactly.  Heavier variants carry the
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -210,6 +211,53 @@ class TestEmbeddingStoreConcurrency:
         errors = _hammer(6, work)
         assert not errors
         assert len(store) == 6 * 50
+
+    def test_shared_word_vectors_under_contention(self):
+        # Models of two configurations embed the same words at once while
+        # the process-wide word memo is cold; every embedding must equal
+        # the single-threaded one of its own configuration.
+        from repro.embeddings import model as model_module
+        from repro.embeddings.model import EmbeddingModel
+
+        words = [f"word{i}" for i in range(40)] + ["email address", "email"]
+        weights = (0.8, 0.5)
+        expected = {
+            (weight, word): EmbeddingModel(subword_weight=weight).embed(word).tobytes()
+            for weight in weights
+            for word in words
+        }
+        model_module._word_vector.cache_clear()
+
+        def work(index: int) -> None:
+            weight = weights[index % 2]
+            model = EmbeddingModel(subword_weight=weight)
+            for word in words[index:] + words[:index]:
+                assert model.embed(word).tobytes() == expected[(weight, word)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            errors = _hammer(8, work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+
+    def test_loaded_store_takes_concurrent_adds(self):
+        seeded = EmbeddingStore()
+        seeded.add_many(["email address", "phone number"])
+        store = EmbeddingStore.from_bytes(seeded.to_bytes())
+        keys = [f"field {i}" for i in range(30)]
+
+        def work(index: int) -> None:
+            for key in keys[index::3]:
+                store.add(key)
+                assert top_k(store, "email", k=1)[0].key == "email address"
+
+        errors = _hammer(6, work)
+        assert not errors
+        assert sorted(store.keys) == sorted(["email address", "phone number", *keys])
+        for key in store.keys:
+            assert store.get(key).tobytes() == store.model.embed(key).tobytes()
 
     @pytest.mark.slow
     def test_sustained_mixed_workload(self):

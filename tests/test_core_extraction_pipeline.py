@@ -165,7 +165,7 @@ class TestArtifacts:
             "data_taxonomy.json",
             "entity_taxonomy.json",
             "graph_stats.json",
-            "embeddings.npz",
+            "embeddings.bin",
         ):
             assert (tmp_path / name).exists(), name
 

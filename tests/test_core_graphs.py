@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.graphs import (
     NODE_DATA,
     NODE_ENTITY,
+    NODE_OTHER,
     PolicyGraph,
     PracticeEdge,
     classify_node,
@@ -14,6 +15,7 @@ from repro.core.graphs import (
 from repro.core.hierarchy import Taxonomy
 from repro.core.parameters import annotate
 from repro.llm.tasks import ExtractedParameters
+from repro.nlp.chunker import is_data_phrase
 
 
 def _practice(
@@ -53,6 +55,62 @@ class TestClassifyNode:
     def test_other(self):
         assert classify_node("platform", "Acme") == NODE_ENTITY
         assert classify_node("something vague", "Acme") == "other"
+
+
+def _classify_node_unmemoized(name: str, company: str) -> str:
+    """``classify_node`` as it was before its phrase part was memoized."""
+    lowered = name.lower()
+    if lowered in {"user", company.lower()}:
+        return NODE_ENTITY
+    from repro.nlp.lexicon import ENTITY_TERMS
+
+    if lowered in ENTITY_TERMS:
+        return NODE_ENTITY
+    if is_data_phrase(lowered):
+        return NODE_DATA
+    return NODE_OTHER
+
+
+class TestMemoizedNodeKinds:
+    """Memoized kinds equal the unmemoized classification on real graphs."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        from repro import PolicyPipeline
+        from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
+        from repro.registry import MintSpec, PolicyRegistry
+
+        pipeline = PolicyPipeline()
+        models = [
+            pipeline.process(make().text)
+            for make in (tiktak_policy, metabook_policy, meditrack_policy)
+        ]
+        registry = PolicyRegistry(tmp_path_factory.mktemp("fleet"), pipeline=pipeline)
+        registry.mint(MintSpec(count=3, seed=7))
+        models += [registry.get_model(c) for c in registry.companies()]
+        return models
+
+    def test_kinds_match_unmemoized_classification(self, models):
+        checked = 0
+        for model in models:
+            graph = model.graph
+            for name, kind in graph.graph.nodes(data="kind"):
+                expected = _classify_node_unmemoized(name, graph.company)
+                assert kind == expected, (graph.company, name)
+                assert classify_node(name, graph.company) == expected
+                # Another company's name must not leak through the memo.
+                assert classify_node(name, "Elsewhere") == _classify_node_unmemoized(
+                    name, "Elsewhere"
+                )
+                checked += 1
+        assert checked > 500
+
+    def test_company_name_is_not_memoized(self):
+        assert classify_node("acme", "Acme") == NODE_ENTITY
+        assert classify_node("acme", "Globex") == _classify_node_unmemoized(
+            "acme", "Globex"
+        )
+        assert classify_node("globex", "Globex") == NODE_ENTITY
 
 
 class TestPolicyGraph:

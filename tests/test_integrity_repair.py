@@ -66,7 +66,7 @@ class TestStoreRepair:
         store.commit(small_model)
         store.commit(small_model)
         baseline = verdict_bytes(pipeline, small_model)
-        zero_block(store.snapshots_dir / store.current_id() / "embeddings.npz")
+        zero_block(store.snapshots_dir / store.current_id() / "embeddings.bin")
 
         plan = repair(tmp_path / "store")
         assert not plan.unrepairable

@@ -126,7 +126,7 @@ class TestDetection:
         self, scrub_root, tmp_path
     ):
         root = copy_fleet(scrub_root, tmp_path)
-        victim = sorted(root.rglob("embeddings.npz"))[0]
+        victim = sorted(root.rglob("embeddings.bin"))[0]
         zero_block(victim)
         metrics = PipelineMetrics()
         scrubber = BackgroundScrubber(root, interval=1.0, metrics=metrics)

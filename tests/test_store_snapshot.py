@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import pathlib
@@ -26,6 +27,7 @@ from repro.store import (
 )
 from repro.store import snapshot as snapshot_module
 from repro.store.audit import audit_structure, edge_key
+from repro.store.serialize import V1_MODEL_ARTIFACTS
 from repro.store.snapshot import CURRENT_NAME, MANIFEST_NAME
 
 
@@ -168,6 +170,22 @@ class TestSnapshotStore:
         assert not (tmp_path / "quarantine").exists()
         assert store.load().clean
 
+    @pytest.mark.parametrize(
+        "manifest", [b"[]", b'"snap"', b"\xff\xfe{}"], ids=["list", "string", "utf8"]
+    )
+    def test_manifest_that_is_not_a_json_object_is_quarantined(
+        self, small_model, tmp_path, manifest
+    ):
+        store = SnapshotStore(tmp_path)
+        first = store.commit(small_model)
+        second = store.commit(small_model)
+        (second.path / MANIFEST_NAME).write_bytes(manifest)
+        failures = store.verify_snapshot(second.snapshot_id)
+        assert len(failures) == 1 and "manifest of snap-000002" in failures[0]
+        result = store.load()
+        assert result.snapshot_id == first.snapshot_id
+        assert [r.snapshot_id for r in result.quarantined] == [second.snapshot_id]
+
     def test_quarantined_sequence_never_reissued(self, small_model, tmp_path):
         store = SnapshotStore(tmp_path)
         info = store.commit(small_model)
@@ -252,11 +270,52 @@ class TestLoadReadsOnce:
         assert_models_equal(small_model, result.model)
 
 
-def _deflated_embeddings(store) -> bytes:
-    """``EmbeddingStore.to_bytes`` as snapshots before stored archives wrote it."""
+class TestV2EmbeddingsArtifact:
+    def test_v2_load_never_unpickles(self, small_model, tmp_path, monkeypatch):
+        import pickle
+
+        store = SnapshotStore(tmp_path)
+        store.commit(small_model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a version-2 load reached pickle or np.load")
+
+        for module, name in ((pickle, "load"), (pickle, "loads"), (np, "load")):
+            monkeypatch.setattr(module, name, refuse)
+        result = store.load()
+        assert result.clean
+        assert_models_equal(small_model, result.model)
+
+    def test_hash_valid_malformed_embeddings_are_corruption(
+        self, small_model, tmp_path
+    ):
+        # A matrix one row short, with a manifest hash to match: the hash
+        # check passes, the decode must not.
+        store = SnapshotStore(tmp_path)
+        info = store.commit(small_model)
+        path = info.path / "embeddings.bin"
+        damaged = path.read_bytes()[: -8 * small_model.store.model.dim]
+        path.write_bytes(damaged)
+        manifest_path = info.path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["artifacts"]["embeddings.bin"]["sha256"] = hashlib.sha256(
+            damaged
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(SnapshotCorruptionError) as excinfo:
+            store.load()
+        assert "raw embedding matrix" in excinfo.value.reports[0].failures[0]
+
+
+def _v1_embeddings(store, savez) -> bytes:
+    """``EmbeddingStore.to_bytes`` as format-version-1 snapshots wrote it.
+
+    ``np.savez_compressed`` is what snapshots before stored archives
+    wrote, ``np.savez`` what the last version-1 writer wrote.
+    """
     buffer = io.BytesIO()
     keys, matrix = store.snapshot()
-    np.savez_compressed(
+    savez(
         buffer,
         keys=np.array(keys, dtype=object),
         matrix=matrix,
@@ -266,13 +325,30 @@ def _deflated_embeddings(store) -> bytes:
     return buffer.getvalue()
 
 
+def _rewrite_as_v1(snapshot_dir: pathlib.Path, embeddings: bytes) -> None:
+    """Turn a committed snapshot into the version-1 layout, manifest included."""
+    (snapshot_dir / "embeddings.bin").unlink()
+    (snapshot_dir / "embeddings.npz").write_bytes(embeddings)
+    manifest_path = snapshot_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest["format_version"] = 1
+    manifest["artifacts"] = {
+        name: {
+            "sha256": hashlib.sha256((snapshot_dir / name).read_bytes()).hexdigest(),
+            "bytes": (snapshot_dir / name).stat().st_size,
+        }
+        for name in V1_MODEL_ARTIFACTS
+    }
+    manifest_path.write_text(json.dumps(manifest, indent=1), "utf-8")
+
+
 def _compression(path) -> set[int]:
     with zipfile.ZipFile(path) as archive:
         return {entry.compress_type for entry in archive.infolist()}
 
 
 class TestDeflatedEmbeddingsCompatibility:
-    """Snapshots whose ``embeddings.npz`` is deflated still load."""
+    """Version-1 snapshots, with deflated or stored ``embeddings.npz``, still load."""
 
     QUESTIONS = (
         "Acme collects the email address.",
@@ -282,23 +358,41 @@ class TestDeflatedEmbeddingsCompatibility:
     )
 
     def test_deflated_snapshot_loads_like_a_fresh_one(
-        self, pipeline, small_model, tmp_path, monkeypatch
+        self, pipeline, small_model, tmp_path
     ):
-        from repro.embeddings.store import EmbeddingStore
+        self._check_v1_loads_like_fresh(
+            pipeline, small_model, tmp_path, np.savez_compressed, zipfile.ZIP_DEFLATED
+        )
 
+    def test_stored_v1_snapshot_loads_like_a_fresh_one(
+        self, pipeline, small_model, tmp_path
+    ):
+        self._check_v1_loads_like_fresh(
+            pipeline, small_model, tmp_path, np.savez, zipfile.ZIP_STORED
+        )
+
+    def _check_v1_loads_like_fresh(
+        self, pipeline, small_model, tmp_path, savez, compression
+    ):
         old_store = SnapshotStore(tmp_path / "old")
-        with monkeypatch.context() as patch:
-            patch.setattr(EmbeddingStore, "to_bytes", _deflated_embeddings)
-            old_info = old_store.commit(small_model)
+        old_info = old_store.commit(small_model)
+        _rewrite_as_v1(old_info.path, _v1_embeddings(small_model.store, savez))
         fresh_store = SnapshotStore(tmp_path / "fresh")
         fresh_info = fresh_store.commit(small_model)
-        assert _compression(old_info.path / "embeddings.npz") == {zipfile.ZIP_DEFLATED}
-        assert _compression(fresh_info.path / "embeddings.npz") == {zipfile.ZIP_STORED}
+        assert _compression(old_info.path / "embeddings.npz") == {compression}
+        assert json.loads((fresh_info.path / MANIFEST_NAME).read_text())[
+            "format_version"
+        ] == snapshot_module.FORMAT_VERSION == 2
+        assert set(MODEL_ARTIFACTS) == {
+            p.name for p in fresh_info.path.iterdir() if p.name != MANIFEST_NAME
+        }
 
+        assert old_store.verify_snapshot(old_info.snapshot_id) == []
         result = old_store.load()
         assert result.clean
         old, fresh = result.model, fresh_store.load().model
-        assert old.store.keys == small_model.store.keys
+        assert old.store.keys == fresh.store.keys == small_model.store.keys
+        assert old.store.model == fresh.store.model == small_model.store.model
         expected = small_model.store.matrix()
         for matrix in (old.store.matrix(), fresh.store.matrix()):
             assert matrix.dtype == expected.dtype
@@ -310,6 +404,40 @@ class TestDeflatedEmbeddingsCompatibility:
                 pipeline.query(old, question).verdict
                 == pipeline.query(fresh, question).verdict
             ), question
+
+    def test_v1_manifest_must_list_the_v1_artifacts(self, small_model, tmp_path):
+        store = SnapshotStore(tmp_path)
+        info = store.commit(small_model)
+        manifest_path = info.path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["format_version"] = 1  # but still lists embeddings.bin
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        assert store.verify_snapshot(info.snapshot_id) == [
+            "manifest artifact list does not match the format"
+        ]
+
+
+class TestEmbeddingModelPersists:
+    """A snapshot keeps the embedding model's configuration, subword weight too."""
+
+    def test_subword_weight_survives_a_snapshot(
+        self, small_policy_text, tmp_path
+    ):
+        from repro.embeddings import EmbeddingModel
+
+        pipeline = PolicyPipeline(
+            embedding_model=EmbeddingModel(subword_weight=0.5)
+        )
+        model = pipeline.process(small_policy_text)
+        pipeline.save_model(model, tmp_path)
+        loaded = pipeline.load_model(tmp_path)
+        assert loaded.store.model == model.store.model
+        assert loaded.store.model.subword_weight == 0.5
+        question = "email addresses of users"
+        assert (
+            loaded.store.model.embed(question).tobytes()
+            == model.store.model.embed(question).tobytes()
+        )
 
 
 class TestPipelinePersistence:
@@ -354,7 +482,7 @@ class TestPipelinePersistence:
     def test_save_artifacts_leaves_no_temp_files(self, small_model, tmp_path):
         PolicyPipeline().save_artifacts(small_model, tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
-        assert "segments.json" in names and "embeddings.npz" in names
+        assert "segments.json" in names and "embeddings.bin" in names
         assert not any(n.startswith(".") or ".tmp" in n for n in names)
         # Re-dumping over the same directory is safe and idempotent.
         PolicyPipeline().save_artifacts(small_model, tmp_path)
