@@ -105,18 +105,9 @@ def test_a6_certification_overhead(tiktak_model):
         rows,
     )
 
-    # The acceptance target: trust-but-verify costs <25% on query-sized
-    # problems.  (Measured ~15% on the reference container.)
-    assert overhead < OVERHEAD_TARGET, (
-        f"certification overhead {overhead:.1%} exceeds the "
-        f"{OVERHEAD_TARGET:.0%} target"
-    )
-    # Both SAT model-checking and UNSAT proof replay must actually have
-    # been exercised by the corpus, or the overhead number is vacuous.
+    # Every run records what it measured, met or not, so the JSON never
+    # shows a figure the code no longer reaches.
     exercised = {c for r in reports for c in r.checks}
-    assert "cnf-model" in exercised or "fol-model" in exercised
-    assert "proof-replay" in exercised
-
     write_bench_json(
         "a6_certification_overhead",
         {
@@ -126,8 +117,20 @@ def test_a6_certification_overhead(tiktak_model):
             "certified_seconds": round(certified_seconds, 6),
             "overhead": round(overhead, 4),
             "overhead_target": OVERHEAD_TARGET,
+            "target_met": overhead < OVERHEAD_TARGET,
             "certificate_seconds": round(cert_seconds, 6),
             "certificates": len(reports),
             "checks_exercised": sorted(exercised),
         },
     )
+
+    # The acceptance target: trust-but-verify costs <25% on query-sized
+    # problems.  (~16-20% when written; EXPERIMENTS P7 has later runs.)
+    assert overhead < OVERHEAD_TARGET, (
+        f"certification overhead {overhead:.1%} exceeds the "
+        f"{OVERHEAD_TARGET:.0%} target"
+    )
+    # Both SAT model-checking and UNSAT proof replay must actually have
+    # been exercised by the corpus, or the overhead number is vacuous.
+    assert "cnf-model" in exercised or "fol-model" in exercised
+    assert "proof-replay" in exercised

@@ -1,6 +1,7 @@
 """SMT solver substrate.
 
-A from-scratch solver standing in for CVC5: Tseitin CNF conversion, a CDCL
+A from-scratch solver standing in for CVC5: CNF conversion (clause-shaped
+assertions pass as clauses, the rest is Tseitin-encoded), a CDCL
 SAT core (watched literals, VSIDS, Luby restarts), congruence closure for
 equality over uninterpreted functions (lazy DPLL(T)), finite-domain
 quantifier grounding, push/pop incrementality with ``check-sat-assuming``,

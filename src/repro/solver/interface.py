@@ -7,7 +7,7 @@ grounded over the declared universe at check time.  All resource budgets
 convert to UNKNOWN results with an explanatory reason — the mechanism by
 which the paper's "solver timeouts" are observed rather than suffered.
 
-Each assertion is grounded and Tseitin-encoded once: the clauses are kept
+Each assertion is grounded and clausified once: the clauses are kept
 per assertion, so after a ``pop`` the next check reloads the surviving
 assertions' clauses into a fresh SAT core instead of grounding them again.
 Declaring a constant the universe has not seen drops them all, because it

@@ -3,7 +3,7 @@
 Everything in this module is deliberately written from scratch against the
 *specifications* of the solver substrate — canonical atom-key strings,
 Herbrand expansion over a declared universe, congruence semantics for
-``=`` — and shares no code with the CDCL search, the Tseitin transform,
+``=`` — and shares no code with the CDCL search, the clausifier,
 the production grounder, or the production congruence closure.  A bug in
 any of those therefore cannot hide itself here.
 

@@ -58,6 +58,24 @@ def _formulas(depth: int = 3) -> st.SearchStrategy[Formula]:
     return st.recursive(base, extend, max_leaves=12)
 
 
+def _clause_shaped_formulas() -> st.SearchStrategy[Formula]:
+    """Conjunctions of formulas that each say one clause over ``_ATOMS``."""
+    atom = st.sampled_from(_ATOMS)
+    literal = st.one_of(atom, atom.map(Not), atom.map(lambda a: Not(Not(a))))
+    some = st.lists(literal, min_size=1, max_size=3).map(tuple)
+    side = st.one_of(literal, some.map(And))
+    clause = st.one_of(
+        literal,
+        some.map(Or),
+        st.builds(Implies, side, st.one_of(literal, some.map(Or))),
+        some.map(lambda lits: Not(And(lits))),
+    )
+    clause = st.one_of(clause, clause.map(lambda c: Not(Not(c))))
+    return st.one_of(
+        clause, st.lists(clause, min_size=1, max_size=4).map(tuple).map(And)
+    )
+
+
 def _evaluate(formula: Formula, assignment: dict[str, bool]) -> bool:
     if isinstance(formula, TrueFormula):
         return True
@@ -155,6 +173,20 @@ class TestSATProperties:
             for sym in collect_predicates(formula):
                 assignment.setdefault(sym.name, False)
             assert _evaluate(formula, assignment)
+
+    @given(_clause_shaped_formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_clause_shaped_formula_is_its_own_clauses(self, formula):
+        """Equivalence, not just equisatisfiability: no definitions."""
+        pool = AtomPool()
+        clauses = tseitin(formula, pool)
+        assert pool.count == len(pool.named_atoms())
+        for assignment in _all_assignments(formula):
+            holds = all(
+                any(assignment[pool.key_for(abs(lit))] == (lit > 0) for lit in clause)
+                for clause in clauses
+            )
+            assert holds == _evaluate(formula, assignment)
 
 
 class TestEUFParsingProperties:

@@ -18,6 +18,7 @@ from repro.fol import (
     exists,
 )
 from repro.fol.formula import FALSE, TRUE
+from repro.fol.simplify import simplify
 from repro.solver.cnf import atom_key, tseitin
 from repro.solver.euf import (
     CongruenceClosure,
@@ -122,6 +123,117 @@ class TestTseitin:
         atoms = tuple(P(Constant(f"c{i}", ENTITY)) for i in range(50))
         clauses = tseitin(Or(atoms), pool)
         assert len(clauses) <= 2 * 50 + 5
+
+
+class TestDirectClauses:
+    """Clause-shaped conjuncts reach the core as one clause, no definitions."""
+
+    C1 = PredicateSymbol("c1")()
+    C2 = PredicateSymbol("c2")()
+
+    def _clauses(self, formula):
+        pool = AtomPool()
+        clauses = tseitin(formula, pool)
+        return clauses, pool
+
+    def _assert_no_aux(self, pool):
+        assert pool.count == len(pool.named_atoms())
+
+    def _aux_keys(self, pool):
+        keys = (pool.key_for(var) for var in range(1, pool.count + 1))
+        return [key for key in keys if key.startswith("$")]
+
+    def test_fact_is_one_unit(self):
+        clauses, pool = self._clauses(SHARE(E1, D1))
+        assert clauses == [(pool.variable_for("share(a,email)"),)]
+        self._assert_no_aux(pool)
+
+    def test_guarded_permit_is_one_clause(self):
+        clauses, pool = self._clauses(
+            Implies(And((self.C1, self.C2)), SHARE(E1, D1))
+        )
+        c1, c2, share = (
+            pool.variable_for(k) for k in ("c1", "c2", "share(a,email)")
+        )
+        assert clauses == [(-c1, -c2, share)]
+        self._assert_no_aux(pool)
+
+    def test_denial_is_one_unit(self):
+        clauses, pool = self._clauses(Not(SHARE(E1, D1)))
+        assert clauses == [(-pool.variable_for("share(a,email)"),)]
+        self._assert_no_aux(pool)
+
+    def test_grounded_inheritance_axiom_is_one_clause_per_instance(self):
+        universe = Universe()
+        for name in ("a", "b", "c"):
+            universe.declare(Constant(name, ENTITY))
+        parent, child = Constant("contact", DATA), Constant("email", DATA)
+        universe.declare(parent)
+        universe.declare(child)
+        x = Variable("x", ENTITY)
+        axiom = forall(x, Implies(SHARE(x, parent), SHARE(x, child)))
+        clauses, pool = self._clauses(simplify(ground(axiom, universe)))
+        assert len(clauses) == 3
+        for clause, entity in zip(clauses, ("a", "b", "c")):
+            assert clause == (
+                -pool.variable_for(f"share({entity},contact)"),
+                pool.variable_for(f"share({entity},email)"),
+            )
+        self._assert_no_aux(pool)
+
+    def test_double_negation_and_negated_conjunction(self):
+        clauses, pool = self._clauses(
+            And((Not(Not(Or((P(E1), Not(Q(E1)))))), Not(And((P(E2), Q(E2))))))
+        )
+        p_a, q_a, p_b, q_b = (
+            pool.variable_for(k) for k in ("p(a)", "q(a)", "p(b)", "q(b)")
+        )
+        assert clauses == [(p_a, -q_a), (-p_b, -q_b)]
+        self._assert_no_aux(pool)
+
+    def test_iff_keeps_its_definition(self):
+        clauses, pool = self._clauses(Iff(P(E1), Q(E1)))
+        assert [key.split("#")[0] for key in self._aux_keys(pool)] == ["$iff"]
+        assert len(clauses) == 5
+
+    def test_or_of_ands_keeps_definitions(self):
+        _clauses, pool = self._clauses(
+            Or((And((P(E1), Q(E1))), And((P(E2), Q(E2)))))
+        )
+        assert [key.split("#")[0] for key in self._aux_keys(pool)] == [
+            "$and", "$and", "$or",
+        ]
+
+    @pytest.mark.parametrize(
+        "formula, verdict",
+        [
+            (And(()), SatResult.SAT),
+            (Or(()), SatResult.UNSAT),
+            (TRUE, SatResult.SAT),
+            (FALSE, SatResult.UNSAT),
+            (And((P(E1), Or(()))), SatResult.UNSAT),
+            (Not(And(())), SatResult.UNSAT),
+            (Not(Or(())), SatResult.SAT),
+        ],
+    )
+    def test_empty_connectives_and_constants_keep_verdicts(self, formula, verdict):
+        clauses, _pool = self._clauses(formula)
+        assert all(clauses), "an empty input clause reached the core"
+        assert _solve(formula)[0] is verdict
+
+    def test_named_atoms_interned_left_to_right(self):
+        formula = And(
+            (
+                Implies(And((self.C2, P(E2))), SHARE(E1, D1)),
+                Iff(Q(E1), P(E1)),
+                Or((Q(E2), self.C1)),
+                Not(And((P(E2), PredicateSymbol("last")()))),
+            )
+        )
+        _clauses, pool = self._clauses(formula)
+        assert list(pool.named_atoms()) == [
+            "c2", "p(b)", "share(a,email)", "q(a)", "p(a)", "q(b)", "c1", "last",
+        ]
 
 
 class TestGrounding:
