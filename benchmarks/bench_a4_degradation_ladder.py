@@ -32,12 +32,14 @@ from repro.core.verify import Verdict, verify_encoded
 from repro.llm.tasks import ExtractedParameters
 from repro.resilience import BudgetLadder, execute_ladder, is_budget_limited
 
-#: The R3 budget: generous for query-sized problems, finite for
-#: policy-sized ones — grounding the full graph overruns it.
+#: The R3 budget with a smaller grounding cap.  Grounding each inheritance
+#: axiom over only the entities that can use it takes TikTak's full graph
+#: to 6,461 instances, well under R3's 60,000; 4,000 still overruns it at
+#: the base budget, and the x2 escalation grounds it completely.
 STARVED = SolverBudget(
     max_conflicts=20_000,
     max_propagations=2_000_000,
-    max_ground_instances=60_000,
+    max_ground_instances=4_000,
     timeout_seconds=10.0,
 )
 

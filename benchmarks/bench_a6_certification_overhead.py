@@ -13,6 +13,9 @@ every query pays the full verification, and reports:
 
 * wall-clock per regime (best of ``ROUNDS`` to shed scheduler noise),
 * the overhead percentage — **target < 25%** on query-sized problems,
+* each round's wall and ``time.thread_time()`` seconds and overhead
+  ratio, written to the JSON so a run's spread is visible next to the
+  best-of figure it is judged by,
 * the per-verdict certificate cost drawn from ``CertificateReport.seconds``
   and the check mix (model-check vs proof-replay vs lemma certification).
 """
@@ -36,12 +39,13 @@ OVERHEAD_TARGET = 0.25
 
 
 def _timed_round(model, *, certify: bool):
+    """Outcomes, wall seconds and this thread's CPU seconds for one round."""
     pipeline = PolicyPipeline(
         config=PipelineConfig(enable_query_caches=False, certify=certify)
     )
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.thread_time()
     outcomes = [pipeline.query(model, q) for q in QUERIES * REPEATS]
-    return outcomes, time.perf_counter() - start
+    return outcomes, time.perf_counter() - start, time.thread_time() - cpu_start
 
 
 def test_a6_certification_overhead(tiktak_model):
@@ -51,13 +55,25 @@ def test_a6_certification_overhead(tiktak_model):
     plain_seconds = certified_seconds = float("inf")
     plain: list = []
     certified: list = []
+    per_round: list[dict] = []
     for _ in range(ROUNDS):
-        outcomes, seconds = _timed_round(tiktak_model, certify=False)
+        outcomes, seconds, plain_cpu = _timed_round(tiktak_model, certify=False)
         if seconds < plain_seconds:
             plain, plain_seconds = outcomes, seconds
-        outcomes, seconds = _timed_round(tiktak_model, certify=True)
+        plain_wall = seconds
+        outcomes, seconds, certified_cpu = _timed_round(tiktak_model, certify=True)
         if seconds < certified_seconds:
             certified, certified_seconds = outcomes, seconds
+        per_round.append(
+            {
+                "plain_wall": round(plain_wall, 6),
+                "certified_wall": round(seconds, 6),
+                "wall_overhead": round((seconds - plain_wall) / plain_wall, 4),
+                "plain_cpu": round(plain_cpu, 6),
+                "certified_cpu": round(certified_cpu, 6),
+                "cpu_overhead": round((certified_cpu - plain_cpu) / plain_cpu, 4),
+            }
+        )
 
     # Certification is a checker, not a solver: verdicts must be identical
     # and every certificate on this clean corpus must pass.
@@ -121,11 +137,12 @@ def test_a6_certification_overhead(tiktak_model):
             "certificate_seconds": round(cert_seconds, 6),
             "certificates": len(reports),
             "checks_exercised": sorted(exercised),
+            "per_round": per_round,
         },
     )
 
     # The acceptance target: trust-but-verify costs <25% on query-sized
-    # problems.  (~16-20% when written; EXPERIMENTS P7 has later runs.)
+    # problems.  (~16-20% when written; EXPERIMENTS P8 has later runs.)
     assert overhead < OVERHEAD_TARGET, (
         f"certification overhead {overhead:.1%} exceeds the "
         f"{OVERHEAD_TARGET:.0%} target"

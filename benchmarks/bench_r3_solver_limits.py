@@ -7,8 +7,14 @@ even for single queries, the extraction itself scales linearly" (§4.4);
 Sweeps the encoded-subgraph size for a single query from tens of edges to
 the full policy graph and reports assertions, ground instances, outcome,
 and wall time.  Asserts the paper's shape: small encodings solve, the
-full-policy encoding exhausts the solver budget and returns UNKNOWN
-(our first-class "timeout").
+full-policy encoding returns UNKNOWN with a reason.
+
+The grounder instantiates each inheritance axiom only at the entities that
+can perform its action, so the full policy no longer exhausts the
+grounding budget: it is decided to be self-contradictory, an UNKNOWN with
+``policy_consistent=False``.  The "eager insts" column keeps the paper's
+blow-up measured: the instances a full Herbrand expansion would make,
+counted as quantifiers times entity constants without grounding.
 """
 
 import time
@@ -19,6 +25,8 @@ from repro import SolverBudget
 from repro.core.encode import encode_query
 from repro.core.subgraph import Subgraph, extract_subgraph
 from repro.core.verify import Verdict, verify_encoded
+from repro.fol.formula import Exists, Forall
+from repro.fol.visitor import subformulas
 from repro.llm.tasks import ExtractedParameters
 
 #: Budget matching the paper's single-query verification setting: generous
@@ -57,6 +65,21 @@ def _full_graph_subgraph(model) -> Subgraph:
     return sub
 
 
+def _eager_instances(encoded) -> int:
+    """Instances a full expansion spends: each quantifier over every entity.
+
+    Every quantifier the encoder writes binds an entity variable and none
+    is nested, so this is the count the grounder would reach, with an empty
+    domain spending one as it does there.
+    """
+    quantifiers = sum(
+        isinstance(node, (Forall, Exists))
+        for formula in [*encoded.policy_formulas, encoded.query_formula]
+        for node in subformulas(formula)
+    )
+    return quantifiers * max(len(encoded.entity_constants), 1)
+
+
 def test_r3_solver_limits(benchmark, metabook_model):
     rows = []
     outcomes = {}
@@ -81,6 +104,7 @@ def test_r3_solver_limits(benchmark, metabook_model):
                 label,
                 sub.num_edges,
                 encoded.num_policy_formulas,
+                _eager_instances(encoded),
                 result.solver_result.statistics.ground_instances,
                 str(result.verdict),
                 result.solver_result.reason[:40],
@@ -90,7 +114,16 @@ def test_r3_solver_limits(benchmark, metabook_model):
 
     print_table(
         "R3: solver outcome vs encoded-subgraph size (paper: timeouts on full policies)",
-        ["encoding", "edges", "assertions", "ground insts", "verdict", "reason", "seconds"],
+        [
+            "encoding",
+            "edges",
+            "assertions",
+            "eager insts",
+            "ground insts",
+            "verdict",
+            "reason",
+            "seconds",
+        ],
         rows,
     )
 

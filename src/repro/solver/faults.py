@@ -129,7 +129,9 @@ def _drop_theory_literal(value):
 
 
 def _drop_ground_instance(value):
-    if isinstance(value, list) and len(value) >= 2:
+    # Also drops a lone instance: an inheritance axiom grounded over the
+    # entities that can use it often has exactly one.
+    if isinstance(value, list) and value:
         return value[:-1]
     return value
 

@@ -31,6 +31,7 @@ from repro.fol.formula import (
 )
 from repro.fol.terms import Constant, Sort
 from repro.fol.visitor import substitute
+from repro.solver.euf import EQ_PREDICATE
 
 
 @dataclass(slots=True)
@@ -102,11 +103,130 @@ class GroundingCounter:
             raise BudgetExceededError("wall-clock timeout", UnknownCause.WALL_CLOCK)
 
 
+def inheritance_axiom(formula: Formula) -> str | None:
+    """The action ``a`` when ``formula`` is ``forall x. a(x, p) -> a(x, c)``.
+
+    Both atoms must have the same (non-equality) predicate, the bound
+    variable as their first argument and constants everywhere else.  This
+    is the shape ``core/encode.py`` gives every hierarchy axiom.
+    """
+    if not isinstance(formula, Forall) or not isinstance(formula.body, Implies):
+        return None
+    atoms = (formula.body.antecedent, formula.body.consequent)
+    if not all(isinstance(atom, Predicate) and atom.args for atom in atoms):
+        return None
+    action = atoms[0].symbol.name
+    if action == EQ_PREDICATE or atoms[1].symbol.name != action:
+        return None
+    for atom in atoms:
+        if atom.args[0] != formula.variable or not all(
+            isinstance(arg, Constant) for arg in atom.args[1:]
+        ):
+            return None
+    return action
+
+
+class Senders:
+    """Per action ``a``, the entities that can perform it (``E_a``).
+
+    An entity is in ``E_a`` when an atom ``a(e, ...)`` occurs at positive
+    polarity in some assertion that is not an inheritance axiom (both
+    sides of an ``Iff`` count as positive).  A positive ``a(t, ...)`` whose
+    first argument is a variable or a function term puts every entity in
+    ``E_a``, and an equality atom anywhere puts every entity in every
+    ``E_a``: congruence could then force ``a(e, ...)`` from another
+    entity's atom.  The sets only grow, so after a ``pop`` they are a
+    superset of the current assertions' sets, which is still sound.
+    """
+
+    __slots__ = ("_by_action", "_everyone", "_unrestricted", "_grounded")
+
+    def __init__(self) -> None:
+        self._by_action: dict[str, set[str]] = {}
+        self._everyone: set[str] = set()
+        self._unrestricted = False
+        # Actions with an axiom grounded over E_a since forget_grounding().
+        self._grounded: set[str] = set()
+
+    def add(self, formula: Formula) -> bool:
+        """Record ``formula``'s positive senders.
+
+        True when a set that an axiom was grounded over has grown, so the
+        axiom's grounding is now missing instances.
+        """
+        if self._unrestricted or inheritance_axiom(formula) is not None:
+            return False
+        stale = False
+
+        def walk(node: Formula, positive: bool, negative: bool) -> None:
+            nonlocal stale
+            if isinstance(node, Predicate):
+                if node.symbol.name == EQ_PREDICATE:
+                    self._unrestricted = True
+                    stale = stale or bool(self._grounded)
+                elif positive and node.args:
+                    action, first = node.symbol.name, node.args[0]
+                    if not isinstance(first, Constant):
+                        grew = action not in self._everyone
+                        self._everyone.add(action)
+                    else:
+                        known = self._by_action.setdefault(action, set())
+                        grew = first.name not in known
+                        known.add(first.name)
+                    stale = stale or (grew and action in self._grounded)
+            elif isinstance(node, Not):
+                walk(node.operand, negative, positive)
+            elif isinstance(node, (And, Or)):
+                for op in node.operands:
+                    walk(op, positive, negative)
+            elif isinstance(node, Implies):
+                walk(node.antecedent, negative, positive)
+                walk(node.consequent, positive, negative)
+            elif isinstance(node, Iff):
+                walk(node.left, True, True)
+                walk(node.right, True, True)
+            elif isinstance(node, (Forall, Exists)):
+                walk(node.body, positive, negative)
+
+        walk(formula, True, False)
+        return stale
+
+    def restricts(self, action: str) -> bool:
+        """Are ``action``'s inheritance axioms grounded over ``E_a`` only?"""
+        return not self._unrestricted and action not in self._everyone
+
+    def restrict(self, action: str, domain: list[Constant]) -> list[Constant]:
+        """The constants of ``domain`` in ``E_a``, in order; records ``a``."""
+        self._grounded.add(action)
+        known = self._by_action.get(action, ())
+        return [c for c in domain if c.name in known]
+
+    def forget_grounding(self) -> None:
+        """No axiom is grounded any more (the grounded clauses were dropped)."""
+        self._grounded.clear()
+
+    def keeps(self, key: str) -> bool:
+        """May the atom ``key`` be true in a completed model?
+
+        False for ``a(e, ...)`` with ``a`` restricted and ``e`` outside
+        ``E_a``: the completion sets those atoms false.
+        """
+        open_paren = key.find("(")
+        if open_paren < 0:
+            return True
+        action = key[:open_paren]
+        if not self.restricts(action):
+            return True
+        first = key[open_paren + 1 : -1].split(",", 1)[0]
+        return first in self._by_action.get(action, ())
+
+
 def ground(
     formula: Formula,
     universe: Universe,
     *,
     counter: GroundingCounter | None = None,
+    senders: Senders | None = None,
 ) -> Formula:
     """Eliminate quantifiers by expansion over ``universe``.
 
@@ -114,6 +234,10 @@ def ground(
     domain of x's sort; ``Exists`` becomes the disjunction.  An empty domain
     makes a universal vacuously true and an existential false, matching
     standard semantics over an empty sort.
+
+    With ``senders``, an inheritance axiom over a restricted action is
+    instantiated only at the declared entities in its ``E_a``, in
+    declaration order; without it every quantifier expands fully.
     """
     if counter is None:
         counter = GroundingCounter(None)
@@ -132,22 +256,26 @@ def ground(
         if isinstance(node, Iff):
             return Iff(walk(node.left), walk(node.right))
         if isinstance(node, (Forall, Exists)):
-            domain = universe.domain(node.variable.sort)
-            counter.spend(max(len(domain), 1))
-            instances = _faults.mutate(
-                "ground.instances",
-                [
-                    walk(substitute(node.body, {node.variable: const}))
-                    for const in domain
-                ],
-            )
-            if isinstance(node, Forall):
-                if not instances:
-                    return TrueFormula()
-                return _faults.mutate("ground.quantifier", And(tuple(instances)))
-            if not instances:
-                return FalseFormula()
-            return _faults.mutate("ground.quantifier", Or(tuple(instances)))
+            return expand(node, universe.domain(node.variable.sort))
         raise SolverError(f"cannot ground formula node {node!r}")
 
+    def expand(node: Forall | Exists, domain: list[Constant]) -> Formula:
+        counter.spend(max(len(domain), 1))
+        instances = _faults.mutate(
+            "ground.instances",
+            [walk(substitute(node.body, {node.variable: const})) for const in domain],
+        )
+        if isinstance(node, Forall):
+            if not instances:
+                return TrueFormula()
+            return _faults.mutate("ground.quantifier", And(tuple(instances)))
+        if not instances:
+            return FalseFormula()
+        return _faults.mutate("ground.quantifier", Or(tuple(instances)))
+
+    if senders is not None:
+        action = inheritance_axiom(formula)
+        if action is not None and senders.restricts(action):
+            domain = universe.domain(formula.variable.sort)
+            return expand(formula, senders.restrict(action, domain))
     return walk(formula)

@@ -13,6 +13,14 @@ assertions' clauses into a fresh SAT core instead of grounding them again.
 Declaring a constant the universe has not seen drops them all, because it
 widens every quantifier grounded so far.
 
+Inheritance axioms are grounded only over the entities that can perform
+their action (:class:`~repro.solver.grounding.Senders`, DESIGN §8), so an
+assertion or a positive assumption that adds such an entity to a grounded
+axiom's action drops them too.  A ``pop`` leaves those sets as they were:
+a superset is still sound.  A SAT model is reported completed, with every
+atom the restriction leaves out set false; certification evaluates that
+completed model against the original assertions over the whole universe.
+
 Thread ownership: a :class:`Solver` instance is single-thread-owned.  It
 carries mutable per-check state (assertion stack, grounded clauses,
 persistent SAT core, grounding counters, statistics) with no internal
@@ -33,7 +41,7 @@ from repro.fol.simplify import simplify
 from repro.fol.visitor import collect_constants, free_variables
 from repro.solver import modelcheck
 from repro.solver.cnf import atom_key, tseitin
-from repro.solver.grounding import GroundingCounter, Universe, ground
+from repro.solver.grounding import GroundingCounter, Senders, Universe, ground
 from repro.solver.literals import AtomPool, Clause
 from repro.solver.preprocess import preprocess
 from repro.solver.proof import ProofLog, check_proof
@@ -149,6 +157,7 @@ class Solver:
         self.enable_preprocessing = enable_preprocessing
         self.certification = certification
         self.universe = Universe()
+        self._senders = Senders()
         self.statistics = SolverStatistics()
         self._stack: list[list[Formula]] = [[]]
         # A prefix of self.assertions, grounded and encoded into _pool.
@@ -185,9 +194,12 @@ class Solver:
         """Assert ``formula`` at the current stack level.
 
         Constants appearing in the formula are auto-declared (see
-        :meth:`declare_constant`).
+        :meth:`declare_constant`); a new constant, or a new entity that
+        can perform an action whose inheritance axioms are grounded,
+        drops the grounded clauses.
         """
-        if self.universe.declare_all(collect_constants(formula)):
+        new_constant = self.universe.declare_all(collect_constants(formula))
+        if self._senders.add(formula) or new_constant:
             self._reset()
         self._stack[-1].append(formula)
         if self._sat is not None:
@@ -255,12 +267,18 @@ class Solver:
     def _reset(self) -> None:
         """Forget the grounded clauses and the loaded core."""
         self._grounded = []
+        self._senders.forget_grounding()
         self._pool = AtomPool()
         self._sat = None
 
     def _ground(self, formula: Formula) -> _Grounded:
         """Ground and encode the next assertion, and remember its clauses."""
-        raw = ground(formula, self.universe, counter=self._ground_counter)
+        raw = ground(
+            formula,
+            self.universe,
+            counter=self._ground_counter,
+            senders=self._senders,
+        )
         grounded = simplify(raw)
         self.statistics.ground_instances = self._ground_counter.count
         if free_variables(grounded):
@@ -342,6 +360,9 @@ class Solver:
     def _check(self, assumption_formulas: tuple[Formula, ...]) -> SolverResult:
         start = time.monotonic()
         deadline = self._deadline()
+        stale = [self._senders.add(f) for f in assumption_formulas]
+        if any(stale):
+            self._reset()
         try:
             sat, pool = self._build(deadline)
             sat.deadline = deadline
@@ -366,14 +387,18 @@ class Solver:
         model: dict[str, bool] = {}
         if verdict is SatResult.SAT:
             raw = sat.model()
+            keeps = self._senders.keeps
             model = {
-                key: raw.get(var, False) for key, var in pool.named_atoms().items()
+                key: raw.get(var, False) and keeps(key)
+                for key, var in pool.named_atoms().items()
             }
         result = SolverResult(
             status=verdict, model=model, statistics=self.statistics
         )
         if self._certifying and verdict is not SatResult.UNKNOWN:
-            report = self._certify(verdict, sat, pool, lits)
+            report = self._certify(
+                verdict, sat, pool, model, assumption_formulas, lits
+            )
             result.certificate = report
             if report.failed:
                 # Soundness alarm: never surface the uncertified verdict.
@@ -393,6 +418,8 @@ class Solver:
         verdict: SatResult,
         sat: CDCLSolver,
         pool: AtomPool,
+        named: dict[str, bool],
+        assumptions: tuple[Formula, ...],
         lits: tuple[int, ...],
     ) -> CertificateReport:
         """Independently re-check a decided verdict (see CertificationConfig)."""
@@ -412,13 +439,17 @@ class Solver:
             universe = self.universe.snapshot()
 
             if config.check_grounding:
+                # An inheritance axiom may be grounded over the entities
+                # that can use it, recomputed here from the assertions and
+                # assumptions; everything else must match full expansion.
                 report.checks.append("grounding-parity")
+                senders = modelcheck.senders([*self.assertions, *assumptions])
                 for entry in self._grounded:
-                    if modelcheck.expand(entry.formula, universe) != entry.raw:
-                        fail(
-                            "grounding mismatch: independent expansion of "
-                            f"assertion {entry.formula} disagrees with the grounder"
-                        )
+                    message = modelcheck.grounding_mismatch(
+                        entry.formula, entry.raw, universe, senders
+                    )
+                    if message is not None:
+                        fail(message)
                         break
 
             if verdict is SatResult.SAT and config.check_models:
@@ -437,10 +468,6 @@ class Solver:
                         f"model falsifies {len(violated)} input clause(s), "
                         f"e.g. {violated[0]}"
                     )
-                named = {
-                    key: raw.get(var, False)
-                    for key, var in pool.named_atoms().items()
-                }
                 report.checks.append("fol-model")
                 for formula in self.assertions:
                     if not modelcheck.evaluate_formula(formula, named, universe):

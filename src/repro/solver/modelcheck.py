@@ -18,7 +18,9 @@ Four checks live here:
   equality-with-uninterpreted-functions?  (Also certifies theory-lemma
   premises for the proof checker.)
 - :func:`expand` — an independent Herbrand expansion used to cross-check
-  the production grounder node for node.
+  the production grounder node for node; :func:`grounding_mismatch` runs
+  that cross-check, first reading off which entities an inheritance axiom
+  was grounded at and checking them against :func:`senders`.
 
 :func:`brute_force_status` combines the evaluator and the consistency
 check into the reference enumerator the differential fuzzer compares the
@@ -239,6 +241,138 @@ def expand(formula: Formula, domains: Domains) -> Formula:
         raise SolverError(f"model check cannot expand node {node!r}")
 
     return walk(formula, {})
+
+
+def _axiom_action(formula: Formula) -> str | None:
+    """``a`` for ``forall x. a(x, c1) -> a(x, c2)`` with constants c1, c2."""
+    if not isinstance(formula, Forall):
+        return None
+    body = formula.body
+    if not isinstance(body, Implies):
+        return None
+    left, right = body.antecedent, body.consequent
+    if not isinstance(left, Predicate) or not isinstance(right, Predicate):
+        return None
+    name = left.symbol.name
+    if name == _EQ or right.symbol.name != name:
+        return None
+    for atom in (left, right):
+        if not atom.args or atom.args[0] != formula.variable:
+            return None
+        if any(not isinstance(arg, Constant) for arg in atom.args[1:]):
+            return None
+    return name
+
+
+def senders(formulas: Iterable[Formula]) -> dict[str, set[str] | None] | None:
+    """Per action, the names of the entities that can perform it.
+
+    An entity can perform ``a`` when ``a(e, ...)`` occurs positively (an
+    ``Iff`` side counts as positive) in a formula that is not an
+    inheritance axiom.  ``None`` for an action means every entity: a
+    positive occurrence has a variable or function term first.  ``None``
+    overall means no action is restricted: an equality atom occurs.
+    Actions never used positively are absent (no entity).
+    """
+    found: dict[str, set[str] | None] = {}
+
+    def visit(node: Formula, polarities: frozenset[bool]) -> bool:
+        if isinstance(node, Predicate):
+            if node.symbol.name == _EQ:
+                return False
+            if True in polarities and node.args:
+                name, first = node.symbol.name, node.args[0]
+                if not isinstance(first, Constant):
+                    found[name] = None
+                elif found.setdefault(name, set()) is not None:
+                    found[name].add(first.name)
+            return True
+        if isinstance(node, Not):
+            return visit(node.operand, frozenset(not p for p in polarities))
+        if isinstance(node, (And, Or)):
+            return all(visit(op, polarities) for op in node.operands)
+        if isinstance(node, Implies):
+            flipped = frozenset(not p for p in polarities)
+            return visit(node.antecedent, flipped) and visit(
+                node.consequent, polarities
+            )
+        if isinstance(node, Iff):
+            both = frozenset((True, False))
+            return visit(node.left, both) and visit(node.right, both)
+        if isinstance(node, (Forall, Exists)):
+            return visit(node.body, polarities)
+        return True
+
+    for formula in formulas:
+        if _axiom_action(formula) is not None:
+            continue
+        if not visit(formula, frozenset((True,))):
+            return None
+    return found
+
+
+def grounding_mismatch(
+    formula: Formula,
+    grounded: Formula | None,
+    domains: Domains,
+    senders: Mapping[str, set[str] | None] | None,
+) -> str | None:
+    """Why ``grounded`` is not a faithful grounding of ``formula``, if it is not.
+
+    An inheritance axiom whose action is restricted (see :func:`senders`)
+    may be grounded at a subset of its domain: each conjunct must be the
+    body at a distinct declared entity, in declaration order, and the
+    entities must include every one that can perform the action.  Any
+    other formula must equal its full :func:`expand`.
+    """
+    action = _axiom_action(formula)
+    required = None
+    if action is not None and senders is not None:
+        required = senders.get(action, set())
+    if required is not None:
+        variable = formula.variable  # type: ignore[union-attr]
+        used = _instance_entities(grounded)
+        if used is None:
+            return (
+                f"grounding mismatch: assertion {formula} was not grounded "
+                "to a conjunction of its instances"
+            )
+        declared = domains.get(variable.sort, ())
+        for constant in declared:
+            if constant.name in required and constant.name not in used:
+                return (
+                    f"grounding mismatch: assertion {formula} skips entity "
+                    f"{constant.name}, which can perform {action}"
+                )
+        domains = {
+            **domains,
+            variable.sort: tuple(c for c in declared if c.name in used),
+        }
+    if expand(formula, domains) != grounded:
+        return (
+            "grounding mismatch: independent expansion of "
+            f"assertion {formula} disagrees with the grounder"
+        )
+    return None
+
+
+def _instance_entities(grounded: Formula | None) -> set[str] | None:
+    """First-argument constants of the antecedents of a grounded axiom."""
+    if isinstance(grounded, TrueFormula):
+        return set()
+    if not isinstance(grounded, (And, Or)):
+        return None
+    names: set[str] = set()
+    for instance in grounded.operands:
+        if not isinstance(instance, Implies) or not isinstance(
+            instance.antecedent, Predicate
+        ):
+            return None
+        args = instance.antecedent.args
+        if not args or not isinstance(args[0], Constant):
+            return None
+        names.add(args[0].name)
+    return names
 
 
 # ----------------------------------------------------------------------

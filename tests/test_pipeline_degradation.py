@@ -157,7 +157,7 @@ class TestBudgetLadder:
         base = SolverBudget(
             max_conflicts=None,
             max_propagations=None,
-            max_ground_instances=100,
+            max_ground_instances=25,
             timeout_seconds=None,
         )
         initial = verify_encoded(encoded, budget=base)
