@@ -22,6 +22,7 @@ ran here.
 """
 
 import time
+from dataclasses import replace
 
 from conftest import print_table, write_bench_json
 
@@ -32,16 +33,27 @@ from repro.core.verify import Verdict, verify_encoded
 from repro.llm.tasks import ExtractedParameters
 from repro.resilience import BudgetLadder, execute_ladder, is_budget_limited
 
-#: The R3 budget with a smaller grounding cap.  Grounding each inheritance
-#: axiom over only the entities that can use it takes TikTak's full graph
-#: to 6,461 instances, well under R3's 60,000; 4,000 still overruns it at
-#: the base budget, and the x2 escalation grounds it completely.
-STARVED = SolverBudget(
+#: The R3 budget; the starved regime swaps in a smaller grounding cap.
+R3_BUDGET = SolverBudget(
     max_conflicts=20_000,
     max_propagations=2_000_000,
-    max_ground_instances=4_000,
+    max_ground_instances=60_000,
     timeout_seconds=10.0,
 )
+
+#: The starved regime's grounding cap as a share of what grounding the
+#: full graph really takes.  Grounding each inheritance axiom over only
+#: the entities that can use it keeps TikTak's full graph well under R3's
+#: 60,000 instances, so a cap measured from the graph keeps the regime
+#: starved at the base budget while the x2 escalation grounds it all.
+STARVED_SHARE = 0.6
+
+
+def _starved(full_instances: int) -> SolverBudget:
+    return replace(
+        R3_BUDGET, max_ground_instances=max(1, int(full_instances * STARVED_SHARE))
+    )
+
 
 QUERY_TERMS = ("email", "phone number")
 
@@ -90,7 +102,7 @@ def _run_ladder(sub, params, budget, ladder, rows, label):
         ]
     )
     if initial.verdict is not Verdict.UNKNOWN:
-        return initial, None
+        return initial, initial, None
     final, report = execute_ladder(
         sub,
         params,
@@ -111,7 +123,7 @@ def _run_ladder(sub, params, budget, ladder, rows, label):
                 step.ground_instances,
             ]
         )
-    return final, report
+    return initial, final, report
 
 
 def test_a4_degradation_ladder(tiktak_model):
@@ -122,22 +134,26 @@ def test_a4_degradation_ladder(tiktak_model):
     unknown = 0
     rescued = 0
     reports = {}
+    full_instances = {}
     for term in QUERY_TERMS:
-        final, report = _run_ladder(
+        initial, final, report = _run_ladder(
             sub, _query(term), SolverBudget(), BudgetLadder(), rows, term
         )
+        full_instances[term] = initial.solver_result.statistics.ground_instances
         if report is not None:
             unknown += 1
             reports[term] = report
             if report.rescued:
                 rescued += 1
 
-    # Regime 2: the starved R3 budget for one query, to exercise the
-    # escalation rung before decomposition.
-    starved_final, starved_report = _run_ladder(
+    # Regime 2: the R3 budget, starved below what the same query grounded
+    # at the default budget, to exercise the escalation rung before
+    # decomposition.
+    starved = _starved(full_instances[QUERY_TERMS[0]])
+    _initial, starved_final, starved_report = _run_ladder(
         sub,
         _query(QUERY_TERMS[0]),
-        STARVED,
+        starved,
         BudgetLadder(multipliers=(2.0,)),
         rows,
         f"{QUERY_TERMS[0]} @R3 budget",
@@ -190,5 +206,7 @@ def test_a4_degradation_ladder(tiktak_model):
             "email_decompositions": email_report.decompositions,
             "starved_escalations": starved_report.escalations,
             "starved_rescued": starved_report.rescued,
+            "full_ground_instances": full_instances[QUERY_TERMS[0]],
+            "starved_max_ground_instances": starved.max_ground_instances,
         },
     )

@@ -66,7 +66,7 @@ def tseitin(formula: Formula, pool: AtomPool) -> list[Clause]:
             continue
         clause = []
         for atom, positive in literals:
-            var = pool.variable_for(atom_key(atom))
+            var = pool.variable_for(atom_key(atom), atom)
             clause.append(var if positive else -var)
         clauses.append(tuple(clause))
     return clauses
@@ -137,7 +137,7 @@ def _encode(node: Formula, pool: AtomPool, clauses: list[Clause]) -> int:
         clauses.append((-var,))
         return var
     if isinstance(node, Predicate):
-        return pool.variable_for(atom_key(node))
+        return pool.variable_for(atom_key(node), node)
     if isinstance(node, Not):
         return -_encode(node.operand, pool, clauses)
     if isinstance(node, And):

@@ -205,20 +205,21 @@ class Senders:
         """No axiom is grounded any more (the grounded clauses were dropped)."""
         self._grounded.clear()
 
-    def keeps(self, key: str) -> bool:
-        """May the atom ``key`` be true in a completed model?
+    def keeps(self, atom: Formula | None) -> bool:
+        """May ``atom`` be true in a completed model?
 
-        False for ``a(e, ...)`` with ``a`` restricted and ``e`` outside
-        ``E_a``: the completion sets those atoms false.
+        False for ``a(e, ...)`` when an inheritance axiom over ``a`` is
+        grounded over ``E_a`` and the constant ``e`` is outside it: the
+        completion sets those atoms false.  Every other atom, and every
+        atom of an action with no axiom grounded that way, keeps the
+        value the SAT model gives it.
         """
-        open_paren = key.find("(")
-        if open_paren < 0:
+        if not isinstance(atom, Predicate) or not atom.args:
             return True
-        action = key[:open_paren]
-        if not self.restricts(action):
+        action, first = atom.symbol.name, atom.args[0]
+        if action not in self._grounded or not isinstance(first, Constant):
             return True
-        first = key[open_paren + 1 : -1].split(",", 1)[0]
-        return first in self._by_action.get(action, ())
+        return first.name in self._by_action.get(action, ())
 
 
 def ground(

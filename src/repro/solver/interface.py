@@ -354,7 +354,7 @@ class Solver:
             node = node.operand
         if not isinstance(node, Predicate):
             raise SolverError("assumptions must be (negated) ground atoms")
-        var = pool.variable_for(atom_key(node))
+        var = pool.variable_for(atom_key(node), node)
         return -var if negated else var
 
     def _check(self, assumption_formulas: tuple[Formula, ...]) -> SolverResult:
@@ -387,9 +387,9 @@ class Solver:
         model: dict[str, bool] = {}
         if verdict is SatResult.SAT:
             raw = sat.model()
-            keeps = self._senders.keeps
+            keeps, atom_for = self._senders.keeps, pool.atom_for
             model = {
-                key: raw.get(var, False) and keeps(key)
+                key: raw.get(var, False) and keeps(atom_for(key))
                 for key, var in pool.named_atoms().items()
             }
         result = SolverResult(

@@ -29,11 +29,18 @@ class AtomPool:
     _by_key: dict[str, int] = field(default_factory=dict)
     _by_var: dict[int, str] = field(default_factory=dict)
     _named: dict[str, int] = field(default_factory=dict, init=False)
+    # The atom behind each named key, where the caller passed one.
+    _atoms: dict[str, object] = field(default_factory=dict, init=False)
     _next_var: int = 1
     needs_theory: bool = field(default=False, init=False)
 
-    def variable_for(self, key: str) -> int:
-        """SAT variable for the atom ``key``, allocating if new."""
+    def variable_for(self, key: str, atom: object = None) -> int:
+        """SAT variable for the atom ``key``, allocating if new.
+
+        ``atom`` is the ground atom ``key`` renders; :meth:`atom_for` hands
+        it back, so callers never have to parse a key (quoted SMT-LIB
+        names may hold commas and parentheses).
+        """
         var = self._by_key.get(key)
         if var is None:
             var = self._next_var
@@ -42,6 +49,8 @@ class AtomPool:
             self._by_var[var] = key
             if not key.startswith("$"):
                 self._named[key] = var
+                if atom is not None:
+                    self._atoms[key] = atom
                 if not self.needs_theory:
                     self.needs_theory = _is_theory_atom(key)
         return var
@@ -58,6 +67,10 @@ class AtomPool:
     def key_for(self, var: int) -> str:
         return self._by_var[var]
 
+    def atom_for(self, key: str) -> object:
+        """The atom interned under ``key``, or None if none was given."""
+        return self._atoms.get(key)
+
     def has_key(self, key: str) -> bool:
         return key in self._by_key
 
@@ -67,6 +80,7 @@ class AtomPool:
             key = self._by_var.pop(var)
             del self._by_key[key]
             self._named.pop(key, None)
+            self._atoms.pop(key, None)
         self._next_var = count + 1
         self.needs_theory = any(map(_is_theory_atom, self._named))
 

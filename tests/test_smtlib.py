@@ -268,6 +268,43 @@ class TestGetModelGetValue:
         assert results[0].is_unsat
         assert outputs == ['(error "no model available")']
 
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_get_model_with_quoted_names_holding_commas_and_parens(self, certify):
+        # Both axioms are grounded over their senders only, so the model is
+        # completed; that must go by the atoms, not by their printed keys.
+        from repro.smtlib import execute_script_verbose
+        from repro.solver import CertificationConfig
+
+        text = """
+        (declare-sort Entity 0)
+        (declare-sort Data 0)
+        (declare-const |a,(b| Entity)
+        (declare-const c Entity)
+        (declare-const d Data)
+        (declare-const e Data)
+        (declare-fun p (Entity Data) Bool)
+        (declare-fun |q(r,| (Entity Data) Bool)
+        (assert (p |a,(b| d))
+        (assert (|q(r,| c d))
+        (assert (not (p c e)))
+        (assert (forall ((x Entity)) (=> (p x d) (p x e))))
+        (assert (forall ((x Entity)) (=> (|q(r,| x d) (|q(r,| x e))))
+        (check-sat)
+        (get-model)
+        """
+        certification = CertificationConfig() if certify else None
+        results, outputs = execute_script_verbose(text, certification=certification)
+        assert results[0].is_sat
+        if certify:
+            assert results[0].certificate.certified
+        assert outputs == [
+            "(define-fun p(c,e) () Bool false)",
+            "(define-fun p(|a,(b|,d) () Bool true)",
+            "(define-fun p(|a,(b|,e) () Bool true)",
+            "(define-fun |q(r,|(c,d) () Bool true)",
+            "(define-fun |q(r,|(c,e) () Bool true)",
+        ]
+
     def test_get_model_round_trips_through_parser(self):
         from repro.smtlib import parse_script
         from repro.smtlib.script import GetModel, GetValue

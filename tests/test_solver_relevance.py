@@ -39,7 +39,7 @@ from repro.fol.visitor import collect_constants
 from repro.solver import CERTIFICATION_FAILED, CertificationConfig, SatResult, Solver
 from repro.solver import SolverBudget, faults
 from repro.solver.cnf import atom_key, tseitin
-from repro.solver.grounding import Universe, ground
+from repro.solver.grounding import Senders, Universe, ground
 from repro.solver.literals import AtomPool
 from repro.solver.sat import CDCLSolver
 
@@ -245,6 +245,22 @@ def test_reported_model_is_completed_outside_the_senders(seed):
     assert result.status is SatResult.SAT
     assert result.model["a_collect(e1,d0)"] is False
     assert result.certificate.certified, result.certificate.failures
+
+
+def test_completion_touches_only_actions_grounded_over_their_senders():
+    senders = Senders()
+    senders.add(COLLECT(E0, D0))
+    senders.add(Not(COLLECT(E1, D0)))
+    senders.add(Not(ACTIONS[1](E1, D0)))
+    # No axiom is grounded yet: every atom keeps its SAT value.
+    assert senders.keeps(COLLECT(E1, D0))
+    assert senders.restrict("a_collect", list(ENTITIES)) == [E0]
+    assert senders.keeps(COLLECT(E0, D1))
+    assert not senders.keeps(COLLECT(E1, D0))
+    # a_share has no axiom grounded over its senders.
+    assert senders.keeps(ACTIONS[1](E1, D0))
+    senders.forget_grounding()
+    assert senders.keeps(COLLECT(E1, D0))
 
 
 def test_a_new_sender_in_an_assumption_regrounds():
