@@ -94,7 +94,6 @@ class PipelineConfig:
     simplify_formulas: bool = True
     check_conditional: bool = True
     solver_budget: SolverBudget = field(default_factory=SolverBudget)
-    max_subgraph_edges: int | None = None
     enable_query_caches: bool = True  # per-model Phase 3 memoization
     # Degradation ladder for budget-limited UNKNOWN verdicts; None disables
     # it (the default keeps query traces byte-identical to prior releases).
@@ -766,7 +765,6 @@ class PolicyPipeline:
             data_terms,
             entity_terms,
             use_hierarchy=self.config.include_hierarchy_axioms,
-            max_edges=self.config.max_subgraph_edges,
             revision=model.revision,
         )
         def run_extract() -> Subgraph:
@@ -775,7 +773,6 @@ class PolicyPipeline:
                 data_terms,
                 entity_terms,
                 use_hierarchy=self.config.include_hierarchy_axioms,
-                max_edges=self.config.max_subgraph_edges,
             )
 
         if caches is not None:

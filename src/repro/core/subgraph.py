@@ -40,7 +40,6 @@ def subgraph_cache_key(
     entity_terms: list[str],
     *,
     use_hierarchy: bool,
-    max_edges: int | None,
     revision: int = 0,
 ) -> tuple:
     """Canonical memoization key for :func:`extract_subgraph`.
@@ -54,7 +53,6 @@ def subgraph_cache_key(
         tuple(sorted({t.lower() for t in data_terms})),
         tuple(sorted({t.lower() for t in entity_terms})),
         bool(use_hierarchy),
-        max_edges,
         revision,
     )
 

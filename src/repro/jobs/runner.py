@@ -191,7 +191,7 @@ class AdmissionQueue:
         with self._cv:
             return self._pending
 
-    def admit(self, item, *, should_stop=None, poll: float | None = None) -> bool:
+    def admit(self, item, *, should_stop=None) -> bool:
         """Admit ``item``, or return False (shed / stopped / closed).
 
         With ``shed_above`` set (constructor-validated to be at most
@@ -199,12 +199,8 @@ class AdmissionQueue:
         above the threshold sheds the item immediately.  With it unset,
         admission only ever blocks (backpressure) — until depth drops
         below ``max_pending`` or ``should_stop()`` turns true — and
-        never sheds.
-
-        ``poll`` is a compatibility fallback: callers that flip a stop
-        flag without calling :meth:`wake` can pass a timeout so the flag
-        is still observed within one poll period.  ``None`` (the
-        default) waits purely on condition-variable wakeups.
+        never sheds.  A caller that flips the stop flag must call
+        :meth:`wake` so a blocked admit re-checks it.
         """
         with self._cv:
             while True:
@@ -220,7 +216,7 @@ class AdmissionQueue:
                     self.high_water = max(self.high_water, self._pending)
                     self._cv.notify_all()
                     return True
-                self._cv.wait(poll)
+                self._cv.wait()
 
     def wake(self) -> None:
         """Nudge every blocked ``admit``/``get`` to re-check its exit

@@ -6,10 +6,39 @@ the shared substrate for both the printer and the parser.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SMTLibParseError
 
 #: An s-expression: an atom (str) or a list of s-expressions.
 SExpr = str | list
+
+#: A simple symbol (SMT-LIB 2.6 §3.1): letters, digits and ``~!@$%^&*_-+=<>.?/``,
+#: not starting with a digit.
+_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][0-9A-Za-z~!@$%^&*_\-+=<>.?/]*")
+
+#: Reserved words, command names included, which no simple symbol may spell.
+_RESERVED = frozenset(
+    "! _ as BINARY DECIMAL exists HEXADECIMAL forall let match NUMERAL par "
+    "STRING assert check-sat check-sat-assuming declare-const declare-datatype "
+    "declare-datatypes declare-fun declare-sort define-fun define-fun-rec "
+    "define-funs-rec define-sort echo exit get-assertions get-assignment "
+    "get-info get-model get-option get-proof get-unsat-assumptions "
+    "get-unsat-core get-value pop push reset reset-assertions set-info "
+    "set-logic set-option".split()
+)
+
+
+def _quoted_symbol(token: str) -> str:
+    """``|x|`` as ``x`` when ``x`` is a simple symbol: the two are one symbol.
+
+    Any other quoted symbol keeps its bars, so its name cannot collide
+    with a simple symbol or a term built from them.
+    """
+    inner = token[1:-1]
+    if _SIMPLE_SYMBOL.fullmatch(inner) and inner not in _RESERVED:
+        return inner
+    return token
 
 
 def sexpr_to_text(expr: SExpr) -> str:
@@ -42,7 +71,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             j = text.find("|", i + 1)
             if j < 0:
                 raise SMTLibParseError("unterminated quoted symbol", line)
-            tokens.append((text[i : j + 1], line))
+            tokens.append((_quoted_symbol(text[i : j + 1]), line))
             line += text.count("\n", i, j)
             i = j + 1
         elif ch == '"':

@@ -1,118 +1,60 @@
 """Congruence closure for equality over uninterpreted functions (EUF).
 
-The theory layer behind the solver's DPLL(T) loop.  Atoms arrive as
-canonical key strings ("=(a,b)", "share(tiktok,email)", "flag"); the
-closure parses them into term nodes, merges equivalence classes under the
-asserted equalities, propagates congruence (f(a) = f(b) when a = b), and
-reports a conflict when a disequality is violated or when two congruent
-predicate applications carry opposite truth values.
+The theory layer behind the solver's DPLL(T) loop.  Atoms arrive as the
+ground :class:`~repro.fol.formula.Predicate` trees the clausifier interned,
+each with its truth value, and the closure's nodes are the frozen
+:class:`~repro.fol.terms.Constant` and :class:`~repro.fol.terms.Application`
+terms themselves; an atom's printed key is never read.  The closure merges
+equivalence classes under the asserted equalities, propagates congruence
+(f(a) = f(b) when a = b), and reports a conflict when a disequality is
+violated or when two congruent predicate applications carry opposite
+truth values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.fol.formula import Predicate
+from repro.fol.terms import Application, Term
 
 EQ_PREDICATE = "="
 
-
-@dataclass(frozen=True, slots=True)
-class Node:
-    """A parsed term: function/constant name applied to child node keys."""
-
-    key: str
-    name: str
-    children: tuple[str, ...]
-
-
-def parse_term(key: str) -> tuple[Node, list[Node]]:
-    """Parse a canonical term key into its node and all descendant nodes."""
-    nodes: list[Node] = []
-
-    def parse(s: str) -> str:
-        open_paren = s.find("(")
-        if open_paren < 0:
-            node = Node(key=s, name=s, children=())
-            nodes.append(node)
-            return s
-        name = s[:open_paren]
-        inner = s[open_paren + 1 : -1]
-        child_keys = []
-        depth = 0
-        start = 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                child_keys.append(parse(inner[start:i]))
-                start = i + 1
-        if inner:
-            child_keys.append(parse(inner[start:]))
-        node = Node(key=s, name=name, children=tuple(child_keys))
-        nodes.append(node)
-        return s
-
-    parse(key)
-    return nodes[-1], nodes
-
-
-def parse_atom(key: str) -> tuple[str, tuple[str, ...]]:
-    """Split an atom key into predicate name and argument term keys."""
-    open_paren = key.find("(")
-    if open_paren < 0:
-        return key, ()
-    name = key[:open_paren]
-    inner = key[open_paren + 1 : -1]
-    args: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            args.append(inner[start:i])
-            start = i + 1
-    if inner:
-        args.append(inner[start:])
-    return name, tuple(args)
+#: An atom with its truth value in the assignment under check.
+Literal = tuple[Predicate, bool]
 
 
 class CongruenceClosure:
-    """Union-find with congruence propagation over term nodes."""
+    """Union-find with congruence propagation over ground terms."""
 
     def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-        self._nodes: dict[str, Node] = {}
+        self._parent: dict[Term, Term] = {}
+        self._applications: list[Application] = []
 
-    def add_term(self, key: str) -> None:
-        if key in self._nodes:
+    def add_term(self, term: Term) -> None:
+        if term in self._parent:
             return
-        _root, nodes = parse_term(key)
-        for node in nodes:
-            if node.key not in self._nodes:
-                self._nodes[node.key] = node
-                self._parent[node.key] = node.key
+        self._parent[term] = term
+        if isinstance(term, Application):
+            for arg in term.args:
+                self.add_term(arg)
+            self._applications.append(term)
 
-    def find(self, key: str) -> str:
-        root = key
+    def find(self, term: Term) -> Term:
+        root = term
         while self._parent[root] != root:
             root = self._parent[root]
         # Path compression.
-        while self._parent[key] != root:
-            self._parent[key], key = root, self._parent[key]
+        while self._parent[term] != root:
+            self._parent[term], term = root, self._parent[term]
         return root
 
-    def merge(self, a: str, b: str) -> None:
+    def merge(self, a: Term, b: Term) -> None:
         self.add_term(a)
         self.add_term(b)
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[ra] = rb
 
-    def are_equal(self, a: str, b: str) -> bool:
+    def are_equal(self, a: Term, b: Term) -> bool:
         self.add_term(a)
         self.add_term(b)
         return self.find(a) == self.find(b)
@@ -126,24 +68,22 @@ class CongruenceClosure:
         changed = True
         while changed:
             changed = False
-            signatures: dict[tuple[str, tuple[str, ...]], str] = {}
-            for node in self._nodes.values():
-                if not node.children:
-                    continue
-                sig = (node.name, tuple(self.find(c) for c in node.children))
+            signatures: dict[tuple[str, tuple[Term, ...]], Term] = {}
+            for app in self._applications:
+                sig = (app.symbol.name, tuple(self.find(a) for a in app.args))
                 other = signatures.get(sig)
                 if other is None:
-                    signatures[sig] = node.key
-                elif self.find(other) != self.find(node.key):
-                    self.merge(other, node.key)
+                    signatures[sig] = app
+                elif self.find(other) != self.find(app):
+                    self.merge(other, app)
                     changed = True
 
 
-def check_euf(assignment: list[tuple[str, bool]]) -> list[tuple[str, bool]] | None:
+def check_euf(assignment: list[Literal]) -> list[Literal] | None:
     """Check a full assignment of atoms for EUF consistency.
 
     Args:
-        assignment: (atom_key, value) pairs covering the atoms of interest.
+        assignment: (atom, value) pairs covering the atoms of interest.
 
     Returns:
         None when consistent, otherwise the subset of assigned literals
@@ -151,43 +91,31 @@ def check_euf(assignment: list[tuple[str, bool]]) -> list[tuple[str, bool]] | No
         disjunction of their negations).
     """
     closure = CongruenceClosure()
-    equalities: list[tuple[str, str, str]] = []
-    disequalities: list[tuple[str, str, str]] = []
-    applications: list[tuple[str, bool, str, tuple[str, ...]]] = []
+    equalities: list[Predicate] = []
+    disequalities: list[Predicate] = []
+    applications: list[Literal] = []
 
-    for key, value in assignment:
-        name, args = parse_atom(key)
-        if name == EQ_PREDICATE and len(args) == 2:
-            if value:
-                equalities.append((key, args[0], args[1]))
-            else:
-                disequalities.append((key, args[0], args[1]))
-            closure.add_term(args[0])
-            closure.add_term(args[1])
+    for atom, value in assignment:
+        for arg in atom.args:
+            closure.add_term(arg)
+        if atom.symbol.name == EQ_PREDICATE and len(atom.args) == 2:
+            (equalities if value else disequalities).append(atom)
         else:
-            for arg in args:
-                closure.add_term(arg)
-            applications.append((key, value, name, args))
+            applications.append((atom, value))
 
-    for _key, a, b in equalities:
-        closure.merge(a, b)
+    for atom in equalities:
+        closure.merge(*atom.args)
     closure.propagate_congruence()
 
-    for key, a, b in disequalities:
-        if closure.are_equal(a, b):
-            culprits = [(key, False)] + [(k, True) for k, _a, _b in equalities]
-            return culprits
+    for atom in disequalities:
+        if closure.are_equal(*atom.args):
+            return [(atom, False)] + [(eq, True) for eq in equalities]
 
     # Congruent predicate applications must agree on truth value.
-    by_signature: dict[tuple[str, tuple[str, ...]], tuple[str, bool]] = {}
-    for key, value, name, args in applications:
-        sig = (name, tuple(closure.find(a) for a in args))
-        seen = by_signature.get(sig)
-        if seen is None:
-            by_signature[sig] = (key, value)
-        elif seen[1] != value:
-            culprits = [(seen[0], seen[1]), (key, value)] + [
-                (k, True) for k, _a, _b in equalities
-            ]
-            return culprits
+    by_signature: dict[tuple[str, tuple[Term, ...]], Literal] = {}
+    for atom, value in applications:
+        sig = (atom.symbol.name, tuple(closure.find(a) for a in atom.args))
+        seen = by_signature.setdefault(sig, (atom, value))
+        if seen[1] != value:
+            return [seen, (atom, value)] + [(eq, True) for eq in equalities]
     return None

@@ -478,7 +478,8 @@ class Solver:
                         break
                 if pool.needs_theory:
                     report.checks.append("euf-model")
-                    if not modelcheck.euf_consistent(named.items()):
+                    atoms = ((pool.atom_for(k), v) for k, v in named.items())
+                    if not modelcheck.euf_consistent(atoms):
                         fail("model is EUF-inconsistent under congruence")
 
             if verdict is SatResult.UNSAT and config.check_proofs:

@@ -1,9 +1,11 @@
 """Atom pool: bidirectional mapping between ground atoms and SAT variables.
 
 Literals use the DIMACS convention: variable ``v >= 1``, literal ``+v`` for
-the positive phase and ``-v`` for the negative phase.  Atom keys are
-canonical strings of ground atoms ("share(tiktok, email_address)"), which
-makes models directly readable.
+the positive phase and ``-v`` for the negative phase.  Each atom is
+interned under its printed key ("share(tiktok,email_address)"), which
+names its SAT variable and labels it in models; the pool also keeps the
+atom's :class:`~repro.fol.formula.Predicate` tree, which is where the
+theory layer and certification read its structure.  Nothing parses a key.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
+from repro.fol.formula import Predicate
+from repro.fol.terms import Application
 from repro.solver.euf import EQ_PREDICATE
 
 Clause = tuple[int, ...]
@@ -22,24 +26,26 @@ class AtomPool:
     """Interns ground atoms and auxiliary (Tseitin) variables.
 
     Named (non-``$``) atoms are also recorded as they are interned, along
-    with whether any of them needs the EUF theory, so neither fact costs
-    a pass over the pool when a check asks for it.
+    with whether any of them needs the EUF theory (an equality, or a
+    function term among its arguments), so neither fact costs a pass over
+    the pool when a check asks for it.
     """
 
     _by_key: dict[str, int] = field(default_factory=dict)
     _by_var: dict[int, str] = field(default_factory=dict)
     _named: dict[str, int] = field(default_factory=dict, init=False)
     # The atom behind each named key, where the caller passed one.
-    _atoms: dict[str, object] = field(default_factory=dict, init=False)
+    _atoms: dict[str, Predicate] = field(default_factory=dict, init=False)
     _next_var: int = 1
     needs_theory: bool = field(default=False, init=False)
 
-    def variable_for(self, key: str, atom: object = None) -> int:
+    def variable_for(self, key: str, atom: Predicate | None = None) -> int:
         """SAT variable for the atom ``key``, allocating if new.
 
         ``atom`` is the ground atom ``key`` renders; :meth:`atom_for` hands
         it back, so callers never have to parse a key (quoted SMT-LIB
-        names may hold commas and parentheses).
+        names may hold commas and parentheses).  Only atoms interned with
+        their tree can switch the theory on.
         """
         var = self._by_key.get(key)
         if var is None:
@@ -51,8 +57,8 @@ class AtomPool:
                 self._named[key] = var
                 if atom is not None:
                     self._atoms[key] = atom
-                if not self.needs_theory:
-                    self.needs_theory = _is_theory_atom(key)
+                    if not self.needs_theory:
+                        self.needs_theory = _uses_euf(atom)
         return var
 
     def fresh(self, hint: str = "aux") -> int:
@@ -67,7 +73,7 @@ class AtomPool:
     def key_for(self, var: int) -> str:
         return self._by_var[var]
 
-    def atom_for(self, key: str) -> object:
+    def atom_for(self, key: str) -> Predicate | None:
         """The atom interned under ``key``, or None if none was given."""
         return self._atoms.get(key)
 
@@ -82,7 +88,7 @@ class AtomPool:
             self._named.pop(key, None)
             self._atoms.pop(key, None)
         self._next_var = count + 1
-        self.needs_theory = any(map(_is_theory_atom, self._named))
+        self.needs_theory = any(map(_uses_euf, self._atoms.values()))
 
     @property
     def count(self) -> int:
@@ -97,14 +103,8 @@ class AtomPool:
         return MappingProxyType(self._named)
 
 
-def _is_theory_atom(key: str) -> bool:
-    """True when the atom is an equality or has a function-term argument.
-
-    The arguments are the text between the outer parentheses split at
-    top-level commas, so one of them holds a ``(`` exactly when that text
-    does.
-    """
-    open_paren = key.find("(")
-    if open_paren < 0:
-        return key == EQ_PREDICATE
-    return key[:open_paren] == EQ_PREDICATE or "(" in key[open_paren + 1 : -1]
+def _uses_euf(atom: Predicate) -> bool:
+    """True when ``atom`` is an equality or has a function-term argument."""
+    return atom.symbol.name == EQ_PREDICATE or any(
+        isinstance(arg, Application) for arg in atom.args
+    )

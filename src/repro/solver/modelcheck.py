@@ -1,11 +1,14 @@
 """Independent re-validation of solver answers (the SAT side of trust-but-verify).
 
 Everything in this module is deliberately written from scratch against the
-*specifications* of the solver substrate — canonical atom-key strings,
-Herbrand expansion over a declared universe, congruence semantics for
-``=`` — and shares no code with the CDCL search, the clausifier,
-the production grounder, or the production congruence closure.  A bug in
-any of those therefore cannot hide itself here.
+*specifications* of the solver substrate — the canonical atom-key format
+that names a model's atoms, Herbrand expansion over a declared universe,
+congruence semantics for ``=`` — and shares no code with the CDCL search,
+the clausifier, the production grounder, or the production congruence
+closure.  A bug in any of those therefore cannot hide itself here.  Keys
+are only rendered, to look atoms up in a model; an atom's structure is
+read from its :class:`~repro.fol.formula.Predicate` tree, never parsed back
+out of a key (quoted SMT-LIB names may hold commas and parentheses).
 
 Four checks live here:
 
@@ -14,7 +17,7 @@ Four checks live here:
 - :func:`evaluate_formula` — does the named-atom assignment satisfy the
   *original* (possibly quantified) FOL assertion, expanding quantifiers
   over the recorded universe snapshot on the fly?
-- :func:`euf_consistent` — is the named-atom assignment consistent under
+- :func:`euf_consistent` — is an assignment of atoms consistent under
   equality-with-uninterpreted-functions?  (Also certifies theory-lemma
   premises for the proof checker.)
 - :func:`expand` — an independent Herbrand expansion used to cross-check
@@ -79,41 +82,6 @@ def render_atom(atom: Predicate, env: Mapping[Variable, Constant] | None = None)
         return atom.symbol.name
     inner = ",".join(render_term(a, env) for a in atom.args)
     return f"{atom.symbol.name}({inner})"
-
-
-def _split_top_level(inner: str) -> list[str]:
-    """Split "a,g(b,c),d" into top-level comma-separated chunks."""
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    if inner:
-        parts.append(inner[start:])
-    return parts
-
-
-def _split_key(key: str) -> tuple[str, tuple[str, ...]]:
-    """Split an atom or application key into head and argument keys."""
-    open_paren = key.find("(")
-    if open_paren < 0:
-        return key, ()
-    return key[:open_paren], tuple(_split_top_level(key[open_paren + 1 : -1]))
-
-
-def _subterm_keys(key: str) -> set[str]:
-    """Every term key reachable inside ``key``, including itself."""
-    out = {key}
-    _head, args = _split_key(key)
-    for arg in args:
-        out |= _subterm_keys(arg)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -380,39 +348,43 @@ def _instance_entities(grounded: Formula | None) -> set[str] | None:
 # ----------------------------------------------------------------------
 
 
-def euf_consistent(assignment: Iterable[tuple[str, bool]]) -> bool:
+def euf_consistent(assignment: Iterable[tuple[Predicate, bool]]) -> bool:
     """Is the atom assignment consistent under EUF semantics?
 
-    A from-scratch congruence check: build equivalence classes of term
-    keys under the asserted equalities, close them under congruence
-    (same head, pairwise-equal arguments), then reject violated
-    disequalities and congruent predicate applications with opposite
-    truth values.
+    A from-scratch congruence check over the atoms' ground term trees:
+    build equivalence classes of terms under the asserted equalities,
+    close them under congruence (same head, pairwise-equal arguments),
+    then reject violated disequalities and congruent predicate
+    applications with opposite truth values.
     """
-    equalities: list[tuple[str, str]] = []
-    disequalities: list[tuple[str, str]] = []
-    applications: list[tuple[str, tuple[str, ...], bool]] = []
-    terms: set[str] = set()
+    equalities: list[tuple[Term, Term]] = []
+    disequalities: list[tuple[Term, Term]] = []
+    applications: list[tuple[Predicate, bool]] = []
+    terms: set[Term] = set()
 
-    for key, value in assignment:
-        name, args = _split_key(key)
-        if name == _EQ and len(args) == 2:
-            (equalities if value else disequalities).append((args[0], args[1]))
-            terms |= _subterm_keys(args[0]) | _subterm_keys(args[1])
+    def collect(term: Term) -> None:
+        terms.add(term)
+        if isinstance(term, Application):
+            for arg in term.args:
+                collect(arg)
+
+    for atom, value in assignment:
+        for arg in atom.args:
+            collect(arg)
+        if atom.symbol.name == _EQ and len(atom.args) == 2:
+            (equalities if value else disequalities).append(atom.args)
         else:
-            applications.append((name, args, value))
-            for arg in args:
-                terms |= _subterm_keys(arg)
+            applications.append((atom, value))
 
-    parent: dict[str, str] = {t: t for t in terms}
+    parent: dict[Term, Term] = {t: t for t in terms}
 
-    def find(t: str) -> str:
+    def find(t: Term) -> Term:
         while parent[t] != t:
             parent[t] = parent[parent[t]]
             t = parent[t]
         return t
 
-    def union(a: str, b: str) -> None:
+    def union(a: Term, b: Term) -> None:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
@@ -420,13 +392,13 @@ def euf_consistent(assignment: Iterable[tuple[str, bool]]) -> bool:
     for a, b in equalities:
         union(a, b)
 
-    compound = [(t,) + _split_key(t) for t in terms if "(" in t]
+    compound = [t for t in terms if isinstance(t, Application)]
     changed = True
     while changed:
         changed = False
-        signatures: dict[tuple[str, tuple[str, ...]], str] = {}
-        for t, head, args in compound:
-            sig = (head, tuple(find(a) for a in args))
+        signatures: dict[tuple[str, tuple[Term, ...]], Term] = {}
+        for t in compound:
+            sig = (t.symbol.name, tuple(find(a) for a in t.args))
             other = signatures.get(sig)
             if other is None:
                 signatures[sig] = t
@@ -438,9 +410,9 @@ def euf_consistent(assignment: Iterable[tuple[str, bool]]) -> bool:
         if find(a) == find(b):
             return False
 
-    by_signature: dict[tuple[str, tuple[str, ...]], bool] = {}
-    for name, args, value in applications:
-        sig = (name, tuple(find(a) for a in args))
+    by_signature: dict[tuple[str, tuple[Term, ...]], bool] = {}
+    for atom, value in applications:
+        sig = (atom.symbol.name, tuple(find(a) for a in atom.args))
         if by_signature.setdefault(sig, value) != value:
             return False
     return True
@@ -451,13 +423,13 @@ def euf_consistent(assignment: Iterable[tuple[str, bool]]) -> bool:
 # ----------------------------------------------------------------------
 
 
-def collect_atom_keys(formula: Formula, domains: Domains) -> list[str]:
-    """Sorted keys of every ground atom of the expanded formula."""
-    keys: set[str] = set()
+def collect_atoms(formula: Formula, domains: Domains) -> dict[str, Predicate]:
+    """Every ground atom of the expanded formula, by its key."""
+    atoms: dict[str, Predicate] = {}
 
     def walk(node: Formula) -> None:
         if isinstance(node, Predicate):
-            keys.add(render_atom(node))
+            atoms[render_atom(node)] = node
         elif isinstance(node, Not):
             walk(node.operand)
         elif isinstance(node, (And, Or)):
@@ -471,7 +443,7 @@ def collect_atom_keys(formula: Formula, domains: Domains) -> list[str]:
             walk(node.right)
 
     walk(expand(formula, domains))
-    return sorted(keys)
+    return atoms
 
 
 def brute_force_status(
@@ -484,10 +456,10 @@ def brute_force_status(
     construction — the fuzzer keeps formulas small; ``max_atoms`` guards
     against accidental blow-ups.
     """
-    keys: set[str] = set()
+    atoms: dict[str, Predicate] = {}
     for formula in formulas:
-        keys.update(collect_atom_keys(formula, domains))
-    ordered = sorted(keys)
+        atoms.update(collect_atoms(formula, domains))
+    ordered = sorted(atoms)
     if len(ordered) > max_atoms:
         raise SolverError(
             f"brute-force reference over {len(ordered)} atoms refused "
@@ -499,7 +471,9 @@ def brute_force_status(
         }
         if not all(evaluate_formula(f, assignment, domains) for f in formulas):
             continue
-        if not euf_consistent(assignment.items()):
+        if not euf_consistent(
+            (atoms[key], value) for key, value in assignment.items()
+        ):
             continue
         return "sat"
     return "unsat"

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.solver.modelcheck import euf_consistent
+from repro.fol.formula import Predicate
+from repro.solver.modelcheck import euf_consistent, render_atom
 
-#: Literal of an atom assignment (key, value) in a theory lemma premise.
-Premise = tuple[tuple[str, bool], ...]
+#: The atom assignment (atom, value) a theory lemma excludes.
+Premise = tuple[tuple[Predicate, bool], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,10 +116,11 @@ def _propagates_to_conflict(
 
 def _expected_lemma(premise: Premise, variable_for) -> tuple[int, ...]:
     """The blocking clause a premise justifies: the negation of each literal."""
-    return tuple(
-        -variable_for(key) if value else variable_for(key)
-        for key, value in premise
-    )
+    lemma = []
+    for atom, value in premise:
+        var = variable_for(render_atom(atom))
+        lemma.append(-var if value else var)
+    return tuple(lemma)
 
 
 def check_proof(
@@ -132,6 +134,8 @@ def check_proof(
 
     ``variable_for`` maps atom keys to SAT variables (needed to certify
     theory lemmas against their premises; pass the pool's ``variable_for``).
+    The checker renders each premise atom's key itself; the congruence
+    check reads the atoms' term trees.
     ``assumptions`` are the literals the check-sat ran under; the final
     conflict must be derivable with them as extra units.
     """

@@ -25,7 +25,7 @@ import time
 
 from repro.errors import BudgetExceededError, SolverError, UnknownCause
 from repro.solver import faults as _faults
-from repro.solver.proof import ProofLog
+from repro.solver.proof import Premise, ProofLog
 from repro.solver.result import SatResult, SolverStatistics
 
 _UNASSIGNED = 0
@@ -162,7 +162,7 @@ class CDCLSolver:
         self,
         lits: tuple[int, ...] | list[int],
         *,
-        theory_premise: tuple[tuple[str, bool], ...] | None = None,
+        theory_premise: Premise | None = None,
     ) -> bool:
         """Add a clause; returns False when it makes the problem trivially unsat.
 

@@ -41,10 +41,12 @@ def solve_with_theory(
 
         stats.theory_checks += 1
         model = sat.model()
-        named = pool.named_atoms()
-        assignment = [
-            (key, model[var]) for key, var in named.items() if var in model
-        ]
+        variables = {
+            pool.atom_for(key): var
+            for key, var in pool.named_atoms().items()
+            if var in model
+        }
+        assignment = [(atom, model[var]) for atom, var in variables.items()]
         conflict = _faults.mutate("theory.conflict", check_euf(assignment))
         if conflict is None:
             return SatResult.SAT
@@ -53,8 +55,8 @@ def solve_with_theory(
         blocking = _faults.mutate(
             "theory.blocking_clause",
             tuple(
-                -pool.variable_for(key) if value else pool.variable_for(key)
-                for key, value in conflict
+                -variables[atom] if value else variables[atom]
+                for atom, value in conflict
             ),
         )
         # The lemma's premise (the T-inconsistent assignment it excludes)

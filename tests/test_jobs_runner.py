@@ -77,7 +77,7 @@ class TestAdmissionQueue:
         admitted = []
 
         def feeder():
-            admitted.append(q.admit("b", poll=0.005))
+            admitted.append(q.admit("b"))
 
         thread = threading.Thread(target=feeder)
         thread.start()
@@ -96,11 +96,12 @@ class TestAdmissionQueue:
         results = []
 
         def feeder():
-            results.append(q.admit("b", should_stop=stop.is_set, poll=0.005))
+            results.append(q.admit("b", should_stop=stop.is_set))
 
         thread = threading.Thread(target=feeder)
         thread.start()
         stop.set()
+        q.wake()
         thread.join(timeout=5.0)
         assert results == [False]
 

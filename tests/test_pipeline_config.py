@@ -15,12 +15,6 @@ class TestConfigKnobs:
         assert outcome.verdict is Verdict.INVALID
         assert outcome.verification.conditionally_valid is None
 
-    def test_max_subgraph_edges_caps_encoding(self, small_policy_text):
-        capped = PolicyPipeline(config=PipelineConfig(max_subgraph_edges=2))
-        model = capped.process(small_policy_text)
-        outcome = capped.query(model, "Acme collects the email address.")
-        assert outcome.subgraph.num_edges <= 2
-
     def test_col_similarity_filter_flattens_taxonomy(self, small_policy_text):
         strict = PolicyPipeline(
             config=PipelineConfig(col_similarity_threshold=1.01)

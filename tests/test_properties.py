@@ -31,7 +31,6 @@ from repro.fol.simplify import simplify, to_nnf
 from repro.fol.visitor import collect_predicates
 from repro.nlp.morphology import lemmatize_verb, singularize_noun
 from repro.solver.cnf import tseitin
-from repro.solver.euf import parse_atom, parse_term
 from repro.solver.literals import AtomPool
 from repro.solver.result import SatResult
 from repro.solver.sat import CDCLSolver
@@ -187,27 +186,6 @@ class TestSATProperties:
                 for clause in clauses
             )
             assert holds == _evaluate(formula, assignment)
-
-
-class TestEUFParsingProperties:
-    _names = st.text(alphabet="abcdefg_", min_size=1, max_size=6)
-
-    @given(_names, st.lists(_names, min_size=0, max_size=3))
-    @settings(max_examples=100, deadline=None)
-    def test_atom_key_round_trip(self, name, args):
-        key = f"{name}({','.join(args)})" if args else name
-        parsed_name, parsed_args = parse_atom(key)
-        assert parsed_name == name
-        assert list(parsed_args) == args
-
-    @given(_names, st.lists(_names, min_size=1, max_size=3))
-    @settings(max_examples=100, deadline=None)
-    def test_term_parse_children(self, fn, args):
-        key = f"{fn}({','.join(args)})"
-        node, nodes = parse_term(key)
-        assert node.name == fn
-        assert list(node.children) == args
-        assert len(nodes) == len(args) + 1
 
 
 class TestTaxonomyProperties:

@@ -61,6 +61,13 @@ class TestSexprs:
     def test_quoted_symbol(self):
         assert parse_sexprs("(|weird name|)") == [["|weird name|"]]
 
+    def test_quoted_simple_symbol_is_the_bare_symbol(self):
+        # SMT-LIB 2.6 section 3.1: |a| and a are the same symbol.  Content
+        # that is no simple symbol, or is a reserved word, keeps its bars.
+        assert parse_sexprs("(|a| |=>| |a b| |f(a)| |1x| |forall|)") == [
+            ["a", "=>", "|a b|", "|f(a)|", "|1x|", "|forall|"]
+        ]
+
 
 class TestCompileFormula:
     def test_atom(self):
@@ -204,6 +211,76 @@ class TestExecuteScript:
         """
         results = execute_script(text)
         assert results[0].is_unsat
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_quoted_name_holding_a_comma_keeps_its_equality(self, certify):
+        from repro.solver import CertificationConfig
+
+        text = """
+        (declare-sort Entity 0)
+        (declare-const |a,b| Entity)
+        (declare-const c Entity)
+        (declare-fun p (Entity) Bool)
+        (assert (= |a,b| c))
+        (assert (p |a,b|))
+        (assert (not (p c)))
+        (check-sat)
+        """
+        certification = CertificationConfig() if certify else None
+        (result,) = execute_script(text, certification=certification)
+        assert result.is_unsat
+        if certify:
+            assert result.certificate.certified
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_quoted_names_printing_as_applications_stay_constants(self, certify):
+        # |f(a)|, |f(a| and |f(b| are free constants, not f applied to a
+        # or b: a = b makes none of them equal to another or to (f a).
+        from repro.solver import CertificationConfig
+
+        text = """
+        (declare-sort E 0)
+        (declare-const a E)
+        (declare-const b E)
+        (declare-const |f(a)| E)
+        (declare-const |f(a| E)
+        (declare-const |f(b| E)
+        (declare-fun f (E) E)
+        (declare-fun p (E) Bool)
+        (assert (= a b))
+        (assert (p |f(a)|))
+        (assert (not (p (f a))))
+        (assert (p |f(a|))
+        (assert (not (p |f(b|)))
+        (check-sat)
+        (assert (= |f(a)| (f b)))
+        (check-sat)
+        """
+        certification = CertificationConfig() if certify else None
+        results = execute_script(text, certification=certification)
+        assert [r.status.value for r in results] == ["sat", "unsat"]
+        if certify:
+            assert all(r.certificate.certified for r in results)
+
+    def test_quoted_and_bare_spellings_name_one_constant(self):
+        declared_twice = """
+        (declare-sort E 0)
+        (declare-const a E)
+        (declare-const |a| E)
+        (declare-fun p (E) Bool)
+        (assert (p |a|))
+        (assert (not (p a)))
+        (check-sat)
+        """
+        assert execute_script(declared_twice)[0].is_unsat
+        declared_bare = """
+        (declare-sort E 0)
+        (declare-const a E)
+        (declare-fun p (E) Bool)
+        (assert (p |a|))
+        (check-sat)
+        """
+        assert execute_script(declared_bare)[0].is_sat
 
 
 class TestScriptObject:

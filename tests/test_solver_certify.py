@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import BudgetExceededError, UnknownCause
 from repro.fol.formula import And, Exists, Forall, Implies, Not, Or, PredicateSymbol
-from repro.fol.terms import Constant, Sort, Variable
+from repro.fol.terms import Constant, FunctionSymbol, Sort, Variable
 from repro.solver import (
     CERTIFICATION_FAILED,
     CertificateReport,
@@ -43,6 +43,7 @@ P = PredicateSymbol("p", (S,))
 Q = PredicateSymbol("q", ())
 R = PredicateSymbol("r", ())
 EQ = PredicateSymbol("=", (S, S))
+F = FunctionSymbol("f", (S,), S)
 
 
 def certified_solver(**overrides) -> Solver:
@@ -430,24 +431,37 @@ class TestProofChecker:
         log = ProofLog()
         # Premise {p(a)=True} is EUF-consistent, so no lemma may claim it
         # as a congruence conflict.
-        premise = (("p(a)", True),)
+        premise = ((P(A), True),)
         log.log_theory((-variable_for("p(a)"),), premise)
         result = check_proof(log.events, variable_for=variable_for)
         assert not result.ok
 
-    def test_theory_lemma_certified_against_its_premise(self):
+    def _lemma_proof(self, premise, keys):
         variable_for = self._variable_for()
-        premise = (("=(a,b)", True), ("p(a)", True), ("p(b)", False))
         lemma = tuple(
             -variable_for(key) if value else variable_for(key)
-            for key, value in premise
+            for key, (_atom, value) in zip(keys, premise)
         )
         log = ProofLog()
         for lit in lemma:
-            log.log_input((lit,))  # make the final claim succeed
+            log.log_input((-lit,))  # the premise, so the lemma closes the proof
         log.log_theory(lemma, premise)
-        result = check_proof(log.events, variable_for=variable_for)
-        assert not result.ok or result.lemmas_certified >= 1
+        return check_proof(log.events, variable_for=variable_for)
+
+    def test_theory_lemma_certified_against_its_premise(self):
+        premise = ((EQ(A, B), True), (P(A), True), (P(B), False))
+        result = self._lemma_proof(premise, ("=(a,b)", "p(a)", "p(b)"))
+        assert result.ok and result.lemmas_certified == 1
+
+    def test_theory_lemma_with_quoted_names_certified(self):
+        # Names that print with commas and parentheses: the premise's
+        # structure comes from its atoms, not from their printed keys.
+        ab, b = Constant("|a,b|", S), Constant("|(b|", S)
+        premise = ((EQ(ab, b), True), (P(ab), True), (P(b), False))
+        result = self._lemma_proof(
+            premise, ("=(|a,b|,|(b|)", "p(|a,b|)", "p(|(b|)")
+        )
+        assert result.ok and result.lemmas_certified == 1
 
 
 class TestIndependentModelCheck:
@@ -480,24 +494,24 @@ class TestIndependentModelCheck:
         assert production == independent
 
     def test_euf_consistent_detects_transitivity_violation(self):
-        consistent = [("=(a,b)", True), ("p(a)", True), ("p(b)", True)]
+        consistent = [(EQ(A, B), True), (P(A), True), (P(B), True)]
         assert modelcheck.euf_consistent(consistent)
         broken = [
-            ("=(a,b)", True),
-            ("=(b,c)", True),
-            ("p(a)", True),
-            ("p(c)", False),
+            (EQ(A, B), True),
+            (EQ(B, C), True),
+            (P(A), True),
+            (P(C), False),
         ]
         assert not modelcheck.euf_consistent(broken)
 
     def test_euf_consistent_detects_disequality_merge(self):
         assert not modelcheck.euf_consistent(
-            [("=(a,b)", True), ("=(b,a)", False)]
+            [(EQ(A, B), True), (EQ(B, A), False)]
         )
 
     def test_euf_congruence_over_function_terms(self):
         assert not modelcheck.euf_consistent(
-            [("=(a,b)", True), ("=(f(a),f(b))", False)]
+            [(EQ(A, B), True), (EQ(F(A), F(B)), False)]
         )
 
     def test_brute_force_status_matches_known_answers(self):

@@ -17,16 +17,14 @@ from repro.fol import (
     forall,
     exists,
 )
-from repro.fol.formula import FALSE, TRUE
+from repro.fol.formula import FALSE, TRUE, Predicate
 from repro.fol.simplify import simplify
+from repro.fol.terms import Application, FunctionSymbol
+from repro.smtlib.parser import execute_script
 from repro.solver.cnf import atom_key, tseitin
-from repro.solver.euf import (
-    CongruenceClosure,
-    check_euf,
-    parse_atom,
-    parse_term,
-)
+from repro.solver.euf import CongruenceClosure, check_euf
 from repro.solver.grounding import GroundingCounter, Universe, ground
+from repro.solver.interface import Solver
 from repro.solver.literals import AtomPool
 from repro.solver.result import SatResult
 from repro.solver.sat import CDCLSolver
@@ -297,80 +295,105 @@ class TestGrounding:
         assert [c.name for c in universe.domain(ENTITY)] == ["a", "b"]
 
 
+def _read_atom(text: str) -> Predicate:
+    """The atom an SMT-LIB assertion of ``text`` reads as."""
+    solver = Solver()
+    execute_script(
+        "(declare-sort E 0)(declare-const a E)(declare-const b E)"
+        "(declare-const email E)(declare-fun f (E E) E)(declare-fun g (E) E)"
+        "(declare-fun p (E) Bool)(declare-fun share (E E) Bool)"
+        f"(declare-fun flag () Bool)(assert {text})",
+        solver=solver,
+    )
+    return solver.assertions[-1]
+
+
 class TestEUFParsing:
+    """An atom's text is parsed once, by the SMT-LIB reader, into the term
+    tree the congruence closure reads; nothing parses its printed key."""
+
     def test_parse_constant(self):
-        node, nodes = parse_term("a")
-        assert node.name == "a" and node.children == ()
-        assert len(nodes) == 1
+        (term,) = _read_atom("(p a)").args
+        assert isinstance(term, Constant) and term.name == "a"
 
     def test_parse_application(self):
-        node, nodes = parse_term("f(a,b)")
-        assert node.name == "f"
-        assert node.children == ("a", "b")
-        assert len(nodes) == 3
+        (term,) = _read_atom("(p (f a b))").args
+        assert isinstance(term, Application) and term.symbol.name == "f"
+        assert [arg.name for arg in term.args] == ["a", "b"]
 
     def test_parse_nested(self):
-        node, _nodes = parse_term("f(g(a),b)")
-        assert node.children == ("g(a)", "b")
+        (term,) = _read_atom("(p (f (g a) b))").args
+        inner, last = term.args
+        assert inner.symbol.name == "g" and inner.args[0].name == "a"
+        assert last.name == "b"
 
     def test_parse_atom(self):
-        name, args = parse_atom("share(a,email)")
-        assert name == "share"
-        assert args == ("a", "email")
+        atom = _read_atom("(share a email)")
+        assert atom.symbol.name == "share"
+        assert [arg.name for arg in atom.args] == ["a", "email"]
 
     def test_parse_nullary_atom(self):
-        assert parse_atom("flag") == ("flag", ())
+        atom = _read_atom("flag")
+        assert atom.symbol.name == "flag" and atom.args == ()
+
+
+C1 = Constant("c", ENTITY)
+F = FunctionSymbol("f", (ENTITY,), ENTITY)
+G = FunctionSymbol("g", (ENTITY,), ENTITY)
+EQ = PredicateSymbol("=", (ENTITY, ENTITY))
 
 
 class TestCongruenceClosure:
     def test_merge_and_find(self):
         cc = CongruenceClosure()
-        cc.merge("a", "b")
-        assert cc.are_equal("a", "b")
-        assert not cc.are_equal("a", "c")
+        cc.merge(E1, E2)
+        assert cc.are_equal(E1, E2)
+        assert not cc.are_equal(E1, C1)
 
     def test_transitivity(self):
         cc = CongruenceClosure()
-        cc.merge("a", "b")
-        cc.merge("b", "c")
-        assert cc.are_equal("a", "c")
+        cc.merge(E1, E2)
+        cc.merge(E2, C1)
+        assert cc.are_equal(E1, C1)
 
     def test_congruence_propagation(self):
         cc = CongruenceClosure()
-        cc.add_term("f(a)")
-        cc.add_term("f(b)")
-        cc.merge("a", "b")
+        cc.add_term(F(E1))
+        cc.add_term(F(E2))
+        cc.merge(E1, E2)
         cc.propagate_congruence()
-        assert cc.are_equal("f(a)", "f(b)")
+        assert cc.are_equal(F(E1), F(E2))
 
     def test_nested_congruence(self):
         cc = CongruenceClosure()
-        cc.add_term("g(f(a))")
-        cc.add_term("g(f(b))")
-        cc.merge("a", "b")
+        cc.add_term(G(F(E1)))
+        cc.add_term(G(F(E2)))
+        cc.merge(E1, E2)
         cc.propagate_congruence()
-        assert cc.are_equal("g(f(a))", "g(f(b))")
+        assert cc.are_equal(G(F(E1)), G(F(E2)))
 
 
 class TestCheckEUF:
     def test_consistent_assignment(self):
-        assert check_euf([("=(a,b)", True), ("p(a)", True), ("p(b)", True)]) is None
+        assert check_euf([(EQ(E1, E2), True), (P(E1), True), (P(E2), True)]) is None
 
     def test_predicate_congruence_conflict(self):
-        conflict = check_euf([("=(a,b)", True), ("p(a)", True), ("p(b)", False)])
+        conflict = check_euf([(EQ(E1, E2), True), (P(E1), True), (P(E2), False)])
         assert conflict is not None
-        keys = {k for k, _v in conflict}
-        assert "p(a)" in keys and "p(b)" in keys
+        atoms = {atom for atom, _v in conflict}
+        assert P(E1) in atoms and P(E2) in atoms
 
     def test_disequality_violation(self):
-        conflict = check_euf([("=(a,b)", True), ("=(b,c)", True), ("=(a,c)", False)])
+        conflict = check_euf(
+            [(EQ(E1, E2), True), (EQ(E2, C1), True), (EQ(E1, C1), False)]
+        )
         assert conflict is not None
 
     def test_disequality_alone_fine(self):
-        assert check_euf([("=(a,b)", False)]) is None
+        assert check_euf([(EQ(E1, E2), False)]) is None
 
     def test_function_congruence_through_equality(self):
         conflict = check_euf(
-            [("=(a,b)", True), ("p(f(a))", True), ("p(f(b))", False)]
+            [(EQ(E1, E2), True), (P(F(E1)), True), (P(F(E2)), False)]
         )
         assert conflict is not None

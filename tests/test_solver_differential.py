@@ -11,7 +11,11 @@ Any disagreement is a soundness or completeness bug in one of the two
 implementations; the suite requires **zero** disagreements over 600+
 formulas.  A second pass re-runs a sample with certification enabled and
 requires every certificate to pass (the certifier must not raise false
-alarms on correct verdicts).
+alarms on correct verdicts).  A third renames the vocabulary to quoted
+SMT-LIB names that print with commas and parentheses and requires both
+the solver and the reference to keep each case's answer: two checkers
+that misread atoms the same way agree with each other, but not with the
+original case.
 
 Marked ``fuzz``: the fast CI lane deselects it with ``-m "not fuzz"``.
 """
@@ -33,12 +37,20 @@ from repro.fol.formula import (
     Implies,
     Not,
     Or,
+    Predicate,
     PredicateSymbol,
 )
-from repro.fol.terms import Constant, FunctionSymbol, Sort, Variable
+from repro.fol.terms import (
+    Application,
+    Constant,
+    FunctionSymbol,
+    Sort,
+    Term,
+    Variable,
+)
 from repro.fol.visitor import collect_constants
 from repro.solver import CertificationConfig, SatResult, Solver
-from repro.solver.modelcheck import brute_force_status, collect_atom_keys
+from repro.solver.modelcheck import brute_force_status, collect_atoms
 
 pytestmark = pytest.mark.fuzz
 
@@ -121,24 +133,51 @@ class FormulaGenerator:
             ]
             keys: set[str] = set()
             for formula in formulas:
-                keys.update(collect_atom_keys(formula, domains))
+                keys.update(collect_atoms(formula, domains))
             if 0 < len(keys) <= MAX_ATOMS:
                 return formulas
 
 
-def solve(formulas, *, certify: bool = False):
+def solve(formulas, *, certify: bool = False, constants=CONSTANTS):
     solver = Solver(
         certification=CertificationConfig() if certify else None
     )
-    for constant in CONSTANTS:
+    for constant in constants:
         solver.declare_constant(constant)
     for formula in formulas:
         solver.assert_formula(formula)
     return solver.check_sat()
 
 
-def reference_status(formulas) -> str:
-    return brute_force_status(formulas, {S: CONSTANTS}, max_atoms=MAX_ATOMS)
+def reference_status(formulas, constants=CONSTANTS) -> str:
+    return brute_force_status(formulas, {S: constants}, max_atoms=MAX_ATOMS)
+
+
+#: Quoted names that print like argument lists: a parser of printed keys
+#: would split ``p(|a,b|)`` in two and never close ``|(b|``.
+QUOTED = {A: Constant("|a,b|", S), B: Constant("|(b|", S)}
+QUOTED_F = FunctionSymbol("|f,(|", (S,), S)
+
+
+def quote_term(term: Term) -> Term:
+    if isinstance(term, Application):
+        return QUOTED_F(*map(quote_term, term.args))
+    return QUOTED.get(term, term)
+
+
+def quote(node: Formula) -> Formula:
+    """``node`` over the quoted vocabulary: same shape, renamed a, b and f."""
+    if isinstance(node, Predicate):
+        return Predicate(node.symbol, tuple(map(quote_term, node.args)))
+    if isinstance(node, Not):
+        return Not(quote(node.operand))
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(map(quote, node.operands)))
+    if isinstance(node, Implies):
+        return Implies(quote(node.antecedent), quote(node.consequent))
+    if isinstance(node, Iff):
+        return Iff(quote(node.left), quote(node.right))
+    return type(node)(node.variable, quote(node.body))
 
 
 class TestDifferentialFuzz:
@@ -170,6 +209,23 @@ class TestDifferentialFuzz:
                 report = certified.certificate
                 assert report is not None
                 assert report.certified, report.failures
+
+    @pytest.mark.parametrize("seed", [1, 3, 5])
+    def test_quoted_names_keep_every_answer(self, seed):
+        generator = FormulaGenerator(seed, euf=True)
+        quoted_constants = tuple(QUOTED[c] for c in CONSTANTS)
+        changed = []
+        for index in range(FORMULAS_PER_SEED):
+            formulas = generator.case()
+            expected = reference_status(formulas)
+            renamed = [quote(f) for f in formulas]
+            got = (
+                solve(renamed, constants=quoted_constants).status.value,
+                reference_status(renamed, quoted_constants),
+            )
+            if got != (expected, expected):
+                changed.append((index, expected, got, formulas))
+        assert changed == []
 
     def test_fuzzer_volume_meets_the_floor(self):
         assert len(SEEDS) * FORMULAS_PER_SEED >= 500

@@ -438,19 +438,26 @@ class TestOrderHeapDecisions:
         assert decisions[0] == decisions[1] == [-1, -2, -3, -4, -5]
 
     def test_theory_lemmas_between_rounds_match_linear_scan(self):
+        from repro.fol.formula import PredicateSymbol
+        from repro.fol.terms import Constant, FunctionSymbol, Sort
+        from repro.solver.cnf import atom_key
         from repro.solver.literals import AtomPool
         from repro.solver.theory import solve_with_theory
 
         rng = random.Random(11)
-        constants = ["a", "b", "c", "d", "e"]
-        keys = [f"=({x},{y})" for x in constants for y in constants if x < y]
-        keys += [f"p({x})" for x in constants] + [f"q(f({x}))" for x in constants]
+        sort = Sort("S")
+        constants = [Constant(name, sort) for name in "abcde"]
+        eq = PredicateSymbol("=", (sort, sort))
+        p, q = PredicateSymbol("p", (sort,)), PredicateSymbol("q", (sort,))
+        f = FunctionSymbol("f", (sort,), sort)
+        atoms = [eq(x, y) for x in constants for y in constants if x.name < y.name]
+        atoms += [p(x) for x in constants] + [q(f(x)) for x in constants]
         theory_conflicts = 0
         for _ in range(10):
             clauses = [
                 tuple(
-                    (key, rng.random() < 0.5)
-                    for key in rng.sample(keys, rng.randint(1, 3))
+                    (atom, rng.random() < 0.5)
+                    for atom in rng.sample(atoms, rng.randint(1, 3))
                 )
                 for _ in range(rng.randint(25, 45))
             ]
@@ -463,8 +470,9 @@ class TestOrderHeapDecisions:
                 for clause in clauses:
                     solver.add_clause(
                         tuple(
-                            pool.variable_for(key) * (1 if positive else -1)
-                            for key, positive in clause
+                            pool.variable_for(atom_key(atom), atom)
+                            * (1 if positive else -1)
+                            for atom, positive in clause
                         )
                     )
                 solver.ensure_vars(pool.count)

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import BudgetExceededError
-from repro.solver.cnf import tseitin
+from repro.solver.cnf import atom_key, tseitin
 from repro.solver.euf import EQ_PREDICATE
 from repro.solver.literals import AtomPool
 from repro.solver.result import SatResult
 from repro.solver.sat import CDCLSolver
 from repro.solver.theory import solve_with_theory
 from repro.fol.formula import And, Not, PredicateSymbol
-from repro.fol.terms import Constant, Sort
+from repro.fol.terms import Constant, FunctionSymbol, Sort
 
 S = Sort("S")
 A = Constant("a", S)
@@ -18,6 +18,7 @@ B = Constant("b", S)
 C = Constant("c", S)
 EQ = PredicateSymbol("=", (S, S))
 P = PredicateSymbol("p", (S,))
+F = FunctionSymbol("f", (S,), S)
 
 
 def _solve(formula):
@@ -29,21 +30,27 @@ def _solve(formula):
     return solve_with_theory(sat, pool), pool
 
 
+def _intern(pool, atom):
+    return pool.variable_for(atom_key(atom), atom)
+
+
 class TestNeedsTheory:
     def test_equality_atom_triggers(self):
         pool = AtomPool()
-        pool.variable_for("=(a,b)")
+        _intern(pool, EQ(A, B))
         assert pool.needs_theory
 
     def test_function_term_triggers(self):
         pool = AtomPool()
-        pool.variable_for("p(f(a))")
+        _intern(pool, P(F(A)))
         assert pool.needs_theory
 
     def test_plain_atoms_do_not(self):
         pool = AtomPool()
-        pool.variable_for("p(a)")
-        pool.variable_for("flag")
+        _intern(pool, P(A))
+        _intern(pool, PredicateSymbol("flag")())
+        # A constant's quoted name may print like an application.
+        _intern(pool, P(Constant("|f(a)|", S)))
         assert not pool.needs_theory
 
 
