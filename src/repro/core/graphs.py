@@ -16,10 +16,9 @@ segment produced.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
-
-import networkx as nx
 
 from repro.core.hierarchy import Taxonomy
 from repro.core.parameters import AnnotatedPractice
@@ -107,7 +106,20 @@ def _phrase_kind(lowered: str) -> str:
 
 
 class PolicyGraph:
-    """Entity–data practice graph plus the two taxonomies (G_ED, G_DD)."""
+    """Entity–data practice graph plus the two taxonomies (G_ED, G_DD).
+
+    The multigraph lives in plain dicts:
+
+    - ``_kinds`` maps each node to its kind, in insertion order;
+    - ``_out[node][target]`` and ``_in[node][source]`` hold the edges
+      between one pair in insertion order, one list shared by both views;
+    - ``_edges_by_segment`` holds each segment's edges in insertion order,
+      segments in the order of their first edge; that is :meth:`edges`'
+      order.
+
+    A neighbour's slot goes with its last edge, and a node with its last
+    incident edge, so a neighbour or node that comes back sorts last.
+    """
 
     def __init__(
         self,
@@ -116,26 +128,31 @@ class PolicyGraph:
         entity_taxonomy: Taxonomy | None = None,
     ) -> None:
         self.company = company
-        self.graph = nx.MultiDiGraph()
         self.data_taxonomy = data_taxonomy
         self.entity_taxonomy = entity_taxonomy
-        self._edges_by_segment: dict[str, list[tuple[str, str, int]]] = {}
+        self._kinds: dict[str, str] = {}
+        self._out: dict[str, dict[str, list[PracticeEdge]]] = {}
+        self._in: dict[str, dict[str, list[PracticeEdge]]] = {}
+        self._edges_by_segment: dict[str, list[PracticeEdge]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     def _ensure_node(self, name: str) -> None:
-        if name not in self.graph:
-            self.graph.add_node(name, kind=classify_node(name, self.company))
+        if name not in self._kinds:
+            self._kinds[name] = classify_node(name, self.company)
+            self._out[name] = {}
+            self._in[name] = {}
 
     def _add_edge(self, edge: PracticeEdge) -> None:
         self._ensure_node(edge.source)
         self._ensure_node(edge.target)
-        key = self.graph.add_edge(edge.source, edge.target, edge=edge)
-        self._edges_by_segment.setdefault(edge.segment_id, []).append(
-            (edge.source, edge.target, key)
-        )
+        out = self._out[edge.source]
+        if edge.target not in out:
+            out[edge.target] = self._in[edge.target][edge.source] = []
+        out[edge.target].append(edge)
+        self._edges_by_segment.setdefault(edge.segment_id, []).append(edge)
 
     def add_practice(self, practice: AnnotatedPractice) -> None:
         """Materialize one extracted practice as one or two edges."""
@@ -174,8 +191,8 @@ class PolicyGraph:
         The snapshot-load path replays edges (primary *and* derived) in
         their original insertion order instead of re-deriving them from
         practices, so a round-tripped graph is structurally identical to
-        the one that was saved — node order, node kinds, edge keys and
-        segment provenance, which keeps :meth:`remove_segment` working
+        the one that was saved — node order, node kinds, adjacency order
+        and segment provenance, which keeps :meth:`remove_segment` working
         after a warm start.
         """
         for edge in edges:
@@ -186,55 +203,62 @@ class PolicyGraph:
 
         Returns the number of edges removed.
         """
-        entries = self._edges_by_segment.pop(segment_id, [])
-        removed = 0
-        for source, target, key in entries:
-            if self.graph.has_edge(source, target, key):
-                self.graph.remove_edge(source, target, key)
-                removed += 1
+        edges = self._edges_by_segment.pop(segment_id, [])
+        for edge in edges:
+            pair = self._out[edge.source][edge.target]
+            pair.remove(edge)
+            if not pair:
+                del self._out[edge.source][edge.target]
+                del self._in[edge.target][edge.source]
         # Nodes only enter with an edge, so only an endpoint of a removed
         # edge can have been left without edges.
-        for source, target, _key in entries:
-            for node in (source, target):
-                if node in self.graph and self.graph.degree(node) == 0:
-                    self.graph.remove_node(node)
-        return removed
+        for edge in edges:
+            for node in (edge.source, edge.target):
+                if node in self._kinds and not self._out[node] and not self._in[node]:
+                    del self._kinds[node], self._out[node], self._in[node]
+        return len(edges)
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
 
     def edges(self) -> list[PracticeEdge]:
-        """All practice edges, grouped by source node in node order."""
-        return [data["edge"] for _u, _v, data in self.graph.edges(data=True)]
-
-    def edges_in_insertion_order(self) -> list[PracticeEdge]:
         """All practice edges, segment by segment in the order they were added.
 
-        Replaying this list through :meth:`restore_edges` gives back the
-        node order of a graph built practice by practice; replaying
-        :meth:`edges` would not, because networkx groups edges by source.
-        Correct only while every graph edge appears in ``_edges_by_segment``
-        exactly once, i.e. edges enter through :meth:`_add_edge` and leave
-        through :meth:`remove_segment`.
+        Replaying this list through :meth:`restore_edges` rebuilds a graph
+        that was built edge by edge, node order and adjacency order included.
         """
-        adjacency = self.graph.succ
-        return [
-            adjacency[source][target][key]["edge"]
-            for entries in self._edges_by_segment.values()
-            for source, target, key in entries
-        ]
+        return [edge for edges in self._edges_by_segment.values() for edge in edges]
+
+    def nodes(self) -> list[str]:
+        """All nodes, in insertion order."""
+        return list(self._kinds)
+
+    def has_node(self, node: str) -> bool:
+        return node in self._kinds
+
+    def kind(self, node: str) -> str:
+        """``node``'s kind: entity, data, or other."""
+        return self._kinds[node]
 
     def nodes_of_kind(self, kind: str) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d.get("kind") == kind]
+        return [node for node, node_kind in self._kinds.items() if node_kind == kind]
 
     def edges_touching(self, node: str) -> list[PracticeEdge]:
-        """Edges incident to ``node`` in either direction."""
-        if node not in self.graph:
+        """Edges incident to ``node``: out-edges, then in-edges.
+
+        Each direction is grouped by neighbour, in the order the neighbour
+        gained its slot, and a pair's edges come in insertion order. A
+        self-loop appears in both directions.
+        """
+        if node not in self._kinds:
             return []
-        out = [d["edge"] for _u, _v, d in self.graph.out_edges(node, data=True)]
-        inc = [d["edge"] for _u, _v, d in self.graph.in_edges(node, data=True)]
-        return out + inc
+        return [
+            edge
+            for adjacency in (self._out[node], self._in[node])
+            for edges in adjacency.values()
+            for edge in edges
+        ]
 
     def data_closure(self, term: str) -> set[str]:
         """``term`` plus its hierarchy ancestors and descendants in G_DD."""
@@ -254,12 +278,12 @@ class PolicyGraph:
         """
         shapes = {NODE_ENTITY: "box", NODE_DATA: "ellipse", NODE_OTHER: "plaintext"}
         lines = ["digraph policy {", "  rankdir=LR;"]
-        for node, attrs in self.graph.nodes(data=True):
-            shape = shapes.get(attrs.get("kind", NODE_OTHER), "plaintext")
-            lines.append(f'  "{node}" [shape={shape}];')
-        for i, edge in enumerate(self.edges()):
+        for node, kind in self._kinds.items():
+            lines.append(f'  "{node}" [shape={shapes[kind]}];')
+        edges = self.edges()
+        for i, edge in enumerate(edges):
             if max_edges is not None and i >= max_edges:
-                lines.append(f"  // ... {self.graph.number_of_edges() - max_edges} more edges")
+                lines.append(f"  // ... {len(edges) - max_edges} more edges")
                 break
             style = []
             label = edge.action
@@ -279,17 +303,14 @@ class PolicyGraph:
 
     def statistics(self) -> GraphStatistics:
         """Compute the Table 1 metrics for this graph."""
-        kinds = nx.get_node_attributes(self.graph, "kind")
-        entities = sum(1 for k in kinds.values() if k == NODE_ENTITY)
-        data_types = sum(1 for k in kinds.values() if k == NODE_DATA)
-        others = sum(1 for k in kinds.values() if k == NODE_OTHER)
+        kinds = Counter(self._kinds.values())
         edges = self.edges()
         return GraphStatistics(
-            total_nodes=self.graph.number_of_nodes(),
-            total_edges=self.graph.number_of_edges(),
-            entities=entities,
-            data_types=data_types,
-            other_nodes=others,
+            total_nodes=len(self._kinds),
+            total_edges=len(edges),
+            entities=kinds[NODE_ENTITY],
+            data_types=kinds[NODE_DATA],
+            other_nodes=kinds[NODE_OTHER],
             conditional_edges=sum(1 for e in edges if e.is_conditional),
             negated_edges=sum(1 for e in edges if not e.permission),
             vague_edges=sum(1 for e in edges if e.vague_terms),

@@ -383,45 +383,11 @@ class PolicyPipeline:
         return self._build_model(extraction)
 
     def _build_model(self, extraction: ExtractionResult) -> PolicyModel:
-        entities: list[str] = []
-        data_types: list[str] = []
-        seen: set[str] = set()
-        provisional = PolicyGraph(extraction.company)
-        for practice in extraction.practices:
-            provisional.add_practice(practice)
-        for node, attrs in provisional.graph.nodes(data=True):
-            if node in seen:
-                continue
-            seen.add(node)
-            if attrs.get("kind") == NODE_ENTITY:
-                entities.append(node)
-            elif attrs.get("kind") == NODE_DATA:
-                data_types.append(node)
-
-        similarity_model = (
-            self.embedding_model if self.config.col_similarity_threshold > 0 else None
-        )
-        data_taxonomy = chain_of_layer(
-            self.runner,
-            data_types,
-            "data",
-            similarity_model=similarity_model,
-            similarity_threshold=self.config.col_similarity_threshold,
-        )
-        entity_taxonomy = chain_of_layer(
-            self.runner,
-            entities,
-            "entity",
-            similarity_model=similarity_model,
-            similarity_threshold=self.config.col_similarity_threshold,
-        )
-
-        graph = PolicyGraph(
-            extraction.company,
-            data_taxonomy=data_taxonomy,
-            entity_taxonomy=entity_taxonomy,
-        )
+        graph = PolicyGraph(extraction.company)
         graph.add_practices(extraction.practices)
+        data_taxonomy, entity_taxonomy = self._induce_taxonomies(graph)
+        graph.data_taxonomy = data_taxonomy
+        graph.entity_taxonomy = entity_taxonomy
 
         store = EmbeddingStore(self.embedding_model)
         vocabulary: set[str] = set()
@@ -448,7 +414,7 @@ class PolicyPipeline:
         query vocabulary, and every materialized edge (including derived
         ``receive`` edges) contributes its canonical edge text.
         """
-        for node in graph.graph.nodes:
+        for node in graph.nodes():
             store.add(node)
             vocabulary.add(node)
         for edge in graph.edges():
@@ -515,7 +481,7 @@ class PolicyPipeline:
     ) -> PolicyModel:
         """Mutate ``model`` to reflect a new extraction incrementally."""
         graph = model.graph
-        nodes_before = set(graph.graph.nodes)
+        nodes_before = set(graph.nodes())
         for segment in diff.removed:
             graph.remove_segment(segment.segment_id)
 
@@ -537,7 +503,7 @@ class PolicyPipeline:
         # model's hierarchies identical (as edge sets) to a from-scratch
         # rebuild's.  Segment re-extraction, the expensive phase, stays
         # incremental.
-        if set(graph.graph.nodes) != nodes_before:
+        if set(graph.nodes()) != nodes_before:
             self._rebuild_taxonomies(model)
         # The candidate graph materialized the same edges (primary and
         # derived) the main graph just gained, so indexing it keeps the
@@ -547,7 +513,7 @@ class PolicyPipeline:
         # the query vocabulary too so a patched model translates terms
         # exactly like a rebuilt one (the store keeps their vectors, but
         # the vocabulary filter excludes them from matching).
-        model.node_vocabulary.intersection_update(graph.graph.nodes)
+        model.node_vocabulary.intersection_update(graph.nodes())
         model.extraction = extraction
         return model
 
@@ -558,35 +524,26 @@ class PolicyPipeline:
         go through them), so both the model fields and the graph fields are
         re-pointed together.
         """
-        entities = [
-            n
-            for n, attrs in model.graph.graph.nodes(data=True)
-            if attrs.get("kind") == NODE_ENTITY
-        ]
-        data_types = [
-            n
-            for n, attrs in model.graph.graph.nodes(data=True)
-            if attrs.get("kind") == NODE_DATA
-        ]
+        model.data_taxonomy, model.entity_taxonomy = self._induce_taxonomies(model.graph)
+        model.graph.data_taxonomy = model.data_taxonomy
+        model.graph.entity_taxonomy = model.entity_taxonomy
+
+    def _induce_taxonomies(self, graph: PolicyGraph) -> tuple[Taxonomy, Taxonomy]:
+        """Chain-of-Layer over the graph's data nodes, then its entity nodes."""
         similarity_model = (
             self.embedding_model if self.config.col_similarity_threshold > 0 else None
         )
-        model.data_taxonomy = chain_of_layer(
-            self.runner,
-            data_types,
-            "data",
-            similarity_model=similarity_model,
-            similarity_threshold=self.config.col_similarity_threshold,
-        )
-        model.entity_taxonomy = chain_of_layer(
-            self.runner,
-            entities,
-            "entity",
-            similarity_model=similarity_model,
-            similarity_threshold=self.config.col_similarity_threshold,
-        )
-        model.graph.data_taxonomy = model.data_taxonomy
-        model.graph.entity_taxonomy = model.entity_taxonomy
+
+        def induce(kind: str, layer: str) -> Taxonomy:
+            return chain_of_layer(
+                self.runner,
+                graph.nodes_of_kind(kind),
+                layer,
+                similarity_model=similarity_model,
+                similarity_threshold=self.config.col_similarity_threshold,
+            )
+
+        return induce(NODE_DATA, "data"), induce(NODE_ENTITY, "entity")
 
     # ------------------------------------------------------------------
     # Phase 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import SortMismatchError
@@ -102,6 +103,25 @@ class Application(Term):
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
         return f"{self.symbol.name}({inner})"
+
+
+#: A simple symbol (SMT-LIB 2.6 §3.1): letters, digits and ``~!@$%^&*_-+=<>.?/``,
+#: not starting with a digit.
+SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][0-9A-Za-z~!@$%^&*_\-+=<>.?/]*")
+
+
+#: A name an atom key shows bare: a simple symbol, or a quoted symbol with
+#: its bars (the SMT-LIB reader keeps the bars of ``|a,b|``).
+_BARE_IN_KEYS = re.compile(rf"{SIMPLE_SYMBOL.pattern}|\|[^|\\]*\|")
+
+
+def symbol_key(name: str) -> str:
+    """``name`` as it appears in an atom key: in bars unless shown bare.
+
+    A constant's key then never ends in ``)``, as an application's does,
+    so a constant named ``f(a)`` and the term ``f(a)`` key apart.
+    """
+    return name if _BARE_IN_KEYS.fullmatch(name) else f"|{name}|"
 
 
 def mangle(text: str) -> str:

@@ -6,16 +6,11 @@ the shared substrate for both the printer and the parser.
 
 from __future__ import annotations
 
-import re
-
 from repro.errors import SMTLibParseError
+from repro.fol.terms import SIMPLE_SYMBOL
 
 #: An s-expression: an atom (str) or a list of s-expressions.
 SExpr = str | list
-
-#: A simple symbol (SMT-LIB 2.6 §3.1): letters, digits and ``~!@$%^&*_-+=<>.?/``,
-#: not starting with a digit.
-_SIMPLE_SYMBOL = re.compile(r"[A-Za-z~!@$%^&*_\-+=<>.?/][0-9A-Za-z~!@$%^&*_\-+=<>.?/]*")
 
 #: Reserved words, command names included, which no simple symbol may spell.
 _RESERVED = frozenset(
@@ -36,7 +31,7 @@ def _quoted_symbol(token: str) -> str:
     with a simple symbol or a term built from them.
     """
     inner = token[1:-1]
-    if _SIMPLE_SYMBOL.fullmatch(inner) and inner not in _RESERVED:
+    if SIMPLE_SYMBOL.fullmatch(inner) and inner not in _RESERVED:
         return inner
     return token
 

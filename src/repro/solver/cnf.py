@@ -33,7 +33,7 @@ from repro.fol.formula import (
     Predicate,
     TrueFormula,
 )
-from repro.fol.terms import Application, Constant, Term, Variable
+from repro.fol.terms import Application, Constant, Term, Variable, symbol_key
 from repro.solver.literals import AtomPool, Clause
 
 
@@ -47,7 +47,7 @@ def atom_key(atom: Predicate) -> str:
 
 def _term_key(term: Term) -> str:
     if isinstance(term, Constant):
-        return term.name
+        return symbol_key(term.name)
     if isinstance(term, Application):
         inner = ",".join(_term_key(a) for a in term.args)
         return f"{term.symbol.name}({inner})"

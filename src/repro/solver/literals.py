@@ -2,8 +2,9 @@
 
 Literals use the DIMACS convention: variable ``v >= 1``, literal ``+v`` for
 the positive phase and ``-v`` for the negative phase.  Each atom is
-interned under its printed key ("share(tiktok,email_address)"), which
-names its SAT variable and labels it in models; the pool also keeps the
+interned under its printed key ("share(tiktok,email_address)"; a constant
+whose name is not an SMT-LIB simple symbol prints in bars), which names
+its SAT variable and labels it in models; the pool also keeps the
 atom's :class:`~repro.fol.formula.Predicate` tree, which is where the
 theory layer and certification read its structure.  Nothing parses a key.
 """

@@ -48,7 +48,7 @@ from repro.fol.formula import (
     Predicate,
     TrueFormula,
 )
-from repro.fol.terms import Application, Constant, Sort, Term, Variable
+from repro.fol.terms import Application, Constant, Sort, Term, Variable, symbol_key
 
 #: Universe snapshot: declared constants per sort, in declaration order.
 Domains = Mapping[Sort, tuple[Constant, ...]]
@@ -58,7 +58,8 @@ _EQ = "="
 
 # ----------------------------------------------------------------------
 # Canonical atom keys, re-derived from the documented format
-# ("share(tiktok,email)", "=(a,f(b))", "flag") rather than imported.
+# ("share(tiktok,email)", "=(a,f(b))", "flag", "p(|f(a)|)" for a constant
+# whose name is not a simple symbol) rather than imported.
 # ----------------------------------------------------------------------
 
 
@@ -67,9 +68,9 @@ def render_term(term: Term, env: Mapping[Variable, Constant] | None = None) -> s
     if isinstance(term, Variable):
         if env is None or term not in env:
             raise SolverError(f"model check hit unbound variable {term.name!r}")
-        return env[term].name
+        term = env[term]
     if isinstance(term, Constant):
-        return term.name
+        return symbol_key(term.name)
     if isinstance(term, Application):
         inner = ",".join(render_term(a, env) for a in term.args)
         return f"{term.symbol.name}({inner})"

@@ -107,7 +107,7 @@ def _expected_edges(model: PolicyModel) -> Counter:
 
 def _required_store_keys(model: PolicyModel) -> set[str]:
     """Every key the embedding index must hold for Phase 3 to see the graph."""
-    keys = set(model.graph.graph.nodes)
+    keys = set(model.graph.nodes())
     keys.update(
         edge_text(edge.source, edge.action, edge.target)
         for edge in model.graph.edges()
@@ -147,8 +147,8 @@ def audit_structure(model: PolicyModel) -> AuditReport:
     _audit_taxonomy(report, model.entity_taxonomy, "entity_taxonomy")
 
     report.checks_run.append("taxonomy-coverage")
-    for node, attrs in model.graph.graph.nodes(data=True):
-        kind = attrs.get("kind")
+    for node in model.graph.nodes():
+        kind = model.graph.kind(node)
         if kind == NODE_DATA and node not in model.data_taxonomy:
             report.add("taxonomy-coverage", node, "data node missing from G_DD")
         elif kind == NODE_ENTITY and node not in model.entity_taxonomy:
@@ -173,7 +173,7 @@ def audit_structure(model: PolicyModel) -> AuditReport:
         report.add("edge-practice-parity", str(key[:3]), "graph edge not backed by any practice")
 
     report.checks_run.append("vocabulary-sync")
-    nodes = set(model.graph.graph.nodes)
+    nodes = set(model.graph.nodes())
     for term in nodes - model.node_vocabulary:
         report.add("vocabulary-sync", term, "graph node missing from query vocabulary")
     for term in model.node_vocabulary - nodes:

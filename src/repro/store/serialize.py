@@ -126,9 +126,7 @@ def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
         "graph.json": _json_bytes(
             {
                 "company": model.graph.company,
-                "edges": [
-                    _edge_payload(e) for e in model.graph.edges_in_insertion_order()
-                ],
+                "edges": [_edge_payload(e) for e in model.graph.edges()],
             }
         ),
         EMBEDDINGS_ARTIFACT: model.store.to_bytes(),

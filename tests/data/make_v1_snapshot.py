@@ -51,7 +51,7 @@ def model_digest(model) -> dict[str, object]:
         "company": model.company,
         "revision": model.revision,
         "nodes": _sha256_json(
-            [[name, kind] for name, kind in graph.graph.nodes(data="kind")]
+            [[name, graph.kind(name)] for name in graph.nodes()]
         ),
         "edges": _sha256_json(
             [
@@ -66,7 +66,7 @@ def model_digest(model) -> dict[str, object]:
                     [list(v) for v in e.vague_terms],
                     e.derived,
                 ]
-                for e in graph.edges_in_insertion_order()
+                for e in graph.edges()
             ]
         ),
         "practices": _sha256_json([p.as_dict() for p in model.extraction.practices]),

@@ -1,7 +1,13 @@
 """Unit/integration tests for Phase 1 extraction and the full pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import PipelineConfig, PolicyPipeline, Verdict
 from repro.core.extraction import extract_company, extract_policy, extract_segment
 from repro.core.segmenter import segment_policy
@@ -84,7 +90,7 @@ class TestPipelineProcess:
         small_model.entity_taxonomy.validate()
 
     def test_embeddings_cover_nodes(self, small_model):
-        for node in small_model.graph.graph.nodes:
+        for node in small_model.graph.nodes():
             assert node in small_model.store
 
     def test_practices_have_provenance(self, small_model):
@@ -145,7 +151,7 @@ class TestPipelineUpdate:
         new_model, stats = pipeline.update(model, updated_text)
         assert stats.segments_reextracted == 1
         assert stats.segments_removed == 0
-        assert "shoe size" in new_model.graph.graph
+        assert new_model.graph.has_node("shoe size")
 
     def test_removed_sentence_detected(self, pipeline, small_policy_text):
         model = pipeline.process(small_policy_text)
@@ -185,3 +191,42 @@ class TestLLMUsageAccounting:
         stats = pipe.llm.stats
         assert stats.calls > 0
         assert "extract_parameters" in stats.calls_by_task
+
+
+#: Processes a bundled policy and answers one question with every import
+#: outside the standard library, numpy and repro itself refused.
+_NUMPY_AND_STDLIB_ONLY = """
+import sys
+
+allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+
+
+class RefuseOtherPackages:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in allowed:
+            raise ImportError(f"{name} is not a runtime dependency")
+        return None
+
+
+sys.meta_path.insert(0, RefuseOtherPackages())
+
+from repro import PolicyPipeline
+from repro.corpus import tiktak_policy
+
+pipeline = PolicyPipeline()
+model = pipeline.process(tiktak_policy().text)
+print(pipeline.query(model, "TikTak collects the email address.").verdict.name)
+"""
+
+
+def test_runs_on_numpy_and_the_standard_library_alone():
+    src = Path(repro.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AND_STDLIB_ONLY],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["VALID"]

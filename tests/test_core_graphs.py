@@ -94,7 +94,8 @@ class TestMemoizedNodeKinds:
         checked = 0
         for model in models:
             graph = model.graph
-            for name, kind in graph.graph.nodes(data="kind"):
+            for name in graph.nodes():
+                kind = graph.kind(name)
                 expected = _classify_node_unmemoized(name, graph.company)
                 assert kind == expected, (graph.company, name)
                 assert classify_node(name, graph.company) == expected
@@ -172,8 +173,8 @@ class TestPolicyGraph:
         graph.add_practice(_practice(segment_id="drop", data_type="gps location"))
         removed = graph.remove_segment("drop")
         assert removed == 1
-        assert "gps location" not in graph.graph
-        assert "email" in graph.graph
+        assert not graph.has_node("gps location")
+        assert graph.has_node("email")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -218,18 +219,23 @@ class TestPolicyGraph:
             return graph
 
         def remove_with_full_scan(graph, segment_id):
-            for source, target, key in graph._edges_by_segment.pop(segment_id, []):
-                if graph.graph.has_edge(source, target, key):
-                    graph.graph.remove_edge(source, target, key)
-            for node in [n for n in graph.graph.nodes if graph.graph.degree(n) == 0]:
-                graph.graph.remove_node(node)
+            for edge in graph._edges_by_segment.pop(segment_id, []):
+                pair = graph._out[edge.source][edge.target]
+                pair.remove(edge)
+                if not pair:
+                    del graph._out[edge.source][edge.target]
+                    del graph._in[edge.target][edge.source]
+            for node in [n for n in graph.nodes() if not graph.edges_touching(n)]:
+                del graph._kinds[node], graph._out[node], graph._in[node]
 
         graph, reference = build(), build()
         for segment_id in order:
             graph.remove_segment(segment_id)
             remove_with_full_scan(reference, segment_id)
-            assert list(graph.graph.nodes) == list(reference.graph.nodes)
+            assert graph.nodes() == reference.nodes()
             assert graph.edges() == reference.edges()
+            for node in graph.nodes():
+                assert graph.edges_touching(node) == reference.edges_touching(node)
 
     def test_remove_unknown_segment_noop(self):
         graph = PolicyGraph("Acme")
@@ -244,6 +250,63 @@ class TestPolicyGraph:
         touching = graph.edges_touching("email")
         assert len(touching) == 1
         assert graph.edges_touching("missing node") == []
+
+    def test_edges_touching_order_is_pinned(self):
+        """Out-edges by neighbour slot, then in-edges; a pair in insertion order.
+
+        Subgraph order fixes encoding order, so this order is part of every
+        verdict trace. The expected lists are the order the library-backed
+        graph this class replaced gave.
+        """
+
+        def edge(source, target, segment_id, action="collect"):
+            return PracticeEdge(source, action, target, None, None, True, segment_id)
+
+        def touching(node):
+            return [(e.source, e.target, e.segment_id) for e in graph.edges_touching(node)]
+
+        readded = [edge("hub", "gps", "s1"), edge("advertisers", "hub", "s1", "share")]
+        graph = PolicyGraph("Acme")
+        graph.restore_edges(
+            [
+                edge("hub", "email", "s0"),
+                *readded,
+                edge("hub", "email", "s2", "share"),
+                edge("hub", "hub", "s3"),
+                edge("partners", "hub", "s4", "share"),
+            ]
+        )
+        assert touching("hub") == [
+            ("hub", "email", "s0"),
+            ("hub", "email", "s2"),
+            ("hub", "gps", "s1"),
+            ("hub", "hub", "s3"),
+            ("advertisers", "hub", "s1"),
+            ("hub", "hub", "s3"),
+            ("partners", "hub", "s4"),
+        ]
+        assert graph.remove_segment("s1") == 2
+        assert touching("hub") == [
+            ("hub", "email", "s0"),
+            ("hub", "email", "s2"),
+            ("hub", "hub", "s3"),
+            ("hub", "hub", "s3"),
+            ("partners", "hub", "s4"),
+        ]
+        assert graph.nodes() == ["hub", "email", "partners"]
+        # The neighbours that lost their last edge come back last.
+        graph.restore_edges(readded)
+        assert touching("hub") == [
+            ("hub", "email", "s0"),
+            ("hub", "email", "s2"),
+            ("hub", "hub", "s3"),
+            ("hub", "gps", "s1"),
+            ("hub", "hub", "s3"),
+            ("partners", "hub", "s4"),
+            ("advertisers", "hub", "s1"),
+        ]
+        assert touching("email") == [("hub", "email", "s0"), ("hub", "email", "s2")]
+        assert graph.nodes() == ["hub", "email", "partners", "gps", "advertisers"]
 
     def test_data_closure_uses_taxonomy(self):
         taxonomy = Taxonomy(root="data")
@@ -315,8 +378,8 @@ class TestRestoreEdges:
     @staticmethod
     def _layout(graph):
         return (
-            list(graph.graph.nodes(data="kind")),
-            list(graph.graph.edges(keys=True)),
+            [(node, graph.kind(node)) for node in graph.nodes()],
+            [(node, graph.edges_touching(node)) for node in graph.nodes()],
             graph.edges(),
             list(graph._edges_by_segment.items()),
         )
@@ -331,7 +394,7 @@ class TestRestoreEdges:
         store.commit(model)
         original, restored = model.graph, store.load().model.graph
         assert any(edge.derived for edge in original.edges())
-        assert list(restored.graph.nodes) == list(original.graph.nodes)
+        assert restored.nodes() == original.nodes()
         assert self._layout(restored) == self._layout(original)
 
         for segment_id in list(original._edges_by_segment):
@@ -339,7 +402,7 @@ class TestRestoreEdges:
                 segment_id
             )
             assert self._layout(restored) == self._layout(original)
-        assert restored.graph.number_of_nodes() == 0
+        assert restored.nodes() == []
 
     def test_bulk_replay_matches_edge_by_edge_insertion(self):
         edges = [
@@ -357,11 +420,9 @@ class TestRestoreEdges:
         bulk = PolicyGraph("Acme")
         bulk.restore_edges(iter(edges))
         assert self._layout(bulk) == self._layout(one_by_one)
-        # Replaying onto a graph that already has edges continues its keys.
+        # Replaying onto a graph that already has edges appends to its pairs.
         one_by_one._add_edge(edges[0])
         bulk.restore_edges([edges[0]])
         assert self._layout(bulk) == self._layout(one_by_one)
-        assert bulk._edges_by_segment["s0"] == [
-            ("acme", "email", 0),
-            ("acme", "email", 3),
-        ]
+        assert bulk._edges_by_segment["s0"] == [edges[0], edges[0]]
+        assert bulk.edges_touching("acme") == [edges[0], edges[1], edges[3], edges[0]]

@@ -61,9 +61,7 @@ class TestInPlaceUpdate:
             patched_model.statistics.total_edges
             == rebuilt_model.statistics.total_edges
         )
-        assert set(patched_model.graph.graph.nodes) == set(
-            rebuilt_model.graph.graph.nodes
-        )
+        assert set(patched_model.graph.nodes()) == set(rebuilt_model.graph.nodes())
 
     @settings(max_examples=12, deadline=None)
     @given(seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
@@ -94,17 +92,17 @@ class TestInPlaceUpdate:
         edited = small_policy_text + "\nWe collect your shoe size.\n"
         patched, _stats = pipeline.update(model, edited, in_place=True)
         assert patched is model
-        assert "shoe size" in model.graph.graph
+        assert model.graph.has_node("shoe size")
 
     def test_removed_segment_edges_dropped(self, small_policy_text):
         pipeline = PolicyPipeline()
         model = pipeline.process(small_policy_text)
-        assert "message content" in model.graph.graph
+        assert model.graph.has_node("message content")
         shortened = small_policy_text.replace(
             "If you contact customer support, we collect your message content. ", ""
         ).replace("We delete your message content after 90 days.", "")
         pipeline.update(model, shortened, in_place=True)
-        assert "message content" not in model.graph.graph
+        assert not model.graph.has_node("message content")
 
     def test_new_vocabulary_enters_taxonomy_and_store(self, small_policy_text):
         pipeline = PolicyPipeline()

@@ -80,6 +80,33 @@ class TestAtomKey:
         with pytest.raises(SolverError):
             atom_key(P(x))
 
+    def test_constant_name_that_is_no_simple_symbol_is_barred(self):
+        assert atom_key(P(Constant("f(a)", ENTITY))) == "p(|f(a)|)"
+        assert atom_key(SHARE(Constant("a,b", ENTITY), D1)) == "share(|a,b|,email)"
+        assert atom_key(P(FunctionSymbol("f", (ENTITY,), ENTITY)(E1))) == "p(f(a))"
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_constant_printing_as_an_application_is_its_own_atom(self, certify):
+        # A constant named "f(a)" and the application f(a) are different
+        # terms, so p holding of one and not the other is satisfiable.
+        from repro.solver import CertificationConfig
+
+        f = FunctionSymbol("f", (ENTITY,), ENTITY)
+        solver = Solver(certification=CertificationConfig() if certify else None)
+        solver.assert_formula(P(Constant("f(a)", ENTITY)))
+        solver.assert_formula(Not(P(f(E1))))
+        result = solver.check_sat()
+        assert result.status is SatResult.SAT
+        if certify:
+            assert result.certificate.certified
+
+    def test_predicates_differing_only_in_source_text_are_one_atom(self):
+        vague = PredicateSymbol("p", (ENTITY,), source_text="for business purposes")
+        solver = Solver()
+        solver.assert_formula(P(E1))
+        solver.assert_formula(Not(vague(E1)))
+        assert solver.check_sat().status is SatResult.UNSAT
+
 
 class TestTseitin:
     def test_atom_sat(self):

@@ -49,7 +49,7 @@ class TestStructureAudit:
         from repro.embeddings import EmbeddingStore
 
         model = pipeline.process(small_policy_text)
-        victim = next(iter(model.graph.graph.nodes))
+        victim = model.graph.nodes()[0]
         partial = EmbeddingStore(model.store.model)
         partial.add_many([k for k in model.store.keys if k != victim])
         model.store = partial
