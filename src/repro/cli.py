@@ -406,6 +406,26 @@ def _read_questions(path: str) -> list[str]:
     return questions
 
 
+def _add_admission_options(sp, *, max_pending: int, unit: str) -> None:
+    """The AdmissionGate bounds, shared by the job and serving commands."""
+    sp.add_argument(
+        "--max-pending",
+        type=int,
+        default=max_pending,
+        metavar="N",
+        help=f"admission bound: at most N {unit} admitted and not yet "
+        f"finished; more wait for a slot (default: {max_pending})",
+    )
+    sp.add_argument(
+        "--shed-above",
+        type=int,
+        metavar="N",
+        help=f"load-shed watermark: once N {unit} are pending, each new "
+        "one answers UNKNOWN at once (a 503 when serving) instead of "
+        "waiting (must be <= --max-pending; default: off)",
+    )
+
+
 def _add_batch_options(sp, *, checkpoint_required: bool = False) -> None:
     """Job-supervision flags shared by `batch run/resume` and
     `registry query` — one JobRunner stands behind all three."""
@@ -422,22 +442,7 @@ def _add_batch_options(sp, *, checkpoint_required: bool = False) -> None:
         metavar="N",
         help="worker threads (default: min(8, pending queries))",
     )
-    sp.add_argument(
-        "--max-pending",
-        type=int,
-        default=64,
-        metavar="N",
-        help="admission-queue bound: at most N queries in flight or "
-        "queued; feeding blocks above it (default: 64)",
-    )
-    sp.add_argument(
-        "--shed-above",
-        type=int,
-        metavar="N",
-        help="load-shed instead of queueing once N queries are pending "
-        "(each shed query answers UNKNOWN immediately; must be <= "
-        "--max-pending; default: off, pure backpressure)",
-    )
+    _add_admission_options(sp, max_pending=64, unit="queries")
     sp.add_argument(
         "--stall-after",
         type=float,
@@ -992,22 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8321,
         help="TCP port; 0 picks an ephemeral port (default: 8321)",
     )
-    p.add_argument(
-        "--max-pending",
-        type=int,
-        default=8,
-        metavar="N",
-        help="admission bound: at most N requests executing at once; "
-        "excess requests wait, bounded by their deadline (default: 8)",
-    )
-    p.add_argument(
-        "--shed-above",
-        type=int,
-        metavar="N",
-        help="load-shed watermark: an in-flight depth >= N sheds the "
-        "request as a fast 503 instead of queueing it (must be <= "
-        "--max-pending; default: off)",
-    )
+    _add_admission_options(p, max_pending=8, unit="requests")
     p.add_argument(
         "--deadline",
         type=float,

@@ -172,7 +172,7 @@ class PipelineMetrics:
     snapshot_journal_recoveries: int = 0  # journal roll-forward/back events
     # Job-supervision accounting (repro.jobs): per-run counters attached
     # to each JobResult.metrics.
-    queue_high_water: int = 0  # peak admission-queue depth (merged by max)
+    queue_high_water: int = 0  # peak admission depth (merged by max)
     shed_queries: int = 0  # queries refused by admission control
     stalled_queries: int = 0  # hung queries converted to UNKNOWN + StallReport
     workers_replaced: int = 0  # workers the watchdog cancelled and replaced

@@ -98,9 +98,6 @@ class PipelineConfig:
     # Degradation ladder for budget-limited UNKNOWN verdicts; None disables
     # it (the default keeps query traces byte-identical to prior releases).
     budget_ladder: BudgetLadder | None = None
-    # Raise TranslationError for terms with no embedding candidate at all
-    # instead of silently keeping the raw term.
-    strict_translation: bool = False
     # Trust-but-verify certification of solver verdicts: re-validate SAT
     # answers against the original formulas, replay UNSAT proofs, and
     # demote any verdict whose certificate fails to UNKNOWN (soundness
@@ -615,7 +612,6 @@ class PolicyPipeline:
                 cache=caches,
                 revision=model.revision,
                 metrics=metrics,
-                strict=self.config.strict_translation,
             )
         metrics.translate_seconds = time.perf_counter() - stage
 

@@ -16,7 +16,6 @@ from repro.core.caches import ModelCaches
 from repro.core.metrics import PipelineMetrics
 from repro.embeddings.search import DEFAULT_TOP_K, top_k
 from repro.embeddings.store import EmbeddingStore
-from repro.errors import TranslationError
 from repro.llm.tasks import TaskRunner
 
 
@@ -37,11 +36,6 @@ class TranslationResult:
     def fell_back(self) -> bool:
         """Did the term keep its raw form for lack of a confirmed match?"""
         return not self.verified and self.original == self.translated
-
-    @property
-    def untranslatable(self) -> bool:
-        """No candidate cleared the similarity floor at all."""
-        return self.fell_back and self.similarity == 0.0
 
 
 def translate_term(
@@ -106,7 +100,6 @@ def translate_query_terms(
     cache: ModelCaches | None = None,
     revision: int = 0,
     metrics: PipelineMetrics | None = None,
-    strict: bool = False,
 ) -> dict[str, TranslationResult]:
     """Translate several query terms; returns a per-term result map.
 
@@ -116,14 +109,9 @@ def translate_query_terms(
     shared across concurrent queries.
 
     Terms that keep their raw form are counted in
-    ``metrics.translation_fallbacks``.  With ``strict=True``, terms with
-    *no* candidate above ``min_similarity`` raise
-    :class:`~repro.errors.TranslationError` (carrying every such term)
-    instead of silently falling back — cache hits included, so strictness
-    does not depend on cache temperature.
+    ``metrics.translation_fallbacks``.
     """
     results: dict[str, TranslationResult] = {}
-    untranslatable: list[str] = []
     for term in terms:
         if not term or not term.strip():
             continue
@@ -155,13 +143,5 @@ def translate_query_terms(
                 metrics.translation_misses += 1
         if result.fell_back and metrics is not None:
             metrics.translation_fallbacks += 1
-        if result.untranslatable:
-            untranslatable.append(result.original)
         results[term] = result
-    if strict and untranslatable:
-        raise TranslationError(
-            "no policy-vocabulary candidate above similarity "
-            f"{min_similarity:g} for: " + ", ".join(sorted(untranslatable)),
-            terms=tuple(sorted(untranslatable)),
-        )
     return results

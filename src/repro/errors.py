@@ -26,19 +26,6 @@ class QueryError(ReproError):
     """Phase 3 could not interpret or translate a user query."""
 
 
-class TranslationError(QueryError):
-    """Query terms could not be mapped into the policy vocabulary.
-
-    Raised by strict-mode translation when a term has no embedding
-    candidate above the similarity floor; ``terms`` carries every
-    untranslatable term so callers can report them all at once.
-    """
-
-    def __init__(self, message: str, terms: tuple[str, ...] = ()) -> None:
-        self.terms = tuple(terms)
-        super().__init__(message)
-
-
 class FOLError(ReproError):
     """An ill-formed first-order logic formula was constructed."""
 

@@ -4,8 +4,9 @@ The operability layer over
 :meth:`~repro.core.pipeline.PolicyPipeline.query_batch`: a
 :class:`JobRunner` runs a question suite with per-query heartbeats and a
 stall watchdog (hung workers are cooperatively cancelled and replaced,
-their slots filled with structured UNKNOWNs), a bounded admission queue
-(backpressure by default, load shedding above a configurable depth), and
+their slots filled with structured UNKNOWNs), the admission gate the
+serving daemon also uses (backpressure by default, load shedding above a
+configurable depth), and
 an append-only fsync'd checkpoint journal so a killed job resumes from
 its last committed record instead of starting over.
 
@@ -33,7 +34,6 @@ from repro.jobs.checkpoint import (
 )
 from repro.jobs.config import JobConfig
 from repro.jobs.runner import (
-    AdmissionQueue,
     JobResult,
     JobRunner,
     ShedOutcome,
@@ -42,7 +42,6 @@ from repro.jobs.runner import (
 from repro.jobs.watchdog import MonotonicClock, StallReport, Watchdog
 
 __all__ = [
-    "AdmissionQueue",
     "CheckpointJournal",
     "CheckpointedOutcome",
     "JobConfig",

@@ -1,16 +1,18 @@
 """Tunables for the resident serving daemon.
 
 Mirrors the :class:`~repro.jobs.config.JobConfig` philosophy: every
-robustness bound is explicit, validated at construction, and the
-cross-field invariants (``shed_above <= max_pending``) are enforced here
-so the admission gate can treat them as invariants rather than runtime
-checks.
+robustness bound is explicit and validated at construction; the
+admission bounds go through the same
+:func:`~repro.jobs.admission.check_bounds` as the gate and the job
+runner's config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.jobs.admission import check_bounds
 
 
 @dataclass(slots=True)
@@ -69,16 +71,7 @@ class ServerConfig:
     scrub_interval: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        if self.shed_above is not None and not (
-            1 <= self.shed_above <= self.max_pending
-        ):
-            raise ValueError(
-                "shed_above must be in [1, max_pending]: the shed "
-                "watermark has to fire before the blocking bound, or a "
-                "depth between the two would wait instead of shedding"
-            )
+        check_bounds(self.max_pending, self.shed_above)
         if self.default_deadline <= 0:
             raise ValueError("default_deadline must be > 0")
         if self.drain_grace <= 0:

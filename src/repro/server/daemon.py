@@ -6,10 +6,10 @@ keeps it resident.  One process holds a
 a threaded stdlib HTTP server and answers privacy-practice questions in
 milliseconds instead of seconds.  Robustness is the headline:
 
-* **bounded admission** — an :class:`~repro.server.admission.AdmissionGate`
-  with the :class:`~repro.jobs.runner.AdmissionQueue` invariants; above
-  the ``shed_above`` watermark a request gets a fast 503 with a
-  structured shed body, never a stuck connection;
+* **bounded admission** — the :class:`~repro.jobs.admission.AdmissionGate`
+  the job runner also admits through; above the ``shed_above``
+  watermark a request gets a fast 503 with a structured shed body,
+  never a stuck connection;
 * **deadlines that only tighten** — each request carries a wall-clock
   deadline (``min(server default, client ask)``); whatever remains after
   admission tightens the solver budget the same way, never loosens it;
@@ -49,7 +49,7 @@ from repro.core.pipeline import PolicyPipeline
 from repro.errors import RegistryError, ReproError, ServerError, SnapshotError
 from repro.jobs.config import JobConfig
 from repro.registry.registry import PolicyRegistry
-from repro.server.admission import AdmissionGate, ShedDecision
+from repro.jobs.admission import AdmissionGate, ShedDecision
 from repro.server.config import ServerConfig
 from repro.server.epochs import EpochSwitch
 

@@ -1,6 +1,6 @@
 """Supervised job runner: admission, checkpointing, resume, isolation.
 
-Fast suite (no markers): admission-queue semantics, journal recovery —
+Fast suite (no markers): admission through the gate, journal recovery —
 including the two corruptions an append-only log can suffer, a torn final
 record and a replayed (duplicated) append — runner/`query_batch` trace
 parity, resume-only-the-pending behaviour, BaseException propagation
@@ -24,7 +24,6 @@ import pytest
 from repro import JobConfig, JobError, JobRunner, Verdict
 from repro.core.pipeline import ErrorOutcome
 from repro.jobs import (
-    AdmissionQueue,
     CheckpointedOutcome,
     ShedOutcome,
     read_journal,
@@ -56,135 +55,6 @@ def baseline(pipeline, small_model):
     """Uninterrupted query_batch traces — the byte-identity reference."""
     batch = pipeline.query_batch(small_model, QUESTIONS, max_workers=1)
     return [_trace(o) for o in batch.outcomes]
-
-
-# ---------------------------------------------------------------------------
-# Admission queue
-# ---------------------------------------------------------------------------
-
-
-class TestAdmissionQueue:
-    def test_admits_until_max_pending(self):
-        q = AdmissionQueue(max_pending=2)
-        assert q.admit("a")
-        assert q.admit("b")
-        assert q.pending == 2
-        assert q.high_water == 2
-
-    def test_backpressure_blocks_until_task_done(self):
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
-        admitted = []
-
-        def feeder():
-            admitted.append(q.admit("b"))
-
-        thread = threading.Thread(target=feeder)
-        thread.start()
-        time.sleep(0.05)
-        assert not admitted  # still blocked at the bound
-        assert q.get() == "a"
-        q.task_done()
-        thread.join(timeout=5.0)
-        assert admitted == [True]
-        assert q.get() == "b"
-
-    def test_blocked_admit_aborts_on_should_stop(self):
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
-        stop = threading.Event()
-        results = []
-
-        def feeder():
-            results.append(q.admit("b", should_stop=stop.is_set))
-
-        thread = threading.Thread(target=feeder)
-        thread.start()
-        stop.set()
-        q.wake()
-        thread.join(timeout=5.0)
-        assert results == [False]
-
-    def test_blocked_admit_wakes_on_task_done_without_polling(self):
-        # PR 7: no poll period at all — the default admit sleeps purely on
-        # the condition variable, so queue activity must wake it directly.
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
-        admitted = []
-
-        def feeder():
-            admitted.append(q.admit("b"))
-
-        thread = threading.Thread(target=feeder)
-        thread.start()
-        time.sleep(0.05)
-        assert not admitted
-        assert q.get() == "a"
-        started = time.monotonic()
-        q.task_done()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert time.monotonic() - started < 1.0, "wakeup must not wait a poll tick"
-        assert admitted == [True]
-
-    def test_wake_makes_stop_flag_observed_immediately(self):
-        q = AdmissionQueue(max_pending=1)
-        assert q.admit("a")
-        stop = threading.Event()
-        results = []
-
-        def feeder():
-            results.append(q.admit("b", should_stop=stop.is_set))
-
-        thread = threading.Thread(target=feeder)
-        thread.start()
-        time.sleep(0.05)
-        assert thread.is_alive(), "feeder should be parked on the cv"
-        stop.set()
-        q.wake()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive(), "wake() must rouse the blocked admit"
-        assert results == [False]
-
-    def test_shed_above_must_not_exceed_max_pending(self):
-        # A threshold past the blocking bound would create a depth band
-        # [max_pending, shed_above) that blocks instead of shedding,
-        # contradicting admit()'s never-blocks contract.
-        with pytest.raises(ValueError, match="shed_above"):
-            AdmissionQueue(max_pending=1, shed_above=2)
-
-    def test_shed_above_never_blocks(self):
-        q = AdmissionQueue(max_pending=10, shed_above=1)
-        assert q.admit("a")
-        # Depth 1 >= shed threshold 1: refused immediately, no blocking.
-        assert q.admit("b") is False
-        q.get()
-        q.task_done()
-        assert q.admit("b")
-
-    def test_pending_counts_in_flight_not_just_queued(self):
-        q = AdmissionQueue(max_pending=4)
-        q.admit("a")
-        assert q.get() == "a"
-        assert q.pending == 1  # popped but not completed
-        q.task_done()
-        assert q.pending == 0
-
-    def test_get_returns_none_when_closed_and_empty(self):
-        q = AdmissionQueue(max_pending=2)
-        q.admit("a")
-        q.close()
-        assert q.get() == "a"
-        assert q.get() is None
-        assert q.admit("b") is False
-
-    def test_drain_removes_unstarted_items(self):
-        q = AdmissionQueue(max_pending=8)
-        for item in ("a", "b", "c"):
-            q.admit(item)
-        assert q.get() == "a"  # in flight
-        assert q.drain() == ["b", "c"]
-        assert q.pending == 1  # the in-flight item remains accounted
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +373,125 @@ class TestLoadShedding:
 
 
 # ---------------------------------------------------------------------------
+# Admission through the gate, with the feeder blocked at the bound
+# ---------------------------------------------------------------------------
+
+
+def _wait_until(predicate, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.002)
+    return True
+
+
+def _run_in_thread(runner, questions, timeout=10.0):
+    """``(result or raised exception, finished)``; a wedged run cannot
+    hang the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = runner.run(questions)
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            box["value"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    return box.get("value"), not thread.is_alive()
+
+
+class TestGateAdmission:
+    """One worker and one slot: while query 0 runs it holds the gate's
+    only slot, so the feeder waits in ``AdmissionGate.enter`` for query 1."""
+
+    CONFIG = dict(max_workers=1, max_pending=1, handle_signals=False)
+
+    def test_request_drain_stops_a_blocked_feeder(self, pipeline, small_model):
+        runner = JobRunner(pipeline, small_model, JobConfig(**self.CONFIG))
+        depths, drained_at = [], []
+
+        def drain_while_feeder_waits(index, question, certify, heartbeat):
+            depths.append(runner._gate.depth)  # running, not queued, still counts
+            time.sleep(0.05)
+            drained_at.append(time.monotonic())
+            runner.request_drain()
+            # Finish only once the run loop applied the drain, which it
+            # cannot do while the feeder still waits for a slot.
+            _wait_until(lambda: runner._drain_applied, timeout=10.0)
+            return pipeline.query(small_model, question, certify=certify)
+
+        runner._query_fn = drain_while_feeder_waits
+        result, finished = _run_in_thread(runner, QUESTIONS)
+        assert finished, "request_drain must release the feeder blocked in enter()"
+        assert time.monotonic() - drained_at[0] < 5.0
+        assert depths == [1]
+        assert result.aborted
+        assert result.outcomes[0] is not None
+        assert result.pending == [1, 2, 3]
+        assert _wait_until(lambda: runner._gate.depth == 0)
+
+    def test_worker_keyboard_interrupt_reraises_promptly(
+        self, pipeline, small_model
+    ):
+        raised_at = []
+
+        def interrupt_while_feeder_waits(index, question, certify, heartbeat):
+            time.sleep(0.05)
+            raised_at.append(time.monotonic())
+            raise KeyboardInterrupt
+
+        runner = JobRunner(
+            pipeline,
+            small_model,
+            JobConfig(**self.CONFIG),
+            query_fn=interrupt_while_feeder_waits,
+        )
+        raised, finished = _run_in_thread(runner, QUESTIONS)
+        # The aborting worker never gives its slot back; only the gate's
+        # stop can release the feeder.
+        assert finished, "a worker's KeyboardInterrupt must not wedge the feeder"
+        assert isinstance(raised, KeyboardInterrupt)
+        assert time.monotonic() - raised_at[0] < 5.0
+
+    def test_shed_records_gate_depth_at_refusal(self, pipeline, small_model):
+        runner = JobRunner(
+            pipeline, small_model, JobConfig(shed_above=1, **self.CONFIG)
+        )
+
+        def first_waits_for_sheds(index, question, certify, heartbeat):
+            _wait_until(lambda: runner._remaining <= 1, timeout=10.0)
+            return pipeline.query(small_model, question, certify=certify)
+
+        runner._query_fn = first_waits_for_sheds
+        result = runner.run(QUESTIONS)
+        assert result.shed == len(QUESTIONS) - 1
+        for outcome in result.outcomes[1:]:
+            assert isinstance(outcome, ShedOutcome)
+            assert outcome.pending_at_admission == 1
+            assert outcome.shed_above == 1
+        assert result.metrics.queue_high_water == 1
+
+    def test_closing_the_queue_retires_every_worker(self, pipeline, small_model):
+        # The None that closes the queue is put back by each worker that
+        # reads it, so one close retires them all, idle ones included.
+        before = set(threading.enumerate())
+        JobRunner(
+            pipeline, small_model, JobConfig(max_workers=3, handle_signals=False)
+        ).run(QUESTIONS[:2])
+        workers = [
+            t
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith("job-worker-")
+        ]
+        for thread in workers:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in workers)
+
+
+# ---------------------------------------------------------------------------
 # BaseException propagation (satellite: interruption is never an outcome)
 # ---------------------------------------------------------------------------
 
@@ -595,6 +584,8 @@ class TestGracefulDrain:
         assert set(result.pending) >= {2, 3}  # the never-started tail
         assert result.metrics.jobs_aborted == 1
         assert "ABORTED" in result.summary()
+        # Dropped, never-started items gave their admission slots back.
+        assert _wait_until(lambda: runner._gate.depth == 0)
 
         resumed = JobRunner(pipeline, small_model, config).resume()
         assert not resumed.aborted

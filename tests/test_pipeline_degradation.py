@@ -1,7 +1,7 @@
 """Degradation-ladder and fault-isolation tests for the query pipeline.
 
 Covers the solver UNKNOWN -> QueryOutcome path end-to-end, the
-escalate/decompose/reseed ladder, per-query budget overrides, strict translation,
+escalate/decompose/reseed ladder, per-query budget overrides, translation fallbacks,
 and the conversion of raising queries into structured ErrorOutcome records
 inside ``query_batch``.
 """
@@ -15,7 +15,7 @@ from repro.core.encode import encode_query
 from repro.core.pipeline import ErrorOutcome
 from repro.core.subgraph import Subgraph, component_for_terms, split_components
 from repro.core.verify import VerificationResult, verify_encoded
-from repro.errors import TranslationError, UnknownCause
+from repro.errors import QueryError, UnknownCause
 from repro.resilience import BudgetLadder, execute_ladder, is_budget_limited
 from repro.resilience.degradation import RESEED_SEEDS
 from repro.resilience.faults import (
@@ -411,15 +411,6 @@ class TestReseedRung:
 class TestStrictTranslation:
     QUESTION = "Acme collects the shoe size."
 
-    def test_strict_mode_raises_with_terms(self, small_model):
-        pipeline = PolicyPipeline(
-            config=PipelineConfig(strict_translation=True, min_similarity=0.99)
-        )
-        with pytest.raises(TranslationError) as excinfo:
-            pipeline.query(small_model, self.QUESTION)
-        assert excinfo.value.terms  # names the untranslatable terms
-        assert all(isinstance(t, str) for t in excinfo.value.terms)
-
     def test_default_mode_counts_fallbacks(self, small_model):
         pipeline = PolicyPipeline(
             config=PipelineConfig(min_similarity=0.99, enable_query_caches=False)
@@ -428,15 +419,19 @@ class TestStrictTranslation:
         assert outcome.metrics.translation_fallbacks >= 1
         assert any(t.fell_back for t in outcome.translations.values())
 
-    def test_strict_error_isolated_in_batch(self, small_model):
-        pipeline = PolicyPipeline(
-            config=PipelineConfig(strict_translation=True, min_similarity=0.99)
+    def test_strict_error_isolated_in_batch(self, small_model, monkeypatch):
+        def failing_translation(*args, **kwargs):
+            raise QueryError("no policy-vocabulary candidate")
+
+        monkeypatch.setattr(
+            "repro.core.pipeline.translate_query_terms", failing_translation
         )
+        pipeline = PolicyPipeline(config=PipelineConfig(min_similarity=0.99))
         batch = pipeline.query_batch(small_model, [self.QUESTION], max_workers=1)
         (outcome,) = batch.outcomes
         assert isinstance(outcome, ErrorOutcome)
         assert outcome.stage == "translate"
-        assert outcome.error_type == "TranslationError"
+        assert outcome.error_type == "QueryError"
 
 
 class TestBatchFaultIsolation:

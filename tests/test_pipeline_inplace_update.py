@@ -192,3 +192,68 @@ class TestPatchBuildParity:
         )
         assert patched.node_vocabulary == rebuilt.node_vocabulary
         assert "message content" not in patched.node_vocabulary
+
+
+class TestPatchedSnapshotParity:
+    """A model patched in place and its snapshot round trip answer alike.
+
+    Patching keeps a neighbour's adjacency slot when the segment that made
+    it is removed, while a snapshot load replays edges segment by segment,
+    so the two graphs can order ``edges_touching`` differently.  Subgraph
+    order fixes encoding order; the verdicts must not depend on it.
+    """
+
+    REMOVED = (
+        "When you create an account, you may provide your name, email "
+        "address, and phone number. ",
+        "If you contact customer support, we collect your message content. ",
+    )
+
+    @staticmethod
+    def _order(model, node):
+        return [
+            (e.source, e.target, e.action, e.segment_id)
+            for e in model.graph.edges_touching(node)
+        ]
+
+    def test_audit_catalog_verdicts_survive_round_trip(
+        self, small_policy_text, tmp_path
+    ):
+        from perfbench.inputs import audit_catalog
+
+        pipeline = PolicyPipeline()
+        patched = pipeline.process(small_policy_text)
+        edited = small_policy_text
+        for sentence in self.REMOVED:
+            assert sentence in edited
+            edited = edited.replace(sentence, "")
+        pipeline.update(patched, edited, in_place=True)
+        pipeline.save_model(patched, tmp_path / "store")
+        loaded = pipeline.load_model(tmp_path / "store")
+
+        # The case under test: the same edges, in a different order.
+        reordered = [
+            node
+            for node in patched.graph.nodes()
+            if self._order(patched, node) != self._order(loaded, node)
+        ]
+        assert reordered
+        for node in reordered:
+            assert sorted(self._order(patched, node)) == sorted(
+                self._order(loaded, node)
+            )
+
+        questions = [
+            question
+            for entry in audit_catalog(patched, 8)
+            for question in (entry.text, entry.paraphrase)
+        ]
+        assert len(questions) == 64
+        for question in questions:
+            a = pipeline.query(patched, question).verification
+            b = pipeline.query(loaded, question).verification
+            assert (a.verdict, a.policy_consistent, a.conditionally_valid) == (
+                b.verdict,
+                b.policy_consistent,
+                b.conditionally_valid,
+            ), question

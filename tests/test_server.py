@@ -130,6 +130,8 @@ class TestAdmissionGate:
         assert elapsed < 0.5, "shedding must never wait"
         assert decision.pending_at_admission == 2
         assert gate.shed == 1
+        gate.exit()
+        assert gate.enter() is None  # below the watermark again: admitted
 
     def test_shed_body_shape(self):
         gate = AdmissionGate(max_pending=2, shed_above=1)
@@ -150,10 +152,22 @@ class TestAdmissionGate:
         t.start()
         time.sleep(0.05)
         assert t.is_alive(), "second enter should be waiting for a slot"
+        started = time.monotonic()
         gate.exit()
         t.join(timeout=5.0)
         assert not t.is_alive()
+        # Woken by exit() itself: the gate has no poll period.
+        assert time.monotonic() - started < 1.0
         assert result["decision"] is None
+        # The job runner's feeder enters with no deadline at all.
+        t = threading.Thread(target=lambda: result.update(decision=gate.enter()))
+        t.start()
+        time.sleep(0.05)
+        assert t.is_alive(), "a waiter without a deadline waits for a slot too"
+        gate.exit()
+        t.join(timeout=5.0)
+        assert not t.is_alive() and result["decision"] is None
+        assert gate.depth == 1 and gate.high_water == 1
         gate.exit()
 
     def test_waiter_refused_at_its_deadline(self):
@@ -200,6 +214,12 @@ class TestAdmissionGate:
     def test_invalid_bounds_refused(self, kwargs):
         with pytest.raises(ValueError):
             AdmissionGate(**kwargs)
+
+    def test_shed_watermark_past_the_bound_names_the_knob(self):
+        # A watermark past max_pending would leave a depth band that waits
+        # instead of shedding.
+        with pytest.raises(ValueError, match="shed_above"):
+            AdmissionGate(max_pending=1, shed_above=2)
 
 
 # ---------------------------------------------------------------------------
