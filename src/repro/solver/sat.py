@@ -560,6 +560,10 @@ class CDCLSolver:
         when search should proceed.
         """
         if self._propagate() >= 0:
+            # A level-0 conflict holds under any assumptions.  Remember it:
+            # the next solve resumes propagation past the conflicting
+            # assignments and would not see it again.
+            self._root_unsat = True
             return SatResult.UNSAT
         for lit in assumptions:
             self.ensure_vars(abs(lit))
@@ -593,7 +597,10 @@ class CDCLSolver:
                 conflict_count_local += 1
                 if self._level <= self._assumption_floor:
                     # Conflict at or below the assumption levels: the clause
-                    # set (under these assumptions) is unsatisfiable.
+                    # set (under these assumptions) is unsatisfiable, and
+                    # at level 0 under any assumptions.
+                    if self._level == 0:
+                        self._root_unsat = True
                     return SatResult.UNSAT
                 learned, back_level = self._analyze(conflict)
                 learned = _faults.mutate("cdcl.learned_clause", learned)

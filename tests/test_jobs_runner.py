@@ -16,6 +16,7 @@ rides the chaos lane (``pytest -m chaos``) rather than the fast lane.
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
 
@@ -28,6 +29,7 @@ from repro.jobs import (
     ShedOutcome,
     read_journal,
 )
+from repro.jobs.admission import AdmissionGate
 from repro.jobs.checkpoint import (
     JOURNAL_NAME,
     KIND_OUTCOME,
@@ -55,6 +57,122 @@ def baseline(pipeline, small_model):
     """Uninterrupted query_batch traces — the byte-identity reference."""
     batch = pipeline.query_batch(small_model, QUESTIONS, max_workers=1)
     return [_trace(o) for o in batch.outcomes]
+
+
+# ---------------------------------------------------------------------------
+# Admission queue: a gate slot per item, handed off on a SimpleQueue
+# ---------------------------------------------------------------------------
+
+
+def _admit(gate, items, item, **kwargs):
+    """The runner's feeder step: take a slot, then queue the item."""
+    refusal = gate.enter(**kwargs)
+    if refusal is None:
+        items.put(item)
+    return refusal
+
+
+def _admit_in_thread(gate, items, item):
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(_admit(gate, items, item)), daemon=True
+    )
+    thread.start()
+    return thread, results
+
+
+class TestAdmissionQueue:
+    """What the runner's admission queue guaranteed, now composed from an
+    :class:`AdmissionGate` and a ``queue.SimpleQueue``."""
+
+    def test_admits_until_max_pending(self):
+        gate, items = AdmissionGate(max_pending=2), queue.SimpleQueue()
+        assert _admit(gate, items, "a") is None
+        assert _admit(gate, items, "b") is None
+        assert gate.depth == 2
+        assert gate.high_water == 2
+        assert items.qsize() == 2
+
+    def test_backpressure_blocks_until_task_done(self):
+        gate, items = AdmissionGate(max_pending=1), queue.SimpleQueue()
+        assert _admit(gate, items, "a") is None
+        thread, admitted = _admit_in_thread(gate, items, "b")
+        time.sleep(0.05)
+        assert not admitted  # still blocked at the bound
+        assert items.get_nowait() == "a"
+        gate.exit()
+        thread.join(timeout=5.0)
+        assert admitted == [None]
+        assert items.get_nowait() == "b"
+
+    def test_blocked_admit_aborts_on_should_stop(self):
+        gate, items = AdmissionGate(max_pending=1), queue.SimpleQueue()
+        assert _admit(gate, items, "a") is None
+        thread, results = _admit_in_thread(gate, items, "b")
+        gate.stop()
+        thread.join(timeout=5.0)
+        assert [r.reason for r in results] == ["draining"]
+        assert items.get_nowait() == "a"
+        assert items.empty(), "a refused item is never queued"
+
+    def test_blocked_admit_wakes_on_task_done_without_polling(self):
+        # No poll period at all: enter() sleeps purely on the condition
+        # variable, so exit() must wake it directly.
+        gate, items = AdmissionGate(max_pending=1), queue.SimpleQueue()
+        assert _admit(gate, items, "a") is None
+        thread, admitted = _admit_in_thread(gate, items, "b")
+        time.sleep(0.05)
+        assert not admitted
+        assert items.get_nowait() == "a"
+        started = time.monotonic()
+        gate.exit()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0, "wakeup must not wait a poll tick"
+        assert admitted == [None]
+
+    def test_wake_makes_stop_flag_observed_immediately(self):
+        gate, items = AdmissionGate(max_pending=1), queue.SimpleQueue()
+        assert _admit(gate, items, "a") is None
+        thread, results = _admit_in_thread(gate, items, "b")
+        time.sleep(0.05)
+        assert thread.is_alive(), "feeder should be parked on the cv"
+        started = time.monotonic()
+        gate.stop()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "stop() must rouse the blocked admit"
+        assert time.monotonic() - started < 1.0
+        assert [r.reason for r in results] == ["draining"]
+
+    def test_shed_above_never_blocks(self):
+        gate, items = AdmissionGate(max_pending=10, shed_above=1), queue.SimpleQueue()
+        assert _admit(gate, items, "a") is None
+        # Depth 1 >= shed threshold 1: refused immediately, no blocking.
+        refusal = _admit(gate, items, "b")
+        assert refusal.reason == "shed"
+        assert refusal.pending_at_admission == 1
+        items.get_nowait()
+        gate.exit()
+        assert _admit(gate, items, "b") is None
+
+    def test_pending_counts_in_flight_not_just_queued(self):
+        gate, items = AdmissionGate(max_pending=4), queue.SimpleQueue()
+        _admit(gate, items, "a")
+        assert items.get_nowait() == "a"
+        assert gate.depth == 1  # popped but not completed
+        gate.exit()
+        assert gate.depth == 0
+
+    def test_drain_removes_unstarted_items(self, pipeline, small_model):
+        runner = JobRunner(pipeline, small_model, JobConfig(handle_signals=False))
+        runner._gate = AdmissionGate(max_pending=8)
+        for item in ("a", "b", "c"):
+            _admit(runner._gate, runner._items, item)
+        assert runner._items.get_nowait() == "a"  # in flight
+        runner._apply_drain()
+        assert runner._gate.depth == 1  # the in-flight item remains accounted
+        assert runner._items.get_nowait() is None  # only the close is left
+        assert runner._items.empty()
 
 
 # ---------------------------------------------------------------------------

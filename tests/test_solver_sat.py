@@ -134,6 +134,17 @@ class TestAssumptions:
         assert solver.solve((1,)) is SatResult.SAT
         assert solver.solve() is SatResult.SAT
 
+    def test_root_conflict_stays_unsat_under_later_assumptions(self):
+        # The conflict only shows when level 0 is propagated, which moves
+        # the propagation queue past it; a later solve must not forget it.
+        solver = CDCLSolver(3)
+        solver.add_clause((-1, 2))
+        solver.add_clause((-1, -2))
+        solver.add_clause((1,))
+        assert solver.solve() is SatResult.UNSAT
+        assert solver.solve() is SatResult.UNSAT
+        assert solver.solve((3,)) is SatResult.UNSAT
+
     def test_assumption_of_unknown_var_grows_solver(self):
         solver = self._make()
         assert solver.solve((10,)) is SatResult.SAT
