@@ -21,8 +21,12 @@ and reloads the policy's clauses into a fresh core without grounding them
 again.  Either way the follow-up judges the policy over the same universe
 the verdict was reached over (the policy's constants plus the query's), so
 a VALID that holds only because the policy contradicts itself about a
-query constant is caught.  The follow-ups stay uncertified: they refine a
-verdict that certification has already checked.
+query constant is caught.
+
+Certification checks the validity check alone.  The follow-ups are not
+certified, so ``policy_consistent`` and ``conditionally_valid`` are the
+solver's unchecked answers, even though the first can demote a VALID to
+UNKNOWN.  Certifying them is ROADMAP item 6.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from repro.fol.formula import (
     And,
@@ -17,7 +18,7 @@ from repro.fol.formula import (
     Predicate,
     PredicateSymbol,
 )
-from repro.fol.terms import Application, Constant, Term, Variable
+from repro.fol.terms import Application, Constant, FunctionSymbol, Sort, Term, Variable
 
 
 def subformulas(formula: Formula) -> Iterator[Formula]:
@@ -71,6 +72,70 @@ def collect_constants(formula: Formula) -> set[Constant]:
                 if isinstance(term, Constant):
                     found.add(term)
     return found
+
+
+@dataclass(slots=True)
+class Signature:
+    """The sorts, constants, functions and predicates some formulas use.
+
+    Each map is keyed by name, and a name met again keeps the symbol met
+    last.  Sorts come from constants, from function and predicate
+    signatures and from quantified variables.
+    """
+
+    sorts: dict[str, Sort] = field(default_factory=dict)
+    constants: dict[str, Constant] = field(default_factory=dict)
+    functions: dict[str, FunctionSymbol] = field(default_factory=dict)
+    predicates: dict[str, PredicateSymbol] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, formulas: Iterable[Formula]) -> "Signature":
+        """Every symbol of ``formulas``, in one walk over each."""
+        signature = cls()
+        sorts = signature.sorts
+        constants = signature.constants
+        functions = signature.functions
+        predicates = signature.predicates
+
+        def term(node: Term) -> None:
+            if isinstance(node, Constant):
+                constants[node.name] = node
+                sorts[node.sort.name] = node.sort
+            elif isinstance(node, Application):
+                symbol = node.symbol
+                functions[symbol.name] = symbol
+                sorts[symbol.result_sort.name] = symbol.result_sort
+                for sort in symbol.arg_sorts:
+                    sorts[sort.name] = sort
+                for arg in node.args:
+                    term(arg)
+
+        def walk(node: Formula) -> None:
+            if isinstance(node, Predicate):
+                symbol = node.symbol
+                predicates[symbol.name] = symbol
+                for sort in symbol.arg_sorts:
+                    sorts[sort.name] = sort
+                for arg in node.args:
+                    term(arg)
+            elif isinstance(node, (And, Or)):
+                for op in node.operands:
+                    walk(op)
+            elif isinstance(node, Not):
+                walk(node.operand)
+            elif isinstance(node, Implies):
+                walk(node.antecedent)
+                walk(node.consequent)
+            elif isinstance(node, (Forall, Exists)):
+                sorts[node.variable.sort.name] = node.variable.sort
+                walk(node.body)
+            elif isinstance(node, Iff):
+                walk(node.left)
+                walk(node.right)
+
+        for formula in formulas:
+            walk(formula)
+        return signature
 
 
 def free_variables(formula: Formula) -> set[Variable]:

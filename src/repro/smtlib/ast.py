@@ -6,6 +6,8 @@ the shared substrate for both the printer and the parser.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import SMTLibParseError
 from repro.fol.terms import SIMPLE_SYMBOL
 
@@ -40,73 +42,58 @@ def sexpr_to_text(expr: SExpr) -> str:
     """Serialize one s-expression to SMT-LIB text."""
     if isinstance(expr, str):
         return expr
-    return "(" + " ".join(sexpr_to_text(e) for e in expr) + ")"
+    return "(" + " ".join(map(sexpr_to_text, expr)) + ")"
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """Tokenize SMT-LIB text into (token, line) pairs, dropping comments."""
-    tokens: list[tuple[str, int]] = []
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, line))
-            i += 1
-        elif ch == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SMTLibParseError("unterminated quoted symbol", line)
-            tokens.append((_quoted_symbol(text[i : j + 1]), line))
-            line += text.count("\n", i, j)
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SMTLibParseError("unterminated string literal", line)
-            tokens.append((text[i : j + 1], line))
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            tokens.append((text[i:j], line))
-            i = j
-    return tokens
+#: One token after any whitespace and ``;`` comments, in groups by kind:
+#: 1 ``(``, 2 ``)``, 3 a quoted symbol, 4 a string literal or any other
+#: atom, 5 a quote left open.  Every other character starts a token, so
+#: matches follow each other with nothing skipped, and nothing is ever given
+#: back (the quantifiers are possessive, which only saves time).  The token
+#: is optional, so the scan ends with an empty match, not a search onwards.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*+(?:;[^\n]*+[ \t\r\n]*+)*+"
+    r'(?:(\()|(\))|(\|[^|]*\|)|("[^"]*"|[^ \t\r\n();|"][^ \t\r\n();]*+)|([|"]))?'
+)
+
+
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
 
 
 def parse_sexprs(text: str) -> list[SExpr]:
     """Parse SMT-LIB text into a list of top-level s-expressions."""
-    tokens = _tokenize(text)
     exprs: list[SExpr] = []
+    current = exprs
+    # The enclosing lists of ``current`` and where each open ``(`` stands.
     stack: list[list] = []
-    for token, line in tokens:
-        if token == "(":
-            stack.append([])
-        elif token == ")":
+    opened: list[int] = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        if kind == 4:
+            current.append(match[4])
+        elif kind == 1:
+            inner: list = []
+            current.append(inner)
+            stack.append(current)
+            opened.append(match.start(1))
+            current = inner
+        elif kind == 2:
             if not stack:
-                raise SMTLibParseError("unbalanced ')'", line)
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                exprs.append(done)
+                raise SMTLibParseError("unbalanced ')'", _line(text, match.start(2)))
+            current = stack.pop()
+            opened.pop()
+        elif kind == 3:
+            current.append(_quoted_symbol(match[3]))
+        elif kind == 5:
+            message = (
+                "unterminated quoted symbol"
+                if match[5] == "|"
+                else "unterminated string literal"
+            )
+            raise SMTLibParseError(message, _line(text, match.start(5)))
         else:
-            if stack:
-                stack[-1].append(token)
-            else:
-                exprs.append(token)
+            break  # nothing but whitespace and comments is left
     if stack:
-        raise SMTLibParseError("unbalanced '(' at end of input")
+        raise SMTLibParseError("unbalanced '(' at end of input", _line(text, opened[-1]))
     return exprs

@@ -234,8 +234,9 @@ def execute_script_verbose(
         solver = Solver(budget=budget, certification=certification)
     elif budget is not None or certification is not None:
         raise ValueError("pass budget and certification or a solver, not both")
-    if isinstance(script, str):
-        script = parse_script(script)
+    # A script object runs from its text as well: the printer writes
+    # assertion bodies as text, which only the reader turns into formulas.
+    script = parse_script(script if isinstance(script, str) else script.to_text())
     env = _Environment()
     results: list[SolverResult] = []
     outputs: list[str] = []

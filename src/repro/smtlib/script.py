@@ -54,6 +54,8 @@ class DeclareFun(Command):
 
 @dataclass(frozen=True, slots=True)
 class Assert(Command):
+    """``(assert body)``; the printer passes ``body`` as its text."""
+
     body: SExpr
 
     def to_sexpr(self) -> SExpr:

@@ -8,7 +8,10 @@ formula recursively.  Both must agree on satisfiability; when SAT, the
 solver's model must satisfy the formula under the oracle's semantics.
 
 The SMT-LIB round trip is covered too: serializing each formula to text,
-parsing it back, and solving must give the same verdict.
+parsing it back, and solving must give the same verdict.  The printer is
+held to its earlier form, kept here as a reference: declarations collected
+by four walks per formula and bodies built as nested lists before being
+joined must print the same bytes as the one-walk, text-writing printer.
 """
 
 from __future__ import annotations
@@ -20,20 +23,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fol.formula import (
+    FALSE,
+    TRUE,
     And,
     Exists,
+    FalseFormula,
     Forall,
     Formula,
+    Iff,
     Implies,
     Not,
     Or,
     Predicate,
     PredicateSymbol,
+    TrueFormula,
 )
-from repro.fol.terms import Constant, Sort, Variable
-from repro.smtlib import compile_validity_script, execute_script
+from repro.fol.terms import Application, Constant, FunctionSymbol, Sort, Variable
+from repro.fol.visitor import collect_constants, collect_predicates, subformulas
+from repro.smtlib import SExpr, compile_validity_script, execute_script
 from repro.smtlib.printer import compile_formula
-from repro.smtlib.script import Assert, CheckSat, SMTScript, SetLogic
+from repro.smtlib.script import (
+    Assert,
+    CheckSat,
+    DeclareConst,
+    DeclareFun,
+    DeclareSort,
+    Push,
+    SetLogic,
+    SMTScript,
+)
 from repro.smtlib.printer import _declarations
 from repro.solver import SatResult, Solver
 
@@ -214,3 +232,201 @@ class TestQuantifiedSolverAgainstOracle:
             for interp in _interpretations()
         )
         assert results[0].is_unsat == entailed_oracle
+
+
+# ----------------------------------------------------------------------
+# The printer against its earlier four-walk, s-expression form
+# ----------------------------------------------------------------------
+
+T = Sort("T")
+U = Sort("U")
+T_CONSTANT = Constant("t1", T)
+F = FunctionSymbol("f", (S,), S)
+G = FunctionSymbol("g", (S, T), S)
+H = FunctionSymbol("h", (), T)
+EQ = PredicateSymbol("=", (S, S))
+Q = PredicateSymbol("q", (T, S))
+VAGUE = tuple(
+    PredicateSymbol(f"vague_{i}", (), uninterpreted=True, source_text=text)
+    for i, text in enumerate(("legitimate interests", "", "as required by law"))
+)
+
+
+def _enrich(formula: Formula, rng: random.Random) -> Formula:
+    """``formula`` with applications, equality, more sorts and vague terms."""
+    if isinstance(formula, Predicate):
+        args = list(formula.args)
+        roll = rng.random()
+        if roll < 0.2:
+            args[0] = F(args[0])
+        elif roll < 0.35:
+            args[0] = G(F(args[0]), rng.choice((T_CONSTANT, H())))
+        atom: Formula = Predicate(formula.symbol, tuple(args))
+        roll = rng.random()
+        if roll < 0.15 and len(args) == 2:
+            atom = EQ(*args)
+        elif roll < 0.3:
+            atom = Q(rng.choice((T_CONSTANT, H())), args[0])
+        if rng.random() < 0.25:
+            atom = Implies(rng.choice(VAGUE)(), atom)
+        return atom
+    if isinstance(formula, Not):
+        return Not(_enrich(formula.operand, rng))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(_enrich(op, rng) for op in formula.operands))
+    if isinstance(formula, Implies):
+        if rng.random() < 0.2:
+            return Iff(_enrich(formula.antecedent, rng), _enrich(formula.consequent, rng))
+        return Implies(_enrich(formula.antecedent, rng), _enrich(formula.consequent, rng))
+    body = _enrich(formula.body, rng)
+    if rng.random() < 0.2:
+        # A sort no symbol mentions, declared only for its bound variable.
+        body = type(formula)(Variable("z", U), body)
+    return type(formula)(formula.variable, body)
+
+
+def _reference_term(term) -> SExpr:
+    if isinstance(term, (Variable, Constant)):
+        return term.name
+    return [term.symbol.name, *(_reference_term(a) for a in term.args)]
+
+
+def _reference_formula(formula: Formula) -> SExpr:
+    """The printer's earlier body builder: nested lists, joined afterwards."""
+    if isinstance(formula, TrueFormula):
+        return "true"
+    if isinstance(formula, FalseFormula):
+        return "false"
+    if isinstance(formula, Predicate):
+        if not formula.args:
+            return formula.symbol.name
+        return [formula.symbol.name, *(_reference_term(a) for a in formula.args)]
+    if isinstance(formula, Not):
+        return ["not", _reference_formula(formula.operand)]
+    if isinstance(formula, And):
+        if not formula.operands:
+            return "true"
+        return ["and", *(_reference_formula(op) for op in formula.operands)]
+    if isinstance(formula, Or):
+        if not formula.operands:
+            return "false"
+        return ["or", *(_reference_formula(op) for op in formula.operands)]
+    if isinstance(formula, Implies):
+        return [
+            "=>",
+            _reference_formula(formula.antecedent),
+            _reference_formula(formula.consequent),
+        ]
+    if isinstance(formula, Iff):
+        return ["=", _reference_formula(formula.left), _reference_formula(formula.right)]
+    keyword = "forall" if isinstance(formula, Forall) else "exists"
+    bindings = [[formula.variable.name, formula.variable.sort.name]]
+    body = formula.body
+    while isinstance(body, type(formula)):
+        bindings.append([body.variable.name, body.variable.sort.name])
+        body = body.body
+    return [keyword, bindings, _reference_formula(body)]
+
+
+def _reference_functions(formula: Formula) -> set[FunctionSymbol]:
+    found: set[FunctionSymbol] = set()
+
+    def scan_term(term) -> None:
+        if isinstance(term, Application):
+            found.add(term.symbol)
+            for arg in term.args:
+                scan_term(arg)
+
+    for sub in subformulas(formula):
+        if isinstance(sub, Predicate):
+            for arg in sub.args:
+                scan_term(arg)
+    return found
+
+
+def _reference_declarations(formulas: list[Formula], script: SMTScript) -> None:
+    """The printer's earlier declarations: four walks over each formula."""
+    sorts: dict[str, Sort] = {}
+    constants: dict[str, Constant] = {}
+    predicates: dict[str, PredicateSymbol] = {}
+    functions: dict[str, FunctionSymbol] = {}
+    for formula in formulas:
+        for const in collect_constants(formula):
+            constants[const.name] = const
+            sorts[const.sort.name] = const.sort
+        for sym in collect_predicates(formula):
+            predicates[sym.name] = sym
+            for sort in sym.arg_sorts:
+                sorts[sort.name] = sort
+        for fn in _reference_functions(formula):
+            functions[fn.name] = fn
+            sorts[fn.result_sort.name] = fn.result_sort
+            for sort in fn.arg_sorts:
+                sorts[sort.name] = sort
+        for sub in subformulas(formula):
+            if isinstance(sub, (Forall, Exists)):
+                sorts[sub.variable.sort.name] = sub.variable.sort
+    for name in sorted(sorts):
+        if name != "Bool":
+            script.add(DeclareSort(name))
+    for name in sorted(constants):
+        script.add(DeclareConst(name, constants[name].sort.name))
+    for name in sorted(functions):
+        fn = functions[name]
+        script.add(
+            DeclareFun(fn.name, tuple(s.name for s in fn.arg_sorts), fn.result_sort.name)
+        )
+    for name in sorted(predicates):
+        sym = predicates[name]
+        if sym.name == "=":
+            continue
+        comment = None
+        if sym.uninterpreted:
+            comment = f"uninterpreted (vague term): {sym.source_text or sym.name}"
+        script.add(
+            DeclareFun(sym.name, tuple(s.name for s in sym.arg_sorts), "Bool"),
+            comment=comment,
+        )
+
+
+def _reference_validity_text(policy: list[Formula], query: Formula) -> str:
+    script = SMTScript()
+    script.add(SetLogic("UF"))
+    _reference_declarations(policy + [query], script)
+    for i, formula in enumerate(policy):
+        script.add(Assert(_reference_formula(formula)), comment=f"policy fact {i + 1}")
+    script.add(Push(1))
+    script.add(
+        Assert(["not", _reference_formula(query)]),
+        comment="negated query: unsat <=> query follows from policy",
+    )
+    script.add(CheckSat())
+    return script.to_text()
+
+
+class TestPrinterAgainstReference:
+    """One walk per formula and bodies written as text print the same bytes."""
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_declarations_print_the_same_lines(self, seed):
+        rng = random.Random(seed)
+        formulas = [
+            _enrich(_random_formula(rng, [], 0), rng) for _ in range(rng.randint(1, 4))
+        ]
+        got, expected = SMTScript(), SMTScript()
+        _declarations(formulas, got)
+        _reference_declarations(formulas, expected)
+        assert got.to_text() == expected.to_text()
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_validity_script_prints_the_same_bytes(self, seed):
+        rng = random.Random(seed)
+        policy = [
+            _enrich(_random_formula(rng, [], 1), rng) for _ in range(rng.randint(0, 3))
+        ]
+        policy += [And(()), Or(()), TRUE, FALSE][: rng.randint(0, 4)]
+        query = _enrich(_random_formula(rng, [], 1), rng)
+        text = compile_validity_script(policy, query).to_text()
+        assert text == _reference_validity_text(policy, query)

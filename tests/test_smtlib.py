@@ -1,6 +1,8 @@
 """Unit tests for SMT-LIB generation, parsing, and execution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SMTLibParseError
 from repro.fol import (
@@ -67,6 +69,47 @@ class TestSexprs:
         assert parse_sexprs("(|a| |=>| |a b| |f(a)| |1x| |forall|)") == [
             ["a", "=>", "|a b|", "|f(a)|", "|1x|", "|forall|"]
         ]
+
+    def test_quoted_command_name_and_application_keep_their_bars(self):
+        assert parse_sexprs("(|assert| |f(a)|)") == [["|assert|", "|f(a)|"]]
+
+    def test_bars_inside_a_symbol_stay_one_token(self):
+        assert parse_sexprs("(a|b| c)") == [["a|b|", "c"]]
+
+    def test_comment_holding_bars_quotes_and_parens_is_skipped(self):
+        text = '; a | b " c ( d\n(check-sat) ; |x "y (z\n'
+        assert parse_sexprs(text) == [["check-sat"]]
+
+    def test_string_literal_is_one_token(self):
+        assert parse_sexprs('(echo "a ; (b| c")') == [["echo", '"a ; (b| c"']]
+
+    @pytest.mark.parametrize(
+        "text,message,line",
+        [
+            ("(a\n|b c)", "unterminated quoted symbol", 2),
+            ('(a\n\n"b c)', "unterminated string literal", 3),
+        ],
+    )
+    def test_unterminated_quote_names_its_line(self, text, message, line):
+        with pytest.raises(SMTLibParseError, match=message) as caught:
+            parse_sexprs(text)
+        assert caught.value.line == line
+
+    def test_tokens_after_a_multiline_quoted_symbol_keep_their_line(self):
+        assert parse_sexprs("(p |a\nb|)") == [["p", "|a\nb|"]]
+        with pytest.raises(SMTLibParseError, match="unbalanced '\\)'") as caught:
+            parse_sexprs("(p |a\nb| c)\n)")
+        assert caught.value.line == 3
+
+    def test_tokens_after_a_multiline_string_keep_their_line(self):
+        with pytest.raises(SMTLibParseError, match="unbalanced '\\)'") as caught:
+            parse_sexprs('"a\nb"\n)')
+        assert caught.value.line == 3
+
+    def test_unclosed_paren_names_the_innermost_open_line(self):
+        with pytest.raises(SMTLibParseError, match="unbalanced '\\('") as caught:
+            parse_sexprs("(assert\n  (and p\n    (not q)\n")
+        assert caught.value.line == 2
 
 
 class TestCompileFormula:
@@ -389,3 +432,89 @@ class TestGetModelGetValue:
         script = parse_script("(get-model)(get-value (x))")
         assert isinstance(script.commands[0], GetModel)
         assert isinstance(script.commands[1], GetValue)
+
+
+def _reference_tokens(text):
+    """The reader's earlier character loop, with its two line faults mended:
+    a string's newlines are counted, and (below) an unclosed ``(`` names its
+    line.  It yields ``(token, line)`` pairs lazily, so the first fault in
+    reading order is the one raised.
+    """
+    from repro.smtlib.ast import _quoted_symbol
+
+    line = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            yield ch, line
+            i += 1
+        elif ch == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise SMTLibParseError("unterminated quoted symbol", line)
+            yield _quoted_symbol(text[i : j + 1]), line
+            line += text.count("\n", i, j)
+            i = j + 1
+        elif ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise SMTLibParseError("unterminated string literal", line)
+            yield text[i : j + 1], line
+            line += text.count("\n", i, j)
+            i = j + 1
+        else:
+            j = i
+            while j < n and text[j] not in " \t\r\n();":
+                j += 1
+            yield text[i:j], line
+            i = j
+
+
+def _reference_parse(text):
+    exprs = []
+    stack = []
+    for token, line in _reference_tokens(text):
+        if token == "(":
+            stack.append(([], line))
+        elif token == ")":
+            if not stack:
+                raise SMTLibParseError("unbalanced ')'", line)
+            done, _ = stack.pop()
+            (stack[-1][0] if stack else exprs).append(done)
+        else:
+            (stack[-1][0] if stack else exprs).append(token)
+    if stack:
+        raise SMTLibParseError("unbalanced '(' at end of input", stack[-1][1])
+    return exprs
+
+
+def _read(parse, text):
+    """``parse(text)``, or the message of the error it raised."""
+    try:
+        return parse(text)
+    except SMTLibParseError as exc:
+        return str(exc)
+
+
+class TestReaderAgainstLoop:
+    """The regex reader reads what the character loop read, errors included."""
+
+    @given(st.text(alphabet='()|"; \t\r\nab1=,', max_size=60))
+    @settings(max_examples=400, deadline=None)
+    def test_random_text_reads_alike(self, text):
+        assert _read(parse_sexprs, text) == _read(_reference_parse, text)
+
+    def test_printed_scripts_read_alike(self):
+        policy = [forall(X, implies(SHARE(X, D1), SHARE(X, D1))), SHARE(E1, D1)]
+        text = compile_validity_script(policy, exists(X, SHARE(X, D1))).to_text()
+        assert parse_sexprs(text) == _reference_parse(text)

@@ -6,10 +6,17 @@ on each bundled policy.  A change to the solver path that is meant to be
 behaviour-preserving (caching, clause reuse, a faster encoder) must leave
 every line unchanged; see ``tests/data/make_verdict_traces.py`` for how
 the reference is produced.
+
+``tests/data/script_digests.jsonl`` pins, for the same questions, the
+SHA-256 of the SMT-LIB script each one is checked with, which ``as_dict()``
+leaves out: the text is the verification-cache key and the quarantine
+artifact, so a faster printer must print the same bytes (see
+``tests/data/make_script_digests.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import defaultdict
 from pathlib import Path
@@ -20,6 +27,7 @@ from repro import PolicyPipeline
 from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
 
 TRACES = Path(__file__).parent / "data" / "verdict_traces.jsonl"
+DIGESTS = Path(__file__).parent / "data" / "script_digests.jsonl"
 POLICIES = {
     "tiktak": tiktak_policy,
     "metabook": metabook_policy,
@@ -27,30 +35,60 @@ POLICIES = {
 }
 
 
-def _reference() -> dict[str, list[dict]]:
+def _reference(path: Path) -> dict[str, list[dict]]:
     rows: dict[str, list[dict]] = defaultdict(list)
-    for line in TRACES.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
         rows[row["policy"]].append(row)
     return rows
 
 
-REFERENCE = _reference()
+REFERENCE = _reference(TRACES)
+SCRIPT_DIGESTS = _reference(DIGESTS)
+
+
+@pytest.fixture(scope="module", params=sorted(POLICIES))
+def answered(request):
+    """(policy, [(question, verification)]) as a fresh pipeline answers them."""
+    policy = request.param
+    pipeline = PolicyPipeline()
+    model = pipeline.process(POLICIES[policy]().text)
+    return policy, [
+        (row["question"], pipeline.query(model, row["question"]).verification)
+        for row in REFERENCE[policy]
+    ]
 
 
 def test_reference_covers_every_bundled_policy():
     assert set(REFERENCE) == set(POLICIES)
     for rows in REFERENCE.values():
         assert len(rows) == 64
+    # The digests pin the same questions, in the same order.
+    assert {
+        policy: [row["question"] for row in rows]
+        for policy, rows in SCRIPT_DIGESTS.items()
+    } == {
+        policy: [row["question"] for row in rows]
+        for policy, rows in REFERENCE.items()
+    }
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_verdict_traces_match_reference(policy):
-    pipeline = PolicyPipeline()
-    model = pipeline.process(POLICIES[policy]().text)
+def test_verdict_traces_match_reference(answered):
+    policy, answers = answered
     mismatches = []
-    for row in REFERENCE[policy]:
-        got = pipeline.query(model, row["question"]).verification.as_dict()
-        if json.dumps(got, sort_keys=True) != json.dumps(row["result"], sort_keys=True):
-            mismatches.append(row["question"])
+    for row, (question, verification) in zip(REFERENCE[policy], answers):
+        got = json.dumps(verification.as_dict(), sort_keys=True)
+        if got != json.dumps(row["result"], sort_keys=True):
+            mismatches.append(question)
     assert not mismatches, f"{len(mismatches)} traces changed, e.g. {mismatches[:3]}"
+
+
+def test_script_bytes_match_reference(answered):
+    policy, answers = answered
+    mismatches = [
+        question
+        for row, (question, verification) in zip(SCRIPT_DIGESTS[policy], answers)
+        if hashlib.sha256(verification.smtlib_text.encode("utf-8")).hexdigest()
+        != row["sha256"]
+    ]
+    assert not mismatches, f"{len(mismatches)} scripts changed, e.g. {mismatches[:3]}"
