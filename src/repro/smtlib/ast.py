@@ -48,12 +48,12 @@ def sexpr_to_text(expr: SExpr) -> str:
 #: One token after any whitespace and ``;`` comments, in groups by kind:
 #: 1 ``(``, 2 ``)``, 3 a quoted symbol, 4 a string literal or any other
 #: atom, 5 a quote left open.  Every other character starts a token, so
-#: matches follow each other with nothing skipped, and nothing is ever given
-#: back (the quantifiers are possessive, which only saves time).  The token
-#: is optional, so the scan ends with an empty match, not a search onwards.
+#: matches follow each other with nothing skipped.  The token is optional,
+#: so the first greedy attempt always matches and nothing backtracks; the
+#: scan ends with an empty match, not a search onwards.
 _TOKEN = re.compile(
-    r"[ \t\r\n]*+(?:;[^\n]*+[ \t\r\n]*+)*+"
-    r'(?:(\()|(\))|(\|[^|]*\|)|("[^"]*"|[^ \t\r\n();|"][^ \t\r\n();]*+)|([|"]))?'
+    r"[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*"
+    r'(?:(\()|(\))|(\|[^|]*\|)|("[^"]*"|[^ \t\r\n();|"][^ \t\r\n();]*)|([|"]))?'
 )
 
 
@@ -65,9 +65,8 @@ def parse_sexprs(text: str) -> list[SExpr]:
     """Parse SMT-LIB text into a list of top-level s-expressions."""
     exprs: list[SExpr] = []
     current = exprs
-    # The enclosing lists of ``current`` and where each open ``(`` stands.
-    stack: list[list] = []
-    opened: list[int] = []
+    # Each enclosing list of ``current``, with where its open ``(`` stands.
+    stack: list[tuple[list, int]] = []
     for match in _TOKEN.finditer(text):
         kind = match.lastindex
         if kind == 4:
@@ -75,14 +74,12 @@ def parse_sexprs(text: str) -> list[SExpr]:
         elif kind == 1:
             inner: list = []
             current.append(inner)
-            stack.append(current)
-            opened.append(match.start(1))
+            stack.append((current, match.start(1)))
             current = inner
         elif kind == 2:
             if not stack:
                 raise SMTLibParseError("unbalanced ')'", _line(text, match.start(2)))
-            current = stack.pop()
-            opened.pop()
+            current, _ = stack.pop()
         elif kind == 3:
             current.append(_quoted_symbol(match[3]))
         elif kind == 5:
@@ -95,5 +92,6 @@ def parse_sexprs(text: str) -> list[SExpr]:
         else:
             break  # nothing but whitespace and comments is left
     if stack:
-        raise SMTLibParseError("unbalanced '(' at end of input", _line(text, opened[-1]))
+        _, start = stack[-1]
+        raise SMTLibParseError("unbalanced '(' at end of input", _line(text, start))
     return exprs

@@ -192,13 +192,13 @@ def _to_formula(
 
 
 def execute_script(
-    script: SMTScript | str,
+    script: str,
     *,
     budget: SolverBudget | None = None,
     certification: CertificationConfig | None = None,
     solver: Solver | None = None,
 ) -> list[SolverResult]:
-    """Run a script against the bundled solver; one result per check command.
+    """Run script text against the bundled solver; one result per check command.
 
     ``solver`` runs the script on a caller-built :class:`Solver` instead
     of a fresh one (its own budget and certification apply), and leaves
@@ -212,7 +212,7 @@ def execute_script(
 
 
 def execute_script_verbose(
-    script: SMTScript | str,
+    script: str,
     *,
     budget: SolverBudget | None = None,
     certification: CertificationConfig | None = None,
@@ -234,9 +234,7 @@ def execute_script_verbose(
         solver = Solver(budget=budget, certification=certification)
     elif budget is not None or certification is not None:
         raise ValueError("pass budget and certification or a solver, not both")
-    # A script object runs from its text as well: the printer writes
-    # assertion bodies as text, which only the reader turns into formulas.
-    script = parse_script(script if isinstance(script, str) else script.to_text())
+    script = parse_script(script)
     env = _Environment()
     results: list[SolverResult] = []
     outputs: list[str] = []

@@ -54,7 +54,12 @@ class DeclareFun(Command):
 
 @dataclass(frozen=True, slots=True)
 class Assert(Command):
-    """``(assert body)``; the printer passes ``body`` as its text."""
+    """``(assert body)``.
+
+    ``body`` is the reader's nested list, or, from the printer, the
+    formula's text as one atom; either way :meth:`to_sexpr` prints it.
+    Scripts run from their text (:func:`~repro.smtlib.execute_script`).
+    """
 
     body: SExpr
 
