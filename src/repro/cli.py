@@ -126,15 +126,63 @@ def _add_provider_options(sp) -> None:
     )
 
 
-def _build_provider_stack(args: argparse.Namespace):
+def _add_shared_options(
+    sp,
+    *,
+    root: bool = False,
+    store: bool = False,
+    max_warm: bool = False,
+    timeout: bool = False,
+    stats: bool = False,
+    json: bool = False,
+) -> None:
+    """Options that several commands take, each declared only here."""
+    if root:
+        sp.add_argument("--root", required=True, help="registry directory")
+    if store:
+        sp.add_argument("--store", required=True, help="snapshot store directory")
+    if max_warm:
+        sp.add_argument(
+            "--max-warm",
+            type=int,
+            default=32,
+            metavar="N",
+            help="LRU bound on warm models (per epoch when serving; "
+            "default: 32)",
+        )
+    if timeout:
+        sp.add_argument(
+            "--timeout",
+            type=float,
+            metavar="S",
+            help="per-query wall-clock ceiling in seconds, composed onto the "
+            "solver deadline as min(configured, S); default unchanged",
+        )
+    if stats:
+        sp.add_argument(
+            "--stats",
+            action="store_true",
+            help="print the merged pipeline metrics when done: stage times "
+            "and the cache, solver, job, registry and LLM counters",
+        )
+    if json:
+        sp.add_argument(
+            "--json",
+            metavar="FILE",
+            help="also write the structured result (for fsck, the scan "
+            "report and repair plan) to FILE as JSON",
+        )
+
+
+def _build_provider_stack(args: argparse.Namespace, *, always: bool = False):
     """Compose the LLM stack the provider/cassette flags describe.
 
-    Returns ``None`` when no provider flag is active, so callers fall
-    through to the pipeline's default backend.  The composed stack is
-    ``CachedLLM(CircuitBreaker(RetryingLLM(RecordingLLM?(ProfiledLLM?(
-    backend)))))`` — retries above the recorder so only completions that
-    actually succeeded are captured, the profile injector at the bottom
-    where a real unreliable provider would sit.
+    Returns ``None`` when no provider flag is active and ``always`` is
+    false, so callers fall through to the pipeline's default backend.
+    The composed stack is ``CachedLLM(CircuitBreaker(RetryingLLM(
+    RecordingLLM?(ProfiledLLM?(backend)))))`` — retries above the recorder
+    so only completions that actually succeeded are captured, the profile
+    injector at the bottom where a real unreliable provider would sit.
     """
     provider = getattr(args, "provider", "simulated")
     cassette_mode = getattr(args, "cassette", None)
@@ -144,7 +192,7 @@ def _build_provider_stack(args: argparse.Namespace):
         raise ReproError("--cassette requires --cassette-path FILE")
     if cassette_path and not cassette_mode:
         raise ReproError("--cassette-path requires --cassette record|replay")
-    if provider == "simulated" and not cassette_mode and not profile_name:
+    if provider == "simulated" and not (cassette_mode or profile_name or always):
         return None
 
     from repro.llm.client import CachedLLM, UsageStats
@@ -186,25 +234,11 @@ def _build_provider_stack(args: argparse.Namespace):
     )
 
 
-def _resilient_pipeline(args: argparse.Namespace, llm=None) -> PolicyPipeline:
+def _resilient_pipeline(args: argparse.Namespace) -> PolicyPipeline:
     """A pipeline with the LLM boundary wrapped and the ladder armed."""
     from repro.core.pipeline import PipelineConfig
-    from repro.llm.client import CachedLLM, UsageStats
-    from repro.llm.simulated import SimulatedLLM
-    from repro.resilience import BudgetLadder, CircuitBreaker, RetryingLLM, RetryPolicy
+    from repro.resilience import BudgetLadder
 
-    if llm is None:
-        stats = UsageStats()
-        llm = CachedLLM(
-            CircuitBreaker(
-                RetryingLLM(
-                    SimulatedLLM(),
-                    RetryPolicy(max_retries=args.max_retries),
-                    stats=stats,
-                ),
-                stats=stats,
-            )
-        )
     try:
         multipliers = tuple(
             float(m) for m in args.ladder.split(",") if m.strip()
@@ -217,45 +251,44 @@ def _resilient_pipeline(args: argparse.Namespace, llm=None) -> PolicyPipeline:
         )
     except ValueError as exc:
         raise ReproError(f"invalid --ladder value: {exc}") from None
-    return PolicyPipeline(llm=llm, config=PipelineConfig(budget_ladder=ladder))
-
-
-def _apply_query_timeout(pipeline: PolicyPipeline, timeout: float | None) -> None:
-    """Compose a per-query wall-clock ceiling onto the solver budget.
-
-    The effective deadline is ``min(configured, --timeout)`` — tightening
-    only, so the paper-calibrated default never silently grows; without
-    ``--timeout`` the budget is untouched.
-    """
-    if timeout is None:
-        return
-    if timeout <= 0:
-        raise ReproError(f"--timeout must be > 0, got {timeout}")
-    from dataclasses import replace
-
-    base = pipeline.config.solver_budget
-    effective = (
-        timeout
-        if base.timeout_seconds is None
-        else min(base.timeout_seconds, timeout)
+    return PolicyPipeline(
+        llm=_build_provider_stack(args, always=True),
+        config=PipelineConfig(budget_ladder=ladder),
     )
-    pipeline.config.solver_budget = replace(base, timeout_seconds=effective)
+
+
+def _print_stats(
+    args: argparse.Namespace, pipeline: PolicyPipeline, *parts: PipelineMetrics
+) -> None:
+    """The ``--stats`` block: ``parts`` merged with the pipeline's metrics."""
+    if args.stats:
+        print("\n--- pipeline metrics ---")
+        print(pipeline.metrics_report(*parts).render())
+
+
+def _write_json(path: str | None, payload: dict, what: str) -> None:
+    """The ``--json`` file, written atomically when a path was given."""
+    if path:
+        from repro.store.atomic import atomic_write_json
+
+        atomic_write_json(path, payload)
+        print(f"wrote JSON {what} to {path}")
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core.verify import is_certification_failure
 
-    llm = _build_provider_stack(args)
-    pipeline = (
-        _resilient_pipeline(args, llm=llm)
-        if args.resilient
-        else PolicyPipeline(llm=llm)
-    )
+    if args.resilient:
+        pipeline = _resilient_pipeline(args)
+    else:
+        pipeline = PolicyPipeline(llm=_build_provider_stack(args))
     if args.certify is not None:
         pipeline.config.certify = args.certify
     if args.quarantine:
         pipeline.config.certification_quarantine_dir = args.quarantine
-    _apply_query_timeout(pipeline, args.timeout)
+    if args.timeout is not None:
+        budget = pipeline.config.solver_budget
+        pipeline.config.solver_budget = budget.tightened(args.timeout)
     if args.from_snapshot:
         model = pipeline.load_model(args.from_snapshot)
     else:
@@ -265,16 +298,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.smtlib:
         print("\n--- SMT-LIB script ---")
         print(outcome.verification.smtlib_text)
-    if args.stats:
-        # Fold the LLM stack's live resilience state (breaker, retries,
-        # provider/cassette counters) into the lifetime metrics, then
-        # merge with the per-query stage accounting for one report.
-        pipeline.sync_resilience_metrics()
-        stats = PipelineMetrics(queries=0)
-        stats.merge(outcome.metrics)
-        stats.merge(pipeline.metrics)
-        print("\n--- pipeline metrics ---")
-        print(stats.render())
+    _print_stats(args, pipeline, outcome.metrics)
     # Exit code communicates the verdict for scripting: 0 valid, 1 invalid,
     # 2 unknown (3 is reserved for errors, matching ErrorOutcome batches;
     # 5 flags the certification soundness alarm, a special UNKNOWN).
@@ -451,23 +475,7 @@ def _add_batch_options(sp, *, checkpoint_required: bool = False) -> None:
         "heartbeat is cancelled, its worker replaced, and its slot "
         "answered UNKNOWN with a stall report (default: off)",
     )
-    sp.add_argument(
-        "--timeout",
-        type=float,
-        metavar="S",
-        help="per-query wall-clock ceiling composed onto the solver "
-        "deadline as min(configured, S); default unchanged",
-    )
-    sp.add_argument(
-        "--stats",
-        action="store_true",
-        help="print merged pipeline metrics for the job",
-    )
-    sp.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the full structured result to FILE",
-    )
+    _add_shared_options(sp, timeout=True, stats=True, json=True)
     _add_provider_options(sp)
 
 
@@ -487,44 +495,16 @@ def _job_config(args: argparse.Namespace):
         raise ReproError(f"invalid batch options: {exc}") from None
 
 
-def _render_job_result(
-    result, args: argparse.Namespace, pipeline: PolicyPipeline | None = None
-) -> None:
+def _print_outcome(label: str, outcome, question: str = "") -> None:
+    """One row of a job's outcomes: PENDING where the job never answered,
+    and ``(restored)`` after a verdict read back from the checkpoint."""
     from repro.jobs import CheckpointedOutcome
 
-    for index, outcome in enumerate(result.outcomes):
-        if outcome is None:
-            print(f"[{index}] PENDING  {result.questions[index]}")
-            continue
-        marker = (
-            " (restored)" if isinstance(outcome, CheckpointedOutcome) else ""
-        )
-        print(f"[{index}] {outcome.verdict.value:8s} {result.questions[index]}{marker}")
-    print(result.summary())
-    for report in result.stalls:
-        print(f"stall: {report.summary()}", file=sys.stderr)
-    if result.aborted and result.checkpoint_dir:
-        print(
-            f"job aborted; resume with: batch resume --checkpoint "
-            f"{result.checkpoint_dir}",
-            file=sys.stderr,
-        )
-    if args.stats:
-        stats = result.metrics
-        if pipeline is not None:
-            # Fold the LLM stack's resilience counters (retries, breaker
-            # state, provider/cassette totals) into the report.
-            pipeline.sync_resilience_metrics()
-            stats = PipelineMetrics(queries=0)
-            stats.merge(result.metrics)
-            stats.merge(pipeline.metrics)
-        print("\n--- pipeline metrics ---")
-        print(stats.render())
-    if args.json:
-        from repro.store.atomic import atomic_write_json
-
-        atomic_write_json(args.json, result.as_dict())
-        print(f"wrote JSON results to {args.json}")
+    verdict = "PENDING" if outcome is None else outcome.verdict.value
+    if question:
+        verdict = f"{verdict:8s} {question}"
+    marker = " (restored)" if isinstance(outcome, CheckpointedOutcome) else ""
+    print(f"{label} {verdict}{marker}")
 
 
 def _job_exit_code(result) -> int:
@@ -535,6 +515,33 @@ def _job_exit_code(result) -> int:
     if result.errors:
         return 3
     return 0
+
+
+def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.jobs import JobRunner
+
+    config = _job_config(args)
+    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
+    model = pipeline.process(_read_policy(args.policy))
+    runner = JobRunner(pipeline, model, config)
+    if args.batch_command == "run":
+        result = runner.run(_read_questions(args.queries))
+    else:
+        result = runner.resume()
+    for index, outcome in enumerate(result.outcomes):
+        _print_outcome(f"[{index}]", outcome, result.questions[index])
+    print(result.summary())
+    for report in result.stalls:
+        print(f"stall: {report.summary()}", file=sys.stderr)
+    if result.aborted and result.checkpoint_dir:
+        print(
+            f"job aborted; resume with: batch resume --checkpoint "
+            f"{result.checkpoint_dir}",
+            file=sys.stderr,
+        )
+    _print_stats(args, pipeline, result.metrics)
+    _write_json(args.json, result.as_dict(), "results")
+    return _job_exit_code(result)
 
 
 def _cmd_registry_mint(args: argparse.Namespace) -> int:
@@ -581,31 +588,22 @@ def _cmd_registry_list(args: argparse.Namespace) -> int:
 def _cmd_registry_query(args: argparse.Namespace) -> int:
     from repro.registry import PolicyRegistry
 
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_query_timeout(pipeline, args.timeout)
     if args.resume and not args.checkpoint:
         raise ReproError("--resume requires --checkpoint DIR")
+    config = _job_config(args)
+    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
     registry = PolicyRegistry(
         args.root, pipeline=pipeline, max_warm=args.max_warm
     )
     companies = None
     if args.companies:
         companies = [c.strip() for c in args.companies.split(",") if c.strip()]
-    config = _job_config(args)
     if args.resume:
         report = registry.resume_fleet(args.question, companies, config=config)
     else:
         report = registry.query_fleet(args.question, companies, config=config)
-    from repro.jobs import CheckpointedOutcome
-
     for company, outcome in report.per_company():
-        if outcome is None:
-            print(f"{company:24s} PENDING")
-            continue
-        marker = (
-            " (restored)" if isinstance(outcome, CheckpointedOutcome) else ""
-        )
-        print(f"{company:24s} {outcome.verdict.value}{marker}")
+        _print_outcome(f"{company:24s}", outcome)
     print(report.summary())
     if report.aborted and config.checkpoint_dir:
         print(
@@ -614,20 +612,10 @@ def _cmd_registry_query(args: argparse.Namespace) -> int:
             f"{args.question!r}",
             file=sys.stderr,
         )
-    if args.stats:
-        # Job counters plus the pipeline-lifetime registry/store counters
-        # (hits, shard loads, evictions) — disjoint by construction.
-        pipeline.sync_resilience_metrics()
-        stats = PipelineMetrics(queries=0)
-        stats.merge(report.job.metrics)
-        stats.merge(pipeline.metrics)
-        print("\n--- pipeline metrics ---")
-        print(stats.render())
-    if args.json:
-        from repro.store.atomic import atomic_write_json
-
-        atomic_write_json(args.json, report.as_dict())
-        print(f"wrote JSON results to {args.json}")
+    # Job counters plus the pipeline-lifetime registry/store counters
+    # (hits, shard loads, evictions) — disjoint by construction.
+    _print_stats(args, pipeline, report.job.metrics)
+    _write_json(args.json, report.as_dict(), "results")
     return _job_exit_code(report.job)
 
 
@@ -669,12 +657,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     report = server.serve_until_drained()
     print(report.summary())
-    if args.stats:
-        print("\n--- pipeline metrics ---")
-        server.pipeline.sync_resilience_metrics()
-        stats = server.metrics
-        stats.merge(server.pipeline.metrics)
-        print(stats.render())
+    _print_stats(args, server.pipeline, server.metrics)
     return 0
 
 
@@ -684,18 +667,14 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     report = run_fsck(args.path)
     print(report.summary())
     plan = plan_repairs(report)
+    payload = {"report": report.as_dict()}
     if not args.repair:
         if not plan.empty:
             print()
             print(plan.summary())
             print("\nrun again with --repair to apply this plan")
-        if args.json:
-            from repro.store.atomic import atomic_write_json
-
-            atomic_write_json(
-                args.json, {"report": report.as_dict(), "plan": plan.as_dict()}
-            )
-            print(f"wrote JSON report to {args.json}")
+        payload["plan"] = plan.as_dict()
+        _write_json(args.json, payload, "report")
         return 0 if report.clean else 9
 
     had_unrepairable = bool(plan.unrepairable)
@@ -706,44 +685,22 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     after = run_fsck(args.path)
     print()
     print("post-repair " + after.summary())
-    if args.json:
-        from repro.store.atomic import atomic_write_json
-
-        atomic_write_json(
-            args.json,
-            {
-                "report": report.as_dict(),
-                "plan": plan.as_dict(),
-                "post_repair": after.as_dict(),
-            },
-        )
-        print(f"wrote JSON report to {args.json}")
+    payload.update(plan=plan.as_dict(), post_repair=after.as_dict())
+    _write_json(args.json, payload, "report")
     return 0 if after.clean and not had_unrepairable else 9
 
 
-def _cmd_batch_run(args: argparse.Namespace) -> int:
-    from repro.jobs import JobRunner
-
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_query_timeout(pipeline, args.timeout)
-    model = pipeline.process(_read_policy(args.policy))
-    questions = _read_questions(args.queries)
-    runner = JobRunner(pipeline, model, _job_config(args))
-    result = runner.run(questions)
-    _render_job_result(result, args, pipeline=pipeline)
-    return _job_exit_code(result)
-
-
-def _cmd_batch_resume(args: argparse.Namespace) -> int:
-    from repro.jobs import JobRunner
-
-    pipeline = PolicyPipeline(llm=_build_provider_stack(args))
-    _apply_query_timeout(pipeline, args.timeout)
-    model = pipeline.process(_read_policy(args.policy))
-    runner = JobRunner(pipeline, model, _job_config(args))
-    result = runner.resume()
-    _render_job_result(result, args, pipeline=pipeline)
-    return _job_exit_code(result)
+def _add_command(sub, name: str, help: str, func=None) -> argparse.ArgumentParser:
+    """A subcommand whose ``--help`` ends with the exit-code table."""
+    p = sub.add_parser(
+        name,
+        help=help,
+        epilog=EXIT_CODES_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    if func is not None:
+        p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -755,17 +712,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("process", help="run Phases 1+2 and print statistics")
+    p = _add_command(sub, "process", "run Phases 1+2 and print statistics", _cmd_process)
     p.add_argument("policy", help="path to a policy text file")
     p.add_argument("--artifacts", help="directory for JSON pipeline artifacts")
-    p.set_defaults(func=_cmd_process)
 
-    p = sub.add_parser(
-        "query",
-        help="verify a data-practice question",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    p = _add_command(sub, "query", "verify a data-practice question", _cmd_query)
     p.add_argument(
         "policy",
         nargs="?",
@@ -783,11 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         "re-extracting from policy text",
     )
     p.add_argument("--smtlib", action="store_true", help="print the generated SMT-LIB")
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-stage wall times, cache counters, and solver totals",
-    )
     p.add_argument(
         "--resilient",
         action="store_true",
@@ -825,66 +771,64 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for formulas whose verdict failed certification "
         "(written as cert-<digest>/formula.smt2 + report.json)",
     )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        metavar="S",
-        help="per-query wall-clock ceiling in seconds, composed onto the "
-        "solver deadline as min(configured, S); default unchanged",
-    )
+    _add_shared_options(p, timeout=True, stats=True)
     _add_provider_options(p)
-    p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("audit", help="contradiction and coverage report")
+    p = _add_command(sub, "audit", "contradiction and coverage report", _cmd_audit)
     p.add_argument("policy", help="path to a policy text file")
-    p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("diff", help="compare two policy versions")
+    p = _add_command(sub, "diff", "compare two policy versions", _cmd_diff)
     p.add_argument("old", help="path to the old version")
     p.add_argument("new", help="path to the new version")
-    p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser(
-        "scenarios", help="run a JSON compliance-scenario suite against a policy"
+    p = _add_command(
+        sub,
+        "scenarios",
+        "run a JSON compliance-scenario suite against a policy",
+        _cmd_scenarios,
     )
     p.add_argument("policy", help="path to a policy text file")
     p.add_argument("suite", help="path to a JSON scenario suite")
-    p.set_defaults(func=_cmd_scenarios)
 
-    p = sub.add_parser("corpus", help="emit a bundled synthetic policy")
+    p = _add_command(sub, "corpus", "emit a bundled synthetic policy", _cmd_corpus)
     p.add_argument("name", choices=["tiktak", "metabook", "meditrack"])
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_corpus)
 
-    p = sub.add_parser(
-        "snapshot", help="crash-safe model persistence (save / load / audit)"
+    p = _add_command(
+        sub, "snapshot", "crash-safe model persistence (save / load / audit)"
     )
     snap = p.add_subparsers(dest="snapshot_command", required=True)
 
-    s = snap.add_parser(
-        "save", help="process a policy and commit it as a verified snapshot"
+    s = _add_command(
+        snap,
+        "save",
+        "process a policy and commit it as a verified snapshot",
+        _cmd_snapshot_save,
     )
     s.add_argument("policy", help="path to a policy text file")
-    s.add_argument("--store", required=True, help="snapshot store directory")
+    _add_shared_options(s, store=True)
     s.add_argument(
         "--journaled",
         action="store_true",
         help="bracket the commit with the write-ahead update journal",
     )
-    s.set_defaults(func=_cmd_snapshot_save)
 
-    s = snap.add_parser(
-        "load", help="load the newest hash-valid snapshot and print its stats"
+    s = _add_command(
+        snap,
+        "load",
+        "load the newest hash-valid snapshot and print its stats",
+        _cmd_snapshot_load,
     )
-    s.add_argument("--store", required=True, help="snapshot store directory")
-    s.set_defaults(func=_cmd_snapshot_load)
+    _add_shared_options(s, store=True)
 
-    s = snap.add_parser(
+    s = _add_command(
+        snap,
         "audit",
-        help="verify structural invariants (and, with --policy, "
+        "verify structural invariants (and, with --policy, "
         "incremental-vs-rebuild parity)",
+        _cmd_snapshot_audit,
     )
-    s.add_argument("--store", required=True, help="snapshot store directory")
+    _add_shared_options(s, store=True)
     s.add_argument(
         "--policy",
         help="policy text to rebuild from for the parity audit",
@@ -895,22 +839,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="on parity failure, overwrite derived state with the rebuild "
         "and recommit (requires --policy)",
     )
-    s.set_defaults(func=_cmd_snapshot_audit)
 
-    p = sub.add_parser(
-        "registry",
-        help="sharded multi-policy registry (mint / list / query a fleet)",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    p = _add_command(
+        sub, "registry", "sharded multi-policy registry (mint / list / query a fleet)"
     )
     reg = p.add_subparsers(dest="registry_command", required=True)
 
-    s = reg.add_parser(
+    s = _add_command(
+        reg,
         "mint",
-        help="deterministically generate, process, and register a fleet "
+        "deterministically generate, process, and register a fleet "
         "of synthetic policies",
+        _cmd_registry_mint,
     )
-    s.add_argument("--root", required=True, help="registry directory")
+    _add_shared_options(s, root=True)
     s.add_argument(
         "--count", type=int, required=True, metavar="N", help="companies to mint"
     )
@@ -941,19 +883,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of exception pairs that genuinely contradict "
         "(default: 0.34)",
     )
-    s.set_defaults(func=_cmd_registry_mint)
 
-    s = reg.add_parser("list", help="list registered companies and shards")
-    s.add_argument("--root", required=True, help="registry directory")
-    s.set_defaults(func=_cmd_registry_list)
-
-    s = reg.add_parser(
-        "query",
-        help="fan one question across the fleet under job supervision",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    s = _add_command(
+        reg, "list", "list registered companies and shards", _cmd_registry_list
     )
-    s.add_argument("--root", required=True, help="registry directory")
+    _add_shared_options(s, root=True)
+
+    s = _add_command(
+        reg,
+        "query",
+        "fan one question across the fleet under job supervision",
+        _cmd_registry_query,
+    )
+    _add_shared_options(s, root=True, max_warm=True)
     s.add_argument(
         "question",
         help='declarative query, e.g. "The company shares the email '
@@ -965,29 +907,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset (default: every registered company)",
     )
     s.add_argument(
-        "--max-warm",
-        type=int,
-        default=32,
-        metavar="N",
-        help="LRU bound on warm models (default: 32)",
-    )
-    s.add_argument(
         "--resume",
         action="store_true",
         help="resume a checkpointed fleet instead of starting fresh "
         "(requires --checkpoint)",
     )
     _add_batch_options(s)
-    s.set_defaults(func=_cmd_registry_query)
 
-    p = sub.add_parser(
+    p = _add_command(
+        sub,
         "serve",
-        help="resident serving daemon: warm fleet queries over HTTP with "
+        "resident serving daemon: warm fleet queries over HTTP with "
         "graceful drain, hot reload, and load shedding",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        _cmd_serve,
     )
-    p.add_argument("--root", required=True, help="registry directory to serve")
+    _add_shared_options(p, root=True, max_warm=True, stats=True)
     p.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
     )
@@ -1006,13 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request wall-clock deadline; clients may tighten it, "
         "never loosen it, and the remainder tightens the solver budget "
         "(default: 10)",
-    )
-    p.add_argument(
-        "--max-warm",
-        type=int,
-        default=32,
-        metavar="N",
-        help="LRU bound on warm models per epoch (default: 32)",
     )
     p.add_argument(
         "--warm",
@@ -1038,21 +965,15 @@ def build_parser() -> argparse.ArgumentParser:
         "hash-verified per tick while the queue is idle, damage surfaced "
         "in /stats; <= 0 or omitted disables scrubbing (default: off)",
     )
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="print merged pipeline metrics after the drain",
-    )
     _add_provider_options(p)
-    p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser(
+    p = _add_command(
+        sub,
         "fsck",
-        help="unified integrity check over every durable artifact: "
+        "unified integrity check over every durable artifact: "
         "stores, registry, checkpoints, cassettes, cert quarantines "
         "(--repair heals what the formats' own recovery can heal)",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        _cmd_fsck,
     )
     p.add_argument(
         "path",
@@ -1069,46 +990,36 @@ def build_parser() -> argparse.ArgumentParser:
         "registry; exits 0 only when the re-scan is clean and nothing "
         "was unrepairable",
     )
-    p.add_argument(
-        "--json",
-        metavar="FILE",
-        help="also write the scan report (and repair plan) as JSON",
-    )
-    p.set_defaults(func=_cmd_fsck)
+    _add_shared_options(p, json=True)
 
-    p = sub.add_parser(
-        "batch",
-        help="supervised batch jobs (run / resume with checkpointing)",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    p = _add_command(
+        sub, "batch", "supervised batch jobs (run / resume with checkpointing)"
     )
     batch = p.add_subparsers(dest="batch_command", required=True)
 
-    s = batch.add_parser(
+    s = _add_command(
+        batch,
         "run",
-        help="run a query suite under supervision (watchdog, admission "
+        "run a query suite under supervision (watchdog, admission "
         "control, graceful drain, checkpointing)",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        _cmd_batch,
     )
     s.add_argument("policy", help="path to a policy text file")
     s.add_argument(
         "queries",
         help="path to a queries file (one question per line, # comments)",
     )
-    _add_batch_options(s, checkpoint_required=False)
-    s.set_defaults(func=_cmd_batch_run)
+    _add_batch_options(s)
 
-    s = batch.add_parser(
+    s = _add_command(
+        batch,
         "resume",
-        help="resume a checkpointed job: restore committed verdicts, "
+        "resume a checkpointed job: restore committed verdicts, "
         "re-execute only pending queries",
-        epilog=EXIT_CODES_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        _cmd_batch,
     )
     s.add_argument("policy", help="path to the policy text file of the job")
     _add_batch_options(s, checkpoint_required=True)
-    s.set_defaults(func=_cmd_batch_resume)
 
     return parser
 
@@ -1138,6 +1049,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _normalize_query_args(parser, args)
     try:
+        timeout = getattr(args, "timeout", None)
+        if timeout is not None and timeout <= 0:
+            raise ReproError(f"--timeout must be > 0, got {timeout}")
         return args.func(args)
     except SnapshotError as exc:
         print(f"snapshot error: {exc}", file=sys.stderr)

@@ -356,19 +356,19 @@ class PolicyPipeline:
         # newest 64; the serving daemon exposes them under /stats).
         self.integrity_log: list = []
 
-    def sync_resilience_metrics(self) -> dict[str, object]:
-        """Fold the LLM wrapper stack's current state into ``self.metrics``.
+    def metrics_report(self, *parts: PipelineMetrics) -> PipelineMetrics:
+        """``parts`` and the lifetime metrics merged into a new report.
 
-        Walks the composed stack (cache, breaker, retry, provider,
-        cassette, profile injector — whatever this pipeline was built
-        with), aggregates the usage counters, and sets the provider/
-        breaker fields on the lifetime metrics as absolutes (idempotent
-        under repeated calls).  Returns the raw stack view for callers
-        that surface it directly, like the daemon's ``/stats``.
+        The one report behind every ``--stats`` block and the daemon's
+        ``/stats``.  It first folds the LLM wrapper stack's current state
+        (breaker, retries, provider and cassette counters) into
+        ``self.metrics`` as absolutes, idempotent under repeated calls;
+        none of ``parts`` is changed.
         """
         from repro.providers.introspect import sync_resilience_metrics
 
-        return sync_resilience_metrics(self.llm, self.metrics)
+        sync_resilience_metrics(self.llm, self.metrics)
+        return merged([*parts, self.metrics])
 
     # ------------------------------------------------------------------
     # Phases 1 + 2

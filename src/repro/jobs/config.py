@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.jobs.admission import check_bounds
+from repro.solver.interface import SolverBudget
 
 
 @dataclass(slots=True)
@@ -49,10 +50,8 @@ class JobConfig:
     # Directory for the append-only checkpoint journal; None disables
     # checkpointing (and therefore resume).
     checkpoint_dir: str | Path | None = None
-    # Per-query wall-clock ceiling composed onto the solver budget: the
-    # effective solver deadline is min(budget.timeout_seconds, this).
-    # None leaves the configured budget untouched (the default solver
-    # deadline is unchanged).
+    # Per-query wall-clock ceiling composed onto the solver budget by
+    # query_budget(); None leaves the configured budget untouched.
     query_timeout: float | None = None
     # Install SIGINT/SIGTERM handlers for graceful drain while run() is
     # active (main thread only; nested runners leave handlers alone).
@@ -68,3 +67,10 @@ class JobConfig:
             raise ValueError("stall_after must be > 0")
         if self.query_timeout is not None and self.query_timeout <= 0:
             raise ValueError("query_timeout must be > 0")
+
+    def query_budget(self, base: SolverBudget) -> SolverBudget | None:
+        """The budget each query runs under: ``base`` tightened to
+        ``query_timeout``, or None (the pipeline's own) without one."""
+        if self.query_timeout is None:
+            return None
+        return base.tightened(self.query_timeout)

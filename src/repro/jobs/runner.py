@@ -35,7 +35,7 @@ import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.metrics import PipelineMetrics, merged
@@ -538,15 +538,7 @@ class JobRunner:
         )
 
     def _default_query(self, index, question, certify, heartbeat):
-        budget = None
-        if self.config.query_timeout is not None:
-            base = self.pipeline.config.solver_budget
-            effective = (
-                self.config.query_timeout
-                if base.timeout_seconds is None
-                else min(base.timeout_seconds, self.config.query_timeout)
-            )
-            budget = replace(base, timeout_seconds=effective)
+        budget = self.config.query_budget(self.pipeline.config.solver_budget)
         return self.pipeline.query(
             self.model, question, budget=budget, certify=certify
         )

@@ -11,8 +11,9 @@ aggregated usage dict plus the circuit breaker's state.
 :func:`sync_resilience_metrics` then projects that view onto a
 :class:`~repro.core.metrics.PipelineMetrics` instance as *absolute*
 values (the usage counters are lifetime totals, so assignment — not
-merge — keeps repeated syncs idempotent).  The pipeline and the serving
-daemon both call it just before rendering stats.
+merge — keeps repeated syncs idempotent).
+:meth:`~repro.core.pipeline.PolicyPipeline.metrics_report` calls it just
+before every stats report.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ def llm_stack_state(llm: object) -> dict[str, object]:
 def sync_resilience_metrics(llm: object, metrics: PipelineMetrics) -> dict[str, object]:
     """Project the stack's current state onto ``metrics`` (absolute set).
 
-    Returns the :func:`llm_stack_state` dict so callers that also want
-    the raw view (the daemon's ``/stats``) pay for one walk, not two.
+    Returns the :func:`llm_stack_state` dict it projected.
     """
     state = llm_stack_state(llm)
     usage = state["usage"]

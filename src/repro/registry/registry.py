@@ -328,6 +328,8 @@ class PolicyRegistry:
         identity = fleet_identity(
             [(c, self.entry(c).revision) for c in roster]
         )
+        if config is None:
+            config = JobConfig(handle_signals=False)
 
         def query_fn(index, tagged_question, certify, heartbeat):
             company = roster[index]
@@ -339,12 +341,15 @@ class PolicyRegistry:
                 # say the *registry* (not the query) failed.
                 exc.pipeline_stage = "registry"
                 raise
-            return self.pipeline.query(model, question, certify=certify)
+            budget = config.query_budget(self.pipeline.config.solver_budget)
+            return self.pipeline.query(
+                model, question, budget=budget, certify=certify
+            )
 
         return JobRunner(
             self.pipeline,
             identity,
-            config if config is not None else JobConfig(handle_signals=False),
+            config,
             query_fn=query_fn,
             journal_step=journal_step,
         )

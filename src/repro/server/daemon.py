@@ -41,13 +41,14 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.metrics import LatencyReservoir, PipelineMetrics
 from repro.core.pipeline import PolicyPipeline
 from repro.errors import RegistryError, ReproError, ServerError, SnapshotError
 from repro.jobs.config import JobConfig
+from repro.providers.introspect import llm_stack_state
 from repro.registry.registry import PolicyRegistry
 from repro.jobs.admission import AdmissionGate, ShedDecision
 from repro.server.config import ServerConfig
@@ -468,14 +469,10 @@ class PolicyServer:
 
     def stats(self) -> dict[str, object]:
         epochs = self._epochs
-        # Refresh provider/breaker counters from the wrapper stack before
-        # merging, so /stats reports the boundary's live state.
-        llm_state = self.pipeline.sync_resilience_metrics()
         with self._metrics_lock:
             self.metrics.queue_depth = self.gate.depth
-            merged_metrics = PipelineMetrics(queries=0)
-            merged_metrics.merge(self.metrics)
-        merged_metrics.merge(self.pipeline.metrics)
+            merged_metrics = self.pipeline.metrics_report(self.metrics)
+        llm_state = llm_stack_state(self.pipeline.llm)
         latency = self.metrics.latency
         return {
             "epoch": 0 if epochs is None else epochs.current_epoch,
@@ -522,15 +519,6 @@ class PolicyServer:
         if not isinstance(requested, (int, float)) or requested <= 0:
             return None
         return min(float(requested), self.config.default_deadline)
-
-    def _tightened_budget(self, remaining: float):
-        base = self.pipeline.config.solver_budget
-        effective = (
-            remaining
-            if base.timeout_seconds is None
-            else min(base.timeout_seconds, remaining)
-        )
-        return replace(base, timeout_seconds=effective)
 
     def _default_query(self, model, question, budget, certify):
         return self.pipeline.query(
@@ -596,7 +584,7 @@ class PolicyServer:
                     outcome = self._query_fn(
                         model,
                         question,
-                        self._tightened_budget(remaining),
+                        self.pipeline.config.solver_budget.tightened(remaining),
                         bool(certify),
                     )
                 except ReproError as exc:
@@ -626,9 +614,9 @@ class PolicyServer:
     def handle_fleet(self, body: dict) -> tuple[int, dict, bool]:
         """Fan one question across the fleet through the job runner.
 
-        Takes one admission slot (it is one request); the per-company
-        solver budgets are tightened by the request deadline via
-        ``JobConfig.query_timeout``.
+        Takes one admission slot (it is one request); each company's
+        solver budget is tightened to the deadline left after admission,
+        via ``JobConfig.query_timeout``.
         """
         question = body.get("question")
         if not isinstance(question, str):

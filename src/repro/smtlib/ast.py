@@ -57,18 +57,25 @@ _TOKEN = re.compile(
 )
 
 
-def _line(text: str, offset: int) -> int:
+def line_at(text: str, offset: int) -> int:
+    """The 1-based line of ``text`` that ``offset`` falls on."""
     return text.count("\n", 0, offset) + 1
 
 
-def parse_sexprs(text: str) -> list[SExpr]:
-    """Parse SMT-LIB text into a list of top-level s-expressions."""
+def parse_sexprs(text: str, starts: list[int] | None = None) -> list[SExpr]:
+    """Parse SMT-LIB text into a list of top-level s-expressions.
+
+    ``starts``, when given, receives the offset at which each top-level
+    expression begins, in order.
+    """
     exprs: list[SExpr] = []
     current = exprs
     # Each enclosing list of ``current``, with where its open ``(`` stands.
     stack: list[tuple[list, int]] = []
     for match in _TOKEN.finditer(text):
         kind = match.lastindex
+        if not stack and kind and starts is not None:
+            starts.append(match.start(kind))
         if kind == 4:
             current.append(match[4])
         elif kind == 1:
@@ -78,7 +85,7 @@ def parse_sexprs(text: str) -> list[SExpr]:
             current = inner
         elif kind == 2:
             if not stack:
-                raise SMTLibParseError("unbalanced ')'", _line(text, match.start(2)))
+                raise SMTLibParseError("unbalanced ')'", line_at(text, match.start(2)))
             current, _ = stack.pop()
         elif kind == 3:
             current.append(_quoted_symbol(match[3]))
@@ -88,10 +95,10 @@ def parse_sexprs(text: str) -> list[SExpr]:
                 if match[5] == "|"
                 else "unterminated string literal"
             )
-            raise SMTLibParseError(message, _line(text, match.start(5)))
+            raise SMTLibParseError(message, line_at(text, match.start(5)))
         else:
             break  # nothing but whitespace and comments is left
     if stack:
         _, start = stack[-1]
-        raise SMTLibParseError("unbalanced '(' at end of input", _line(text, start))
+        raise SMTLibParseError("unbalanced '(' at end of input", line_at(text, start))
     return exprs

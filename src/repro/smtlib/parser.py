@@ -26,7 +26,7 @@ from repro.fol.formula import (
     PredicateSymbol,
 )
 from repro.fol.terms import Application, Constant, FunctionSymbol, Sort, Term, Variable
-from repro.smtlib.ast import SExpr, parse_sexprs, sexpr_to_text
+from repro.smtlib.ast import SExpr, line_at, parse_sexprs, sexpr_to_text
 from repro.smtlib.script import (
     Assert,
     CheckSat,
@@ -48,50 +48,70 @@ from repro.solver.result import SolverResult
 _BOOL = Sort("Bool")
 
 
+#: Each command's arguments, as (how many at least, their kinds: ``s`` a
+#: symbol, ``n`` a numeral, ``l`` a list, ``t`` any term), and its builder.
+_COMMANDS = {
+    "set-logic": (1, "s", SetLogic),
+    "declare-sort": (1, "sn", lambda name, arity=None: DeclareSort(name)),
+    "declare-const": (2, "ss", DeclareConst),
+    "declare-fun": (
+        3,
+        "sls",
+        lambda name, sorts, result: DeclareFun(name, tuple(map(str, sorts)), result),
+    ),
+    "assert": (1, "t", Assert),
+    "check-sat": (0, "", CheckSat),
+    "check-sat-assuming": (1, "l", lambda lits: CheckSatAssuming(tuple(lits))),
+    "push": (0, "n", lambda levels="1": Push(int(levels))),
+    "pop": (0, "n", lambda levels="1": Pop(int(levels))),
+    "get-model": (0, "", GetModel),
+    "get-value": (1, "l", lambda terms: GetValue(tuple(terms))),
+}
+
+#: Harmless commands accepted and ignored, whatever their arguments.
+_IGNORED = frozenset({"exit", "set-option", "set-info"})
+
+
+def _fits(kind: str, arg: SExpr) -> bool:
+    if kind == "l":
+        return isinstance(arg, list)
+    if kind == "n":
+        return isinstance(arg, str) and arg.isascii() and arg.isdigit()
+    return kind == "t" or isinstance(arg, str)
+
+
+def _command(expr: SExpr) -> Command | None:
+    """The typed command ``expr`` spells (None for an ignored one)."""
+    if not isinstance(expr, list) or not expr:
+        raise SMTLibParseError(f"expected a command, got {expr!r}")
+    head = expr[0] if isinstance(expr[0], str) else None
+    if head in _IGNORED:
+        return None
+    if head not in _COMMANDS:
+        raise SMTLibParseError(f"unsupported command {expr[0]!r}")
+    least, kinds, build = _COMMANDS[head]
+    args = expr[1:]
+    if not least <= len(args) <= len(kinds) or not all(map(_fits, kinds, args)):
+        raise SMTLibParseError(f"malformed command {sexpr_to_text(expr)}")
+    return build(*args)
+
+
 def parse_script(text: str) -> SMTScript:
-    """Parse SMT-LIB text into a typed :class:`SMTScript`."""
+    """Parse SMT-LIB text into a typed :class:`SMTScript`.
+
+    A malformed command raises :class:`SMTLibParseError` naming the line
+    it starts on.
+    """
     script = SMTScript()
-    for expr in parse_sexprs(text):
-        if not isinstance(expr, list) or not expr:
-            raise SMTLibParseError(f"expected a command, got {expr!r}")
-        head = expr[0]
-        if head == "set-logic":
-            script.add(SetLogic(str(expr[1])))
-        elif head == "declare-sort":
-            script.add(DeclareSort(str(expr[1])))
-        elif head == "declare-const":
-            script.add(DeclareConst(str(expr[1]), str(expr[2])))
-        elif head == "declare-fun":
-            args = expr[2]
-            if not isinstance(args, list):
-                raise SMTLibParseError("declare-fun argument sorts must be a list")
-            script.add(
-                DeclareFun(str(expr[1]), tuple(str(a) for a in args), str(expr[3]))
-            )
-        elif head == "assert":
-            script.add(Assert(expr[1]))
-        elif head == "check-sat":
-            script.add(CheckSat())
-        elif head == "check-sat-assuming":
-            lits = expr[1]
-            if not isinstance(lits, list):
-                raise SMTLibParseError("check-sat-assuming expects a literal list")
-            script.add(CheckSatAssuming(tuple(lits)))
-        elif head == "push":
-            script.add(Push(int(expr[1]) if len(expr) > 1 else 1))
-        elif head == "pop":
-            script.add(Pop(int(expr[1]) if len(expr) > 1 else 1))
-        elif head == "get-model":
-            script.add(GetModel())
-        elif head == "get-value":
-            terms = expr[1]
-            if not isinstance(terms, list):
-                raise SMTLibParseError("get-value expects a term list")
-            script.add(GetValue(tuple(terms)))
-        elif head in {"exit", "set-option", "set-info"}:
-            continue  # harmless commands we accept and ignore
-        else:
-            raise SMTLibParseError(f"unsupported command {head!r}")
+    starts: list[int] = []
+    exprs = parse_sexprs(text, starts)
+    for expr, start in zip(exprs, starts):
+        try:
+            command = _command(expr)
+        except SMTLibParseError as exc:
+            raise SMTLibParseError(str(exc), line_at(text, start)) from None
+        if command is not None:
+            script.add(command)
     return script
 
 

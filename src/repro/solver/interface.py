@@ -33,7 +33,7 @@ immutable :class:`SolverBudget` across threads.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import BudgetExceededError, SolverError
 from repro.fol.formula import Formula, Not, Predicate
@@ -77,6 +77,20 @@ class SolverBudget:
     max_ground_instances: int | None = 200_000
     timeout_seconds: float | None = 10.0
     decision_seed: int = 0
+
+    def tightened(self, seconds: float) -> "SolverBudget":
+        """This budget with its deadline cut to ``seconds`` if that is sooner.
+
+        A deadline only ever tightens: the effective one is
+        ``min(timeout_seconds, seconds)``, and ``seconds`` alone when the
+        budget has none.  Every other limit is kept.
+        """
+        timeout = (
+            seconds
+            if self.timeout_seconds is None
+            else min(self.timeout_seconds, seconds)
+        )
+        return replace(self, timeout_seconds=timeout)
 
     def scaled(self, factor: float) -> "SolverBudget":
         """A budget with every finite limit multiplied by ``factor``.

@@ -470,3 +470,265 @@ class TestProviderFlags:
         assert code == 0
         assert "llm boundary: breaker closed" in out
         assert "retries" in out
+
+
+def _options(parser, path=()):
+    """``{command path: {option: (dest, default, required, choices, type)}}``
+    for ``parser`` and every subcommand under it."""
+    import argparse
+
+    table, options = {}, {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                table.update(_options(child, (*path, name)))
+        elif not isinstance(action, argparse._HelpAction):
+            options[" ".join(action.option_strings) or action.dest] = (
+                action.dest,
+                action.default,
+                action.required,
+                None if action.choices is None else tuple(action.choices),
+                getattr(action.type, "__name__", None),
+            )
+    table[" ".join(path)] = options
+    return table
+
+
+_PROVIDER = {
+    "--llm-provider": ("provider", "simulated", False, ("simulated", "http"), None),
+    "--cassette": ("cassette", None, False, ("record", "replay"), None),
+    "--cassette-path": ("cassette_path", None, False, None, None),
+    "--profile": ("profile", None, False, None, None),
+}
+_JOB = {
+    "--workers": ("workers", None, False, None, "int"),
+    "--max-pending": ("max_pending", 64, False, None, "int"),
+    "--shed-above": ("shed_above", None, False, None, "int"),
+    "--stall-after": ("stall_after", None, False, None, "float"),
+    "--timeout": ("timeout", None, False, None, "float"),
+    "--stats": ("stats", False, False, None, None),
+    "--json": ("json", None, False, None, None),
+    **_PROVIDER,
+}
+_ROOT = {"--root": ("root", None, True, None, None)}
+_MAX_WARM = {"--max-warm": ("max_warm", 32, False, None, "int")}
+_POLICY = {"policy": ("policy", None, True, None, None)}
+
+#: Every option of every subcommand, as the CLI accepted it before its
+#: flags were each declared once: the refactor must keep all of it.
+CLI_SURFACE = {
+    "": {},
+    "process": {**_POLICY, "--artifacts": ("artifacts", None, False, None, None)},
+    "query": {
+        "policy": ("policy", None, False, None, None),
+        "question": ("question", None, False, None, None),
+        "--from-snapshot": ("from_snapshot", None, False, None, None),
+        "--smtlib": ("smtlib", False, False, None, None),
+        "--stats": ("stats", False, False, None, None),
+        "--resilient": ("resilient", False, False, None, None),
+        "--max-retries": ("max_retries", 2, False, None, "int"),
+        "--ladder": ("ladder", "4,16", False, None, None),
+        "--no-decompose": ("no_decompose", False, False, None, None),
+        "--certify --no-certify": ("certify", None, False, None, None),
+        "--quarantine": ("quarantine", None, False, None, None),
+        "--timeout": ("timeout", None, False, None, "float"),
+        **_PROVIDER,
+    },
+    "audit": _POLICY,
+    "diff": {
+        "old": ("old", None, True, None, None),
+        "new": ("new", None, True, None, None),
+    },
+    "scenarios": {**_POLICY, "suite": ("suite", None, True, None, None)},
+    "corpus": {
+        "name": ("name", None, True, ("tiktak", "metabook", "meditrack"), None),
+        "--out": ("out", None, False, None, None),
+    },
+    "snapshot": {},
+    "snapshot save": {
+        **_POLICY,
+        "--store": ("store", None, True, None, None),
+        "--journaled": ("journaled", False, False, None, None),
+    },
+    "snapshot load": {"--store": ("store", None, True, None, None)},
+    "snapshot audit": {
+        "--store": ("store", None, True, None, None),
+        "--policy": ("policy", None, False, None, None),
+        "--heal": ("heal", False, False, None, None),
+    },
+    "registry": {},
+    "registry mint": {
+        **_ROOT,
+        "--count": ("count", None, True, None, "int"),
+        "--seed": ("seed", 0, False, None, "int"),
+        "--sectors": ("sectors", None, False, None, None),
+        "--words": ("words", None, False, None, None),
+        "--exception-pairs": ("exception_pairs", None, False, None, "int"),
+        "--incoherent-fraction": ("incoherent_fraction", None, False, None, "float"),
+    },
+    "registry list": _ROOT,
+    "registry query": {
+        **_ROOT,
+        **_MAX_WARM,
+        **_JOB,
+        "question": ("question", None, True, None, None),
+        "--companies": ("companies", None, False, None, None),
+        "--resume": ("resume", False, False, None, None),
+        "--checkpoint": ("checkpoint", None, False, None, None),
+    },
+    "serve": {
+        **_ROOT,
+        **_MAX_WARM,
+        **_PROVIDER,
+        "--host": ("host", "127.0.0.1", False, None, None),
+        "--port": ("port", 8321, False, None, "int"),
+        "--max-pending": ("max_pending", 8, False, None, "int"),
+        "--shed-above": ("shed_above", None, False, None, "int"),
+        "--deadline": ("deadline", 10.0, False, None, "float"),
+        "--warm": ("warm", -1, False, None, "int"),
+        "--drain-grace": ("drain_grace", 30.0, False, None, "float"),
+        "--scrub-interval": ("scrub_interval", None, False, None, "float"),
+        "--stats": ("stats", False, False, None, None),
+    },
+    "fsck": {
+        "path": ("path", None, True, None, None),
+        "--repair": ("repair", False, False, None, None),
+        "--json": ("json", None, False, None, None),
+    },
+    "batch": {},
+    "batch run": {
+        **_POLICY,
+        **_JOB,
+        "queries": ("queries", None, True, None, None),
+        "--checkpoint": ("checkpoint", None, False, None, None),
+    },
+    "batch resume": {
+        **_POLICY,
+        **_JOB,
+        "--checkpoint": ("checkpoint", None, True, None, None),
+    },
+}
+
+
+class TestParserSurface:
+    def test_every_subcommand_keeps_its_options(self):
+        from repro.cli import build_parser
+
+        assert _options(build_parser()) == CLI_SURFACE
+
+
+QUESTION = "The company shares the email address with advertisers."
+
+
+@pytest.fixture(scope="module")
+def fleet_root(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("cli-fleet") / "reg")
+    assert main(["registry", "mint", "--root", root, "--count", "2", "--seed", "7"]) == 0
+    return root
+
+
+class TestRegistry:
+    def test_mint_reports_the_new_companies(self, tmp_path, capsys):
+        root = str(tmp_path / "reg")
+        assert main(["registry", "mint", "--root", root, "--count", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "minted 2 policies" in out
+        assert "registry: 2 companies" in out
+
+    def test_list_names_every_company(self, fleet_root, capsys):
+        assert main(["registry", "list", "--root", fleet_root]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "2 companies in 8 shards"
+        assert all(" shard shard-" in line for line in lines[:-1])
+        assert len(lines) == 3
+
+    def test_query_stats_and_json(self, fleet_root, tmp_path, capsys):
+        report = tmp_path / "fleet.json"
+        code = main(
+            [
+                "registry",
+                "query",
+                "--root",
+                fleet_root,
+                QUESTION,
+                "--stats",
+                "--json",
+                str(report),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [row.split()[1] for row in out.splitlines()[:2]] == ["INVALID"] * 2
+        metrics = out.split("--- pipeline metrics ---\n", 1)[1]
+        assert "queries: 2" in metrics
+        assert "fleet: 1 fan-outs over 2 companies" in metrics
+        assert "llm boundary: breaker" in metrics
+        assert f"wrote JSON results to {report}" in out
+        data = json.loads(report.read_text("utf-8"))
+        assert data["question"] == QUESTION
+        assert len(data["companies"]) == 2
+
+    def test_nonpositive_timeout_rejected(self, fleet_root, capsys):
+        code = main(
+            ["registry", "query", "--root", fleet_root, QUESTION, "--timeout", "0"]
+        )
+        assert code == 3
+        assert "--timeout" in capsys.readouterr().err
+
+
+class TestFsck:
+    @pytest.fixture()
+    def torn_checkpoint(self, fleet_root, tmp_path, capsys):
+        """A fleet checkpoint whose journal ends in a torn line."""
+        ckpt = tmp_path / "ckpt"
+        main(
+            [
+                "registry",
+                "query",
+                "--root",
+                fleet_root,
+                QUESTION,
+                "--checkpoint",
+                str(ckpt),
+            ]
+        )
+        with open(ckpt / "journal.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('{"torn')
+        capsys.readouterr()
+        return str(ckpt)
+
+    def test_clean_root_json(self, fleet_root, tmp_path, capsys):
+        report = tmp_path / "fsck.json"
+        assert main(["fsck", fleet_root, "--json", str(report)]) == 0
+        assert f"wrote JSON report to {report}" in capsys.readouterr().out
+        data = json.loads(report.read_text("utf-8"))
+        assert set(data) == {"report", "plan"}
+
+    def test_damage_json_then_repair_json(self, torn_checkpoint, tmp_path, capsys):
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main(["fsck", torn_checkpoint, "--json", str(before)]) == 9
+        assert "run again with --repair" in capsys.readouterr().out
+        assert set(json.loads(before.read_text("utf-8"))) == {"report", "plan"}
+        code = main(["fsck", torn_checkpoint, "--repair", "--json", str(after)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "post-repair fsck" in out
+        assert f"wrote JSON report to {after}" in out
+        data = json.loads(after.read_text("utf-8"))
+        assert set(data) == {"report", "plan", "post_repair"}
+        assert data["plan"]["applied"] is True
+        assert data["post_repair"]["clean"] is True
+
+
+class TestBatchStats:
+    def test_run_stats_merges_job_and_pipeline_metrics(
+        self, policy_file, queries_file, capsys
+    ):
+        code = main(["batch", "run", policy_file, queries_file, "--stats"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "4/4 queries" in out
+        metrics = out.split("--- pipeline metrics ---\n", 1)[1]
+        assert "queries: 4" in metrics
+        assert "jobs: queue high-water" in metrics
+        assert "llm boundary: breaker" in metrics

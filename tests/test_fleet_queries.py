@@ -10,6 +10,8 @@ companies whose verdicts never reached the journal.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import JobConfig, JobError
@@ -162,3 +164,36 @@ class TestKillResumeParity:
         monkeypatch.undo()
         assert resumed.job.restored == SPEC.count
         assert resumed.digest() == baseline.digest()
+
+
+class TestQueryTimeout:
+    def _budgets(self, pipeline, registry, monkeypatch, config):
+        budgets = []
+        real_query = pipeline.query
+
+        def spy(model, question, **kwargs):
+            budgets.append(kwargs.get("budget"))
+            return real_query(model, question, **kwargs)
+
+        monkeypatch.setattr(pipeline, "query", spy)
+        report = registry.query_fleet(
+            QUESTION, registry.companies()[:2], config=config
+        )
+        monkeypatch.undo()
+        assert report.errors == [] and not report.aborted
+        return budgets
+
+    def test_query_timeout_tightens_each_company_budget(
+        self, pipeline, registry, monkeypatch
+    ):
+        config = JobConfig(handle_signals=False, query_timeout=0.5)
+        budgets = self._budgets(pipeline, registry, monkeypatch, config)
+        # The default 10 s solver deadline is cut to the job's 0.5 s.
+        expected = replace(pipeline.config.solver_budget, timeout_seconds=0.5)
+        assert budgets == [expected] * 2
+
+    def test_no_query_timeout_leaves_the_budget_to_the_pipeline(
+        self, pipeline, registry, monkeypatch
+    ):
+        config = JobConfig(handle_signals=False)
+        assert self._budgets(pipeline, registry, monkeypatch, config) == [None] * 2

@@ -454,18 +454,35 @@ class TestDeadlines:
         assert srv._deadline_for({"deadline_seconds": "1"}) is None
 
     def test_remaining_deadline_tightens_solver_budget(self, serving_root):
-        srv = make_server(serving_root)
+        budgets = []
+
+        def query_fn(model, question, budget, certify):
+            budgets.append(budget)
+            return srv.pipeline.query(
+                model, question, budget=budget, certify=certify
+            )
+
+        srv = make_server(serving_root, query_fn=query_fn, default_deadline=60.0)
+        srv.start()
+        try:
+            company = srv.companies()[0]
+            for deadline in (0.25, 60.0):
+                status, _, _ = srv.handle_query(
+                    {
+                        "company": company,
+                        "question": QUESTION,
+                        "deadline_seconds": deadline,
+                    }
+                )
+                assert status == 200
+        finally:
+            srv.stop()
         base = srv.pipeline.config.solver_budget
-        tightened = srv._tightened_budget(0.25)
-        assert tightened.timeout_seconds == pytest.approx(
-            0.25
-            if base.timeout_seconds is None
-            else min(base.timeout_seconds, 0.25)
-        )
+        tight, wide = budgets
+        assert 0 < tight.timeout_seconds <= 0.25
+        assert replace(tight, timeout_seconds=base.timeout_seconds) == base
         # Wide remaining time never loosens a tight base budget.
-        if base.timeout_seconds is not None:
-            wide = srv._tightened_budget(base.timeout_seconds + 100.0)
-            assert wide.timeout_seconds == base.timeout_seconds
+        assert wide == base
 
     def test_expired_deadline_refused_post_admission(self, server):
         # The deadline is re-checked after admission + model resolution;

@@ -184,6 +184,21 @@ class TestParseScript:
         script = parse_script("(push 1)(pop 1)")
         assert [type(c).__name__ for c in script.commands] == ["Push", "Pop"]
 
+    @pytest.mark.parametrize(
+        "command",
+        ["(declare-const a)", "(assert)", "(push x)", "((check-sat))"],
+        ids=[
+            "declare-const-without-sort",
+            "empty-assert",
+            "push-non-numeral",
+            "list-as-command-name",
+        ],
+    )
+    def test_malformed_command_names_its_line(self, command):
+        with pytest.raises(SMTLibParseError) as info:
+            parse_script(f"(set-logic UF)\n(check-sat)\n{command}\n(check-sat)")
+        assert info.value.line == 3
+
 
 class TestExecuteScript:
     def test_entailment_unsat(self):
