@@ -179,9 +179,10 @@ def _build_provider_stack(args: argparse.Namespace, *, always: bool = False):
 
     Returns ``None`` when no provider flag is active and ``always`` is
     false, so callers fall through to the pipeline's default backend.
-    The composed stack is ``CachedLLM(CircuitBreaker(RetryingLLM(
-    RecordingLLM?(ProfiledLLM?(backend)))))`` — retries above the recorder
-    so only completions that actually succeeded are captured, the profile
+    From the top, the stack is ``CachedLLM``, ``CircuitBreaker``,
+    ``RetryingLLM``, an optional ``RecordingLLM``, an optional
+    ``ProfiledLLM`` and the backend — retries above the recorder so only
+    completions that actually succeeded are captured, the profile
     injector at the bottom where a real unreliable provider would sit.
     """
     provider = getattr(args, "provider", "simulated")
