@@ -1,14 +1,14 @@
-"""A7 — checkpoint journaling overhead on the batch query engine.
+"""A7 — checkpoint journaling overhead on the batch executor.
 
-The supervised job runner (:mod:`repro.jobs`) streams every completed
-outcome into an append-only fsync'd journal so a killed audit resumes
-instead of restarting.  Durability that slows the common (no-crash) case
-down too much would never be left on, so this bench prices it: the A3
-repeated-term suite through plain ``query_batch`` versus a checkpointed
-``JobRunner``, cold caches both sides, best-of-N to squeeze out scheduler
-noise.
+The job runner (:mod:`repro.jobs`), which every batch runs on, can stream
+each completed outcome into an append-only fsync'd journal so a killed
+audit resumes instead of restarting.  Durability that slows the common
+(no-crash) case down too much would never be left on, so this bench
+prices it: the A3 repeated-term suite through ``JobRunner`` without a
+journal (a plain ``query_batch``) versus ``JobRunner`` with one, cold
+caches both sides, best-of-N to squeeze out scheduler noise.
 
-Asserts the supervised run is verdict-identical to the plain batch and
+Asserts the journaled run is verdict-identical to the plain one and
 costs **< 10% wall-clock overhead** — the journal appends happen on the
 worker threads between queries, so the solver work dominates.
 """
@@ -77,9 +77,8 @@ def test_a7_checkpoint_overhead(pipeline, tiktak_model, tmp_path, benchmark):
     plain_seconds, batch = _best_of(ROUNDS, plain)
     job_seconds, job = _best_of(ROUNDS, checkpointed)
 
-    # Supervision is a wrapper, not a different engine: every verdict (and
-    # the full trace) matches the plain batch, and every outcome reached
-    # the journal.
+    # The journal only records: every verdict (and the full trace)
+    # matches the plain batch, and every outcome reached the journal.
     assert job.pending == []
     assert [o.verdict for o in job.outcomes] == batch.verdicts
     assert [_trace(o) for o in job.outcomes] == [
@@ -93,7 +92,7 @@ def test_a7_checkpoint_overhead(pipeline, tiktak_model, tmp_path, benchmark):
         f"{BATCH_WORKERS} workers, best of {ROUNDS})",
         ["mode", "seconds", "overhead", "journal records"],
         [
-            ["query_batch (no checkpoint)", f"{plain_seconds:.3f}", "-", "-"],
+            ["JobRunner (no journal)", f"{plain_seconds:.3f}", "-", "-"],
             [
                 "JobRunner (fsync'd journal)",
                 f"{job_seconds:.3f}",

@@ -70,7 +70,7 @@ def main() -> None:
             flags.append(f"depends on {len(outcome.verification.depends_on)} vague terms")
         suffix = f"  ({'; '.join(flags)})" if flags else ""
         print(f"  {outcome.verdict!s:7s} {outcome.question}{suffix}")
-    print(f"  {batch.summary()}")
+    print(f"  {batch.summary()}; cache hit rate {batch.metrics.hit_rate:.1%}")
 
     print("\n--- where human judgment is required ---")
     vague = {}

@@ -2,8 +2,8 @@
 
 A :class:`ModelCaches` instance rides on every
 :class:`~repro.core.pipeline.PolicyModel` and lets
-:meth:`~repro.core.pipeline.PolicyPipeline.query_batch` share repeated work
-between queries:
+the query workers of one :class:`~repro.jobs.JobRunner` batch (and any
+other queries on the model) share repeated work between queries:
 
 * **translation** — term -> :class:`~repro.core.translation.TranslationResult`,
   keyed by the lowered term, the search parameters, and the model's
@@ -22,7 +22,7 @@ outside the lock.  :meth:`get_or_compute` is additionally *single-flight*
 per key: concurrent callers of an uncached key elect one leader to compute
 while the rest park on an event and reuse its result — a batch of repeated
 queries pays for each distinct problem exactly once, no matter how the
-thread pool interleaves them.  If the leader's computation raises, waiters
+worker threads interleave them.  If the leader's computation raises, waiters
 are woken to elect a new leader rather than inheriting the failure.
 """
 

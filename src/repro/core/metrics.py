@@ -5,8 +5,8 @@ preceded by LLM parameter extraction.  :class:`PipelineMetrics` records the
 wall time each stage cost, how often the per-model memoization caches
 answered instead, and the solver work the verification stage performed.
 One instance is attached to every :class:`~repro.core.pipeline.QueryOutcome`;
-:meth:`PipelineMetrics.merge` folds the per-query instances into the
-:class:`~repro.core.pipeline.BatchOutcome` summary.
+:meth:`PipelineMetrics.merge` folds the per-query instances into a
+batch's :class:`~repro.jobs.JobResult` metrics.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 ``process`` runs Phases 1 and 2 over a policy and returns a
 :class:`PolicyModel`; ``query`` runs Phase 3 against a model;
-``query_batch`` runs many Phase 3 queries concurrently against one model,
-sharing repeated work through the model's memoization caches; ``update``
+``query_batch`` runs many Phase 3 queries concurrently against one model
+on the :class:`~repro.jobs.JobRunner` executor, sharing repeated work
+through the model's memoization caches; ``update``
 applies a new policy version incrementally, re-extracting only segments
 whose content hash changed.  Artifacts (segments, practices, graphs,
 embeddings) can be persisted as JSON for inspection, mirroring the paper's
@@ -22,7 +23,6 @@ points.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,8 +59,6 @@ from repro.resilience.degradation import (
     is_budget_limited,
 )
 from repro.solver.interface import CertificationConfig, SolverBudget
-
-DEFAULT_BATCH_WORKERS = 8
 
 
 @contextmanager
@@ -110,9 +108,10 @@ class PipelineConfig:
     # certification; None disables quarantine (the alarm still fires).
     certification_quarantine_dir: str | Path | None = None
     # Default supervision settings for run_job/resume_job (watchdog,
-    # admission control, checkpointing); None means plain JobConfig()
-    # defaults.  Annotated lazily to keep repro.jobs import-free here —
-    # the jobs package imports this module, never the reverse.
+    # admission control, checkpointing; query_batch runs without); None
+    # means plain JobConfig() defaults.  Annotated lazily to keep
+    # repro.jobs import-free here — the jobs package imports this
+    # module at import time, never the reverse.
     jobs: "JobConfig | None" = None  # noqa: F821 - resolved lazily
 
 
@@ -226,10 +225,10 @@ class ErrorOutcome:
     """Structured failure record for one query in a fault-isolated batch.
 
     Takes a :class:`QueryOutcome`'s place in
-    :class:`BatchOutcome.outcomes` when that query raised: the batch keeps
-    its order and its other verdicts, and the failure is reduced to what a
-    caller can act on — which question, which pipeline stage, which
-    exception.
+    :attr:`repro.jobs.JobResult.outcomes` when that query raised: the
+    batch keeps its order and its other verdicts, and the failure is
+    reduced to what a caller can act on — which question, which pipeline
+    stage, which exception.
     """
 
     question: str
@@ -264,73 +263,6 @@ class ErrorOutcome:
         if include_metrics:
             trace["metrics"] = self.metrics.as_dict()
         return trace
-
-
-@dataclass(slots=True)
-class BatchOutcome:
-    """The outcomes of one :meth:`PolicyPipeline.query_batch` run.
-
-    ``outcomes`` preserves the order of the input questions; ``metrics``
-    is the sum of every query's :class:`PipelineMetrics`.
-    """
-
-    outcomes: list[QueryOutcome | ErrorOutcome]
-    metrics: PipelineMetrics
-    seconds: float
-    max_workers: int
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def __iter__(self):
-        return iter(self.outcomes)
-
-    @property
-    def verdicts(self):
-        return [o.verdict for o in self.outcomes]
-
-    @property
-    def errors(self) -> list[ErrorOutcome]:
-        """The fault-isolated failures, in input order."""
-        return [o for o in self.outcomes if isinstance(o, ErrorOutcome)]
-
-    @property
-    def succeeded(self) -> list[QueryOutcome]:
-        """The queries that produced a verdict, in input order."""
-        return [o for o in self.outcomes if isinstance(o, QueryOutcome)]
-
-    def verdict_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for outcome in self.outcomes:
-            name = outcome.verdict.value
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
-    def summary(self) -> str:
-        counts = ", ".join(
-            f"{n} {v}" for v, n in sorted(self.verdict_counts().items())
-        )
-        line = (
-            f"{len(self.outcomes)} queries in {self.seconds:.2f}s "
-            f"({self.max_workers} workers): {counts or 'no verdicts'}; "
-            f"cache hit rate {self.metrics.hit_rate:.1%} "
-            f"({self.metrics.cache_hits} hits / {self.metrics.cache_misses} misses)"
-        )
-        errors = self.errors
-        if errors:
-            line += f"; {len(errors)} isolated failures"
-        return line
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "queries": len(self.outcomes),
-            "errors": len(self.errors),
-            "seconds": round(self.seconds, 6),
-            "max_workers": self.max_workers,
-            "verdicts": self.verdict_counts(),
-            "metrics": self.metrics.as_dict(),
-            "outcomes": [o.as_dict() for o in self.outcomes],
-        }
 
 
 class PolicyPipeline:
@@ -833,81 +765,23 @@ class PolicyPipeline:
         questions: Iterable[str],
         *,
         max_workers: int | None = None,
-        isolate_faults: bool = True,
-    ) -> BatchOutcome:
+    ):
         """Verify many questions against one model concurrently.
 
-        Questions fan out over a :class:`ThreadPoolExecutor`; outcomes come
-        back in input order and are verdict-identical to a sequential
-        :meth:`query` loop — workers only share the model's memoization
-        caches and the thread-safe substrates, and every stage is
-        deterministic.  ``max_workers`` defaults to
-        ``min(DEFAULT_BATCH_WORKERS, len(questions))``.
-
-        With ``isolate_faults=True`` (the default) a query that raises is
-        converted into an :class:`ErrorOutcome` in its input slot — naming
-        the failing stage and exception — instead of aborting the executor
-        and discarding the verdicts of every other query.  Pass
-        ``isolate_faults=False`` to re-raise the first failure instead.
-        Isolation stops at :class:`Exception`: ``KeyboardInterrupt``,
-        ``SystemExit``, and other :class:`BaseException`\\ s raised inside a
-        worker propagate as batch cancellation (pending queries are
-        cancelled, the executor shut down) — an operator interrupt must
-        never be laundered into a per-query ERROR verdict.  For batches
-        that should *survive* interruption, use
-        :meth:`run_job`/:class:`repro.jobs.JobRunner`, which drains
-        gracefully and checkpoints instead.
-
-        Certification is *sampled* in batches: with
-        ``PipelineConfig.certify`` on, every
-        ``PipelineConfig.batch_certify_stride``-th question (by input
-        index, so the sample is deterministic and thread-order-free) runs
-        the certifier; set the stride to 1 to certify every question.
+        A plain :meth:`run_job` (no watchdog, no journal, no signal
+        handlers, so an interrupt propagates) that returns its
+        :class:`repro.jobs.JobResult`.  Outcomes keep input order and are
+        verdict-identical to a sequential :meth:`query` loop: workers
+        share only the model's memoization caches and the thread-safe
+        substrates, and every stage is deterministic.  A query that raises
+        an :class:`Exception` fills its slot with an :class:`ErrorOutcome`;
+        the default ``max_workers`` and the sampled certification are as
+        in :class:`repro.jobs.JobRunner`.
         """
-        questions = list(questions)
-        if max_workers is None:
-            max_workers = min(DEFAULT_BATCH_WORKERS, max(1, len(questions)))
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        stride = max(1, self.config.batch_certify_stride)
+        from repro.jobs.config import JobConfig
 
-        def run(index: int, q: str) -> QueryOutcome | ErrorOutcome:
-            certify = self.config.certify and index % stride == 0
-            if not isolate_faults:
-                return self.query(model, q, certify=certify)
-            try:
-                return self.query(model, q, certify=certify)
-            except Exception as exc:  # noqa: BLE001 - isolation boundary
-                error_metrics = PipelineMetrics()
-                error_metrics.query_errors = 1
-                return ErrorOutcome(
-                    question=q,
-                    stage=getattr(exc, "pipeline_stage", None) or "query",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    metrics=error_metrics,
-                )
-
-        started = time.perf_counter()
-        if max_workers == 1 or len(questions) <= 1:
-            outcomes = [run(i, q) for i, q in enumerate(questions)]
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                try:
-                    outcomes = list(pool.map(run, range(len(questions)), questions))
-                except BaseException:
-                    # A worker re-raised a non-Exception (KeyboardInterrupt,
-                    # SystemExit, a simulated kill): cancel everything not
-                    # yet started so the interrupt is honoured promptly
-                    # instead of burning through the remaining fan-out.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-        return BatchOutcome(
-            outcomes=outcomes,
-            metrics=merged([o.metrics for o in outcomes]),
-            seconds=time.perf_counter() - started,
-            max_workers=max_workers,
-        )
+        config = JobConfig(max_workers=max_workers, handle_signals=False)
+        return self.run_job(model, questions, job_config=config)
 
     # ------------------------------------------------------------------
     # Supervised jobs
@@ -922,8 +796,9 @@ class PolicyPipeline:
     ):
         """Run a question suite under supervision (see :mod:`repro.jobs`).
 
-        The supervised twin of :meth:`query_batch`: heartbeat watchdog,
-        bounded admission, graceful drain on SIGINT/SIGTERM, and — with a
+        The executor behind :meth:`query_batch`, with the supervision
+        :attr:`PipelineConfig.jobs` asks for: heartbeat watchdog, bounded
+        admission, graceful drain on SIGINT/SIGTERM, and — with a
         checkpoint directory configured — crash-resumable journaling.
         ``job_config`` overrides :attr:`PipelineConfig.jobs` for this run.
         Returns a :class:`repro.jobs.JobResult`.

@@ -1,7 +1,7 @@
 """Supervised batch jobs: watchdog, admission control, checkpoint/resume.
 
-The operability layer over
-:meth:`~repro.core.pipeline.PolicyPipeline.query_batch`: a
+The one batch executor: :meth:`~repro.core.pipeline.PolicyPipeline.query_batch`
+is a :class:`JobRunner` with every supervision layer off.  A
 :class:`JobRunner` runs a question suite with per-query heartbeats and a
 stall watchdog (hung workers are cooperatively cancelled and replaced,
 their slots filled with structured UNKNOWNs), the admission gate the

@@ -14,15 +14,20 @@ from pathlib import Path
 from repro.jobs.admission import check_bounds
 from repro.solver.interface import SolverBudget
 
+#: Worker threads a job starts when ``JobConfig.max_workers`` is None
+#: (fewer when it has fewer questions to answer).
+DEFAULT_BATCH_WORKERS = 8
+
 
 @dataclass(slots=True)
 class JobConfig:
     """Supervision knobs for one :class:`~repro.jobs.runner.JobRunner`.
 
-    The defaults keep a job byte-identical to a plain
-    :meth:`~repro.core.pipeline.PolicyPipeline.query_batch` run: no
-    checkpointing, no watchdog, admission bounded generously with pure
-    backpressure (nothing shed).
+    The defaults are what
+    :meth:`~repro.core.pipeline.PolicyPipeline.query_batch` runs with
+    (it also turns ``handle_signals`` off): no checkpointing, no
+    watchdog, admission bounded generously with pure backpressure
+    (nothing shed).
     """
 
     max_workers: int | None = None  # None: min(DEFAULT_BATCH_WORKERS, n)

@@ -1,10 +1,11 @@
-"""Supervised batch jobs: the :class:`JobRunner` around ``query_batch``.
+"""Supervised batch jobs: the :class:`JobRunner`, the one batch executor.
 
-``PolicyPipeline.query_batch`` fans a question suite over worker threads
-and isolates per-query *exceptions* — but a hung worker stalls the whole
-batch forever, a process kill discards every finished verdict, and there
-is no admission bound between a flooding caller and worker memory.  The
-runner adds the three supervision layers a long-running audit needs:
+Every question list runs here: ``PolicyPipeline.query_batch`` and
+``run_job``, the CLI ``batch`` command, ``query_fleet`` and the daemon's
+``/fleet``.  Workers answer questions in parallel and isolate per-query
+*exceptions* as :class:`~repro.core.pipeline.ErrorOutcome` slots.  Three
+supervision layers, each off or generous by default, serve a
+long-running audit:
 
 * **liveness** — per-query heartbeats scanned by a
   :class:`~repro.jobs.watchdog.Watchdog`; a stalled query is cooperatively
@@ -27,6 +28,8 @@ queries finish and are checkpointed, and the :class:`JobResult` comes back
 ``aborted`` with its pending set intact for a later ``resume``.
 ``KeyboardInterrupt``/``SystemExit`` raised *inside* a worker are never
 converted into per-query errors — they abort the job and propagate.
+Whatever ends a run early, queued questions never start: they give their
+admission slots back before :meth:`JobRunner.run` returns or raises.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ import queue
 import signal
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.metrics import PipelineMetrics, merged
 from repro.core.pipeline import (
-    DEFAULT_BATCH_WORKERS,
     ErrorOutcome,
     PolicyModel,
     PolicyPipeline,
@@ -62,7 +65,7 @@ from repro.jobs.checkpoint import (
     read_journal,
     restore_outcome,
 )
-from repro.jobs.config import JobConfig
+from repro.jobs.config import DEFAULT_BATCH_WORKERS, JobConfig
 from repro.jobs.watchdog import (
     Clock,
     MonotonicClock,
@@ -202,13 +205,7 @@ class JobResult:
         return [None if o is None else o.verdict for o in self.outcomes]
 
     def verdict_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for outcome in self.outcomes:
-            if outcome is None:
-                continue
-            name = outcome.verdict.value
-            counts[name] = counts.get(name, 0) + 1
-        return counts
+        return dict(Counter(o.verdict.value for o in self.completed))
 
     def summary(self) -> str:
         counts = ", ".join(
@@ -254,10 +251,11 @@ class JobRunner:
     A runner is single-use per job run (``run``/``resume`` may be called
     again, each call is a fresh execution over the same pipeline/model).
     ``query_fn(index, question, certify, heartbeat)`` is the execution
-    seam: the default calls :meth:`PolicyPipeline.query` with the same
-    certification stride as ``query_batch``; tests substitute hanging or
-    counting functions.  ``journal_step`` is the crash-injection hook
-    threaded into every checkpoint append (see :mod:`repro.store.faults`).
+    seam: the default calls :meth:`PolicyPipeline.query`, certifying every
+    ``PipelineConfig.batch_certify_stride``-th question by input index;
+    tests substitute hanging or counting functions.  ``journal_step`` is
+    the crash-injection hook threaded into every checkpoint append (see
+    :mod:`repro.store.faults`).
     """
 
     def __init__(
@@ -417,8 +415,6 @@ class JobRunner:
         max_workers = self.config.max_workers
         if max_workers is None:
             max_workers = min(DEFAULT_BATCH_WORKERS, max(1, len(pending_indices)))
-        if max_workers < 1:
-            raise JobError("max_workers must be >= 1")
 
         with self._lock:
             self._outcomes = [None] * n
@@ -499,10 +495,11 @@ class JobRunner:
             self._restore_signal_handlers(old_handlers)
             if self._watchdog is not None:
                 self._watchdog.stop()
-            # Registered workers exit promptly on the closed queue;
-            # abandoned (cancelled) workers are daemons already removed
-            # from the heartbeat table at replacement time.
-            self._items.put(None)
+            # Registered workers exit promptly on the closed queue, and a
+            # raising run leaves them nothing to start; abandoned
+            # (cancelled) workers are daemons already removed from the
+            # heartbeat table at replacement time.
+            self._release_unstarted()
             if journal is not None:
                 journal.close()
 
@@ -610,9 +607,13 @@ class JobRunner:
             if self._fatal is None:
                 self._fatal = exc
             hb.finish()
+            # A replaced worker's slot went back at replacement time.
+            release = not hb.cancelled.is_set()
         self._done.set()
         # A feeder blocked in enter() is refused as soon as the gate stops.
         self._gate.stop()
+        if release:
+            self._gate.exit()
 
     def _commit(self, index, question, outcome, kind) -> None:
         # Caller holds self._lock; commit and journal append are atomic
@@ -678,8 +679,17 @@ class JobRunner:
                 return
             self._drain_applied = True
             self.job_metrics.jobs_aborted += 1
-        # Unstarted items give their slots back; their outcomes stay None,
-        # so they remain pending in the checkpoint.
+        self._release_unstarted()
+        with self._lock:
+            if not any(hb.busy for hb in self._heartbeats):
+                self._done.set()
+
+    def _release_unstarted(self) -> None:
+        """Close the queue: unstarted items give their slots back.
+
+        Their outcomes stay None, so they remain pending in the
+        checkpoint; the closing None retires each worker that reads it.
+        """
         while True:
             try:
                 item = self._items.get_nowait()
@@ -688,9 +698,6 @@ class JobRunner:
             if item is not None:
                 self._gate.exit()
         self._items.put(None)
-        with self._lock:
-            if not any(hb.busy for hb in self._heartbeats):
-                self._done.set()
 
     def _install_signal_handlers(self):
         if not self.config.handle_signals:

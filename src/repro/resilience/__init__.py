@@ -14,14 +14,15 @@ through its layers:
   :func:`execute_ladder`, which escalates budget-limited UNKNOWN verdicts,
   falls back to per-data-branch decomposition, then re-solves under other
   decision seeds, reporting every step in a :class:`DegradationReport`;
-* the **batch boundary** — fault isolation lives in
-  :meth:`repro.core.pipeline.PolicyPipeline.query_batch`, which converts
-  per-query failures into structured
+* the **batch boundary** — fault isolation lives in the one batch
+  executor, :class:`repro.jobs.JobRunner`, which converts per-query
+  failures into structured
   :class:`~repro.core.pipeline.ErrorOutcome` records instead of aborting
-  the executor.
+  the batch.
 
 Everything here contains failures *inside* one process run; the layer
-above it — :mod:`repro.jobs` — supervises the run itself (hung-worker
+above it — :mod:`repro.jobs`, whose runner also holds the batch
+boundary — supervises the run itself (hung-worker
 watchdog, admission control, crash-resumable checkpoints).  The division
 of labour: an exception is this package's problem, a hang or a kill is a
 job-supervision problem.  Note the isolation contract both layers share:

@@ -7,8 +7,9 @@ the shared substrate for both the printer and the parser.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from repro.errors import SMTLibParseError
+from repro.errors import SMTLibError, SMTLibParseError
 from repro.fol.terms import SIMPLE_SYMBOL
 
 #: An s-expression: an atom (str) or a list of s-expressions.
@@ -26,6 +27,15 @@ _RESERVED = frozenset(
 )
 
 
+#: A quoted symbol: bars around anything but a bar.
+_QUOTED = re.compile(r"\|[^|]*\|")
+
+
+def _is_simple(name: str) -> bool:
+    """May ``name`` stand bare?  A simple symbol that is no reserved word."""
+    return SIMPLE_SYMBOL.fullmatch(name) is not None and name not in _RESERVED
+
+
 def _quoted_symbol(token: str) -> str:
     """``|x|`` as ``x`` when ``x`` is a simple symbol: the two are one symbol.
 
@@ -33,9 +43,22 @@ def _quoted_symbol(token: str) -> str:
     with a simple symbol or a term built from them.
     """
     inner = token[1:-1]
-    if SIMPLE_SYMBOL.fullmatch(inner) and inner not in _RESERVED:
-        return inner
-    return token
+    return inner if _is_simple(inner) else token
+
+
+@lru_cache(maxsize=4096)
+def symbol_text(name: str) -> str:
+    """``name`` written as one SMT-LIB symbol the reader gives back.
+
+    A simple symbol stands bare; any other name goes in bars, which the
+    reader keeps, and a name read with its bars is written as it is.  A
+    bar inside a name cannot be written at all.
+    """
+    if _is_simple(name) or _QUOTED.fullmatch(name):
+        return name
+    if "|" in name:
+        raise SMTLibError(f"cannot write {name!r} as an SMT-LIB symbol")
+    return f"|{name}|"
 
 
 def sexpr_to_text(expr: SExpr) -> str:

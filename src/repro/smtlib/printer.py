@@ -3,7 +3,9 @@
 Implements the paper's custom compiler: it "extracts all predicates and
 constants from the formula, generates proper declarations, handles variable
 scoping in quantified expressions, and asserts the negation of the
-implication for checking logical validity".
+implication for checking logical validity".  Every name goes through
+:func:`~repro.smtlib.ast.symbol_text`, so one that is no simple symbol
+is written in bars.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.fol.formula import (
 )
 from repro.fol.terms import Application, Constant, Term, Variable
 from repro.fol.visitor import Signature
+from repro.smtlib.ast import symbol_text
 from repro.smtlib.script import (
     Assert,
     CheckSat,
@@ -38,10 +41,15 @@ from repro.smtlib.script import (
 
 def _term_text(term: Term) -> str:
     if isinstance(term, (Variable, Constant)):
-        return term.name
+        return symbol_text(term.name)
     if isinstance(term, Application):
-        return "(" + " ".join([term.symbol.name, *map(_term_text, term.args)]) + ")"
+        name = symbol_text(term.symbol.name)
+        return "(" + " ".join([name, *map(_term_text, term.args)]) + ")"
     raise SMTLibError(f"cannot compile term {term!r}")
+
+
+def _binding(variable: Variable) -> str:
+    return f"({symbol_text(variable.name)} {symbol_text(variable.sort.name)})"
 
 
 def compile_formula(formula: Formula) -> str:
@@ -53,11 +61,10 @@ def compile_formula(formula: Formula) -> str:
     rendered (``Assert(compile_formula(f))``).
     """
     if isinstance(formula, Predicate):
+        name = symbol_text(formula.symbol.name)
         if not formula.args:
-            return formula.symbol.name
-        return (
-            "(" + " ".join([formula.symbol.name, *map(_term_text, formula.args)]) + ")"
-        )
+            return name
+        return "(" + " ".join([name, *map(_term_text, formula.args)]) + ")"
     if isinstance(formula, And):
         if not formula.operands:
             return "true"
@@ -74,10 +81,10 @@ def compile_formula(formula: Formula) -> str:
     if isinstance(formula, (Forall, Exists)):
         keyword = "forall" if isinstance(formula, Forall) else "exists"
         # Merge consecutive same-kind quantifiers into one binder block.
-        bindings = [f"({formula.variable.name} {formula.variable.sort.name})"]
+        bindings = [_binding(formula.variable)]
         body = formula.body
         while isinstance(body, type(formula)):
-            bindings.append(f"({body.variable.name} {body.variable.sort.name})")
+            bindings.append(_binding(body.variable))
             body = body.body
         return f"({keyword} ({' '.join(bindings)}) {compile_formula(body)})"
     if isinstance(formula, Iff):
@@ -89,6 +96,14 @@ def compile_formula(formula: Formula) -> str:
     raise SMTLibError(f"cannot compile formula {formula!r}")
 
 
+def _declare_fun(name: str, arg_sorts, result: str) -> DeclareFun:
+    return DeclareFun(
+        symbol_text(name),
+        tuple(symbol_text(sort.name) for sort in arg_sorts),
+        symbol_text(result),
+    )
+
+
 def _declarations(
     formulas: list[Formula], script: SMTScript
 ) -> None:
@@ -96,15 +111,13 @@ def _declarations(
     signature = Signature.of(formulas)
     for name in sorted(signature.sorts):
         if name != "Bool":
-            script.add(DeclareSort(name))
+            script.add(DeclareSort(symbol_text(name)))
     for name in sorted(signature.constants):
         const = signature.constants[name]
-        script.add(DeclareConst(const.name, const.sort.name))
+        script.add(DeclareConst(symbol_text(const.name), symbol_text(const.sort.name)))
     for name in sorted(signature.functions):
         fn = signature.functions[name]
-        script.add(
-            DeclareFun(fn.name, tuple(s.name for s in fn.arg_sorts), fn.result_sort.name)
-        )
+        script.add(_declare_fun(fn.name, fn.arg_sorts, fn.result_sort.name))
     for name in sorted(signature.predicates):
         sym = signature.predicates[name]
         if sym.name == "=":
@@ -112,10 +125,7 @@ def _declarations(
         comment = None
         if sym.uninterpreted:
             comment = f"uninterpreted (vague term): {sym.source_text or sym.name}"
-        script.add(
-            DeclareFun(sym.name, tuple(s.name for s in sym.arg_sorts), "Bool"),
-            comment=comment,
-        )
+        script.add(_declare_fun(sym.name, sym.arg_sorts, "Bool"), comment=comment)
 
 
 def compile_validity_script(

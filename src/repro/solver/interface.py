@@ -24,10 +24,10 @@ completed model against the original assertions over the whole universe.
 Thread ownership: a :class:`Solver` instance is single-thread-owned.  It
 carries mutable per-check state (assertion stack, grounded clauses,
 persistent SAT core, grounding counters, statistics) with no internal
-locking; the concurrent batch engine
-(:meth:`repro.core.pipeline.PolicyPipeline.query_batch`) therefore builds
-a fresh instance per verification inside each worker and shares only the
-immutable :class:`SolverBudget` across threads.
+locking; the batch executor's workers
+(:class:`repro.jobs.JobRunner`) therefore each build a fresh instance per
+verification and share only the immutable :class:`SolverBudget` across
+threads.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ rides the chaos lane (``pytest -m chaos``) rather than the fast lane.
 
 from __future__ import annotations
 
+import _thread
 import json
 import queue
 import threading
@@ -504,15 +505,17 @@ def _wait_until(predicate, timeout=5.0) -> bool:
     return True
 
 
-def _run_in_thread(runner, questions, timeout=10.0):
+def _run_in_thread(runner, questions, timeout=10.0, raised=None):
     """``(result or raised exception, finished)``; a wedged run cannot
-    hang the suite."""
+    hang the suite.  ``raised``, an Event, is set the moment run() raises."""
     box = {}
 
     def target():
         try:
             box["value"] = runner.run(questions)
         except BaseException as exc:  # noqa: BLE001 - handed to the test
+            if raised is not None:
+                raised.set()
             box["value"] = exc
 
     thread = threading.Thread(target=target, daemon=True)
@@ -568,8 +571,8 @@ class TestGateAdmission:
             query_fn=interrupt_while_feeder_waits,
         )
         raised, finished = _run_in_thread(runner, QUESTIONS)
-        # The aborting worker never gives its slot back; only the gate's
-        # stop can release the feeder.
+        # The aborting worker stops the gate before it gives its slot
+        # back, so the stop, not a free slot, releases the feeder.
         assert finished, "a worker's KeyboardInterrupt must not wedge the feeder"
         assert isinstance(raised, KeyboardInterrupt)
         assert time.monotonic() - raised_at[0] < 5.0
@@ -615,6 +618,83 @@ class TestGateAdmission:
 
 
 class TestInterruptPropagation:
+    SUITE = QUESTIONS * 5  # 20 questions for 2 workers: most stay queued
+
+    def test_worker_interrupt_starts_nothing_after_run_raises(
+        self, pipeline, small_model
+    ):
+        raised = threading.Event()
+        lock = threading.Lock()
+        starts, late = [], []
+
+        def interrupted(index, question, certify, heartbeat):
+            with lock:
+                if raised.is_set():
+                    late.append(index)
+                starts.append(index)
+            if index == 0:
+                # Both workers hold a question when the interrupt lands.
+                _wait_until(lambda: len(starts) >= 2)
+                raise KeyboardInterrupt
+            raised.wait(5.0)
+            return pipeline.query(small_model, question, certify=certify)
+
+        runner = JobRunner(
+            pipeline,
+            small_model,
+            JobConfig(max_workers=2, handle_signals=False),
+            query_fn=interrupted,
+        )
+        exc, finished = _run_in_thread(runner, self.SUITE, raised=raised)
+        assert finished
+        assert isinstance(exc, KeyboardInterrupt)
+        # The in-flight question finishes; the queued ones never start,
+        # and every slot, the aborting worker's included, comes back.
+        settled = _wait_until(lambda: runner._gate.depth == 0)
+        assert late == []
+        assert settled
+
+    def test_caller_interrupt_starts_nothing_after_query_batch_raises(
+        self, pipeline, small_model, monkeypatch
+    ):
+        # interrupt_main() raises KeyboardInterrupt in the main thread
+        # only, so query_batch runs there; every wait below is bounded.
+        gates = []
+
+        class RecordingGate(AdmissionGate):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                gates.append(self)
+
+        monkeypatch.setattr("repro.jobs.runner.AdmissionGate", RecordingGate)
+        raised = threading.Event()
+        lock = threading.Lock()
+        starts, late = [], []
+        real_query = pipeline.query
+
+        def interrupting(model, question, **kwargs):
+            with lock:
+                if raised.is_set():
+                    late.append(question)
+                starts.append(question)
+                first = len(starts) == 1
+            if first:
+                _wait_until(lambda: len(starts) >= 2)
+                _thread.interrupt_main()
+            raised.wait(5.0)
+            return real_query(model, question, **kwargs)
+
+        monkeypatch.setattr(pipeline, "query", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                pipeline.query_batch(small_model, self.SUITE, max_workers=2)
+            finally:
+                raised.set()
+        (gate,) = gates
+        settled = _wait_until(lambda: gate.depth == 0)
+        assert late == []
+        assert settled
+
     def test_query_batch_propagates_keyboard_interrupt(
         self, pipeline, small_model, monkeypatch
     ):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SMTLibParseError
+from repro.errors import SMTLibError, SMTLibParseError
 from repro.fol import (
     DATA,
     ENTITY,
     Constant,
     PredicateSymbol,
+    Sort,
     Variable,
     exists,
     forall,
@@ -30,6 +31,7 @@ from repro.smtlib import (
     parse_sexprs,
     sexpr_to_text,
 )
+from repro.smtlib.ast import symbol_text
 
 E1 = Constant("tiktak", ENTITY)
 D1 = Constant("email", DATA)
@@ -162,6 +164,46 @@ class TestValidityScript:
         script = compile_validity_script([SHARE(E1, D1)], SHARE(E1, D1))
         assert script.num_assertions == 2
         assert script.num_declarations >= 3
+
+
+class TestSymbolQuoting:
+    """Names that are no simple symbol are written in bars and read back."""
+
+    @pytest.mark.parametrize(
+        "name", ["acme corp", "exists", "f(a)", "1st", "|a,b|"]
+    )
+    def test_validity_script_round_trips(self, name):
+        company = Constant(name, ENTITY)
+        script = compile_validity_script([SHARE(company, D1)], SHARE(company, D1))
+        text = script.to_text()
+        written = name if name.startswith("|") else f"|{name}|"
+        assert f"(declare-const {written} Entity)" in text
+        assert f"(assert (not (share {written} email)))" in text
+        uncommented = "".join(
+            line + "\n" for line in text.splitlines() if not line.startswith(";")
+        )
+        assert parse_script(text).to_text() == uncommented
+        assert execute_script(text)[0].is_unsat  # the fact entails itself
+
+    def test_sorts_predicates_and_bound_variables_are_quoted(self):
+        place = Sort("data type")
+        holds = PredicateSymbol("shares with", (ENTITY, place))
+        y = Variable("the y", place)
+        query = exists(y, holds(E1, y))
+        fact = holds(E1, Constant("email", place))
+        text = compile_validity_script([fact], query).to_text()
+        assert "(declare-sort |data type| 0)" in text
+        assert "(declare-fun |shares with| (Entity |data type|) Bool)" in text
+        assert "(exists ((|the y| |data type|)) (|shares with| tiktak |the y|))" in text
+        assert execute_script(text)[0].is_unsat
+
+    def test_simple_symbols_stay_bare(self):
+        assert symbol_text("share") == "share"
+        assert symbol_text("=") == "="
+
+    def test_a_bar_inside_a_name_is_refused(self):
+        with pytest.raises(SMTLibError):
+            symbol_text("a|b")
 
 
 class TestParseScript:

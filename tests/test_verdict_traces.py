@@ -7,6 +7,10 @@ behaviour-preserving (caching, clause reuse, a faster encoder) must leave
 every line unchanged; see ``tests/data/make_verdict_traces.py`` for how
 the reference is produced.
 
+The same reference is replayed through ``query_batch`` with one worker,
+with eight, and with the query caches off: the batch executor's
+scheduling and cache sharing must not move a byte either.
+
 ``tests/data/script_digests.jsonl`` pins, for the same questions, the
 SHA-256 of the SMT-LIB script each one is checked with, which ``as_dict()``
 leaves out: the text is the verification-cache key and the quarantine
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import PolicyPipeline
+from repro import PipelineConfig, PolicyPipeline
 from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
 
 TRACES = Path(__file__).parent / "data" / "verdict_traces.jsonl"
@@ -48,14 +52,30 @@ SCRIPT_DIGESTS = _reference(DIGESTS)
 
 
 @pytest.fixture(scope="module", params=sorted(POLICIES))
-def answered(request):
-    """(policy, [(question, verification)]) as a fresh pipeline answers them."""
+def processed(request):
+    """(policy, pipeline, model) for one bundled policy."""
     policy = request.param
     pipeline = PolicyPipeline()
-    model = pipeline.process(POLICIES[policy]().text)
+    return policy, pipeline, pipeline.process(POLICIES[policy]().text)
+
+
+@pytest.fixture(scope="module")
+def answered(processed):
+    """(policy, [(question, verification)]) as a fresh pipeline answers them."""
+    policy, pipeline, model = processed
     return policy, [
         (row["question"], pipeline.query(model, row["question"]).verification)
         for row in REFERENCE[policy]
+    ]
+
+
+def _mismatches(rows, verifications) -> list[str]:
+    """The questions whose verification differs from its reference row."""
+    return [
+        row["question"]
+        for row, verification in zip(rows, verifications)
+        if json.dumps(verification.as_dict(), sort_keys=True)
+        != json.dumps(row["result"], sort_keys=True)
     ]
 
 
@@ -75,11 +95,25 @@ def test_reference_covers_every_bundled_policy():
 
 def test_verdict_traces_match_reference(answered):
     policy, answers = answered
-    mismatches = []
-    for row, (question, verification) in zip(REFERENCE[policy], answers):
-        got = json.dumps(verification.as_dict(), sort_keys=True)
-        if got != json.dumps(row["result"], sort_keys=True):
-            mismatches.append(question)
+    mismatches = _mismatches(REFERENCE[policy], [v for _, v in answers])
+    assert not mismatches, f"{len(mismatches)} traces changed, e.g. {mismatches[:3]}"
+
+
+@pytest.mark.parametrize(
+    "max_workers, caches",
+    [(1, True), (8, True), (None, False)],
+    ids=["1-worker", "8-workers", "caches-off"],
+)
+def test_query_batch_replays_reference(processed, max_workers, caches):
+    policy, _, model = processed
+    model.caches.clear()
+    pipeline = PolicyPipeline(config=PipelineConfig(enable_query_caches=caches))
+    rows = REFERENCE[policy]
+    batch = pipeline.query_batch(
+        model, [row["question"] for row in rows], max_workers=max_workers
+    )
+    assert batch.errors == []
+    mismatches = _mismatches(rows, [o.verification for o in batch.outcomes])
     assert not mismatches, f"{len(mismatches)} traces changed, e.g. {mismatches[:3]}"
 
 
