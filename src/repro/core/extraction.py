@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.corpus.opp115 import match_categories
 from repro.core.parameters import AnnotatedPractice, annotate
-from repro.core.segmenter import Segment, segment_policy
+from repro.core.segmenter import LineUnits, Segment, segment_policy
 from repro.errors import ExtractionError
 from repro.llm.tasks import TaskRunner
 
@@ -28,6 +28,12 @@ class ExtractionResult:
     practices: list[AnnotatedPractice] = field(default_factory=list)
     practices_by_segment: dict[str, list[AnnotatedPractice]] = field(
         default_factory=dict
+    )
+    #: ``segment_policy``'s per-line units of this version, which the next
+    #: update reuses.  Transient: never serialized, not compared, and
+    #: empty after a snapshot load.
+    line_splits: dict[str, LineUnits] = field(
+        default_factory=dict, compare=False, repr=False
     )
 
     @property
@@ -85,12 +91,14 @@ def extract_policy(
             whose id appears here are reused without an LLM call, which is
             the incremental-update mechanism.
         segments: ``segment_policy(policy_text)`` when the caller already
-            has it (an update diffs the new segmentation before extracting).
+            has it (an update diffs the new segmentation before extracting);
+            the caller then also sets the result's ``line_splits``.
     """
     company = company or extract_company(runner, policy_text)
+    splits: dict[str, LineUnits] = {}
     if segments is None:
-        segments = segment_policy(policy_text)
-    result = ExtractionResult(company=company, segments=segments)
+        segments = segment_policy(policy_text, splits=splits)
+    result = ExtractionResult(company=company, segments=segments, line_splits=splits)
     cached = cached or {}
     for segment in segments:
         if segment.segment_id in cached:

@@ -34,7 +34,7 @@ from repro.core.extraction import ExtractionResult, extract_policy
 from repro.core.graphs import NODE_DATA, NODE_ENTITY, PolicyGraph
 from repro.core.hierarchy import Taxonomy, chain_of_layer
 from repro.core.metrics import PipelineMetrics, merged
-from repro.core.segmenter import diff_segments, segment_policy
+from repro.core.segmenter import LineUnits, diff_segments, segment_policy
 from repro.core.subgraph import Subgraph, extract_subgraph, subgraph_cache_key
 from repro.core.translation import TranslationResult, translate_query_terms
 from repro.core.verify import (
@@ -341,13 +341,15 @@ class PolicyPipeline:
         Both fresh builds and in-place patches go through this helper, so
         the two paths produce identical store entries: node names enter the
         query vocabulary, and every materialized edge (including derived
-        ``receive`` edges) contributes its canonical edge text.
+        ``receive`` edges) contributes its canonical edge text.  One
+        ``add_many`` call sizes the store's row buffer for all of them.
         """
-        for node in graph.nodes():
-            store.add(node)
-            vocabulary.add(node)
-        for edge in graph.edges():
-            store.add(edge_text(edge.source, edge.action, edge.target))
+        nodes = list(graph.nodes())
+        vocabulary.update(nodes)
+        store.add_many(
+            nodes
+            + [edge_text(edge.source, edge.action, edge.target) for edge in graph.edges()]
+        )
 
     # ------------------------------------------------------------------
     # Incremental updates
@@ -372,7 +374,10 @@ class PolicyPipeline:
         """
         start = time.monotonic()
         old_segments = model.extraction.segments
-        new_segments = segment_policy(new_policy_text)
+        splits: dict[str, LineUnits] = {}
+        new_segments = segment_policy(
+            new_policy_text, model.extraction.line_splits, splits
+        )
         diff = diff_segments(old_segments, new_segments)
 
         cached = {
@@ -387,6 +392,7 @@ class PolicyPipeline:
             cached=cached,
             segments=new_segments,
         )
+        extraction.line_splits = splits
         if in_place:
             new_model = self._patch_model(model, extraction, diff)
         else:

@@ -43,10 +43,11 @@ class EmbeddingStore:
         self._lock = threading.RLock()
         self._keys: list[str] = []
         self._index: dict[str, int] = {}
-        # Rows 0..len(_matrix)-1 are stacked in ``_matrix`` (read-only when
-        # decoded from a payload); rows added since wait in ``_tail``.
-        self._matrix: np.ndarray = np.zeros((0, self.model.dim))
-        self._tail: list[np.ndarray] = []
+        # Row i of ``_rows`` is the vector of ``_keys[i]``; rows past
+        # ``len(_keys)`` are spare capacity.  A filled row is never written
+        # again, so views handed out by :meth:`matrix` stay valid while
+        # later adds fill the spare rows or move to a larger buffer.
+        self._rows: np.ndarray = np.zeros((0, self.model.dim))
 
     def __len__(self) -> int:
         with self._lock:
@@ -61,45 +62,66 @@ class EmbeddingStore:
         with self._lock:
             return list(self._keys)
 
-    def _row(self, idx: int) -> np.ndarray:
-        stacked = len(self._matrix)
-        return self._matrix[idx] if idx < stacked else self._tail[idx - stacked]
-
     def add(self, key: str) -> np.ndarray:
-        """Embed and store ``key``; idempotent and thread-safe."""
+        """Embed and store ``key``; idempotent and thread-safe.
+
+        The vector lands in the next spare row (see :meth:`_reserve`).
+        """
         with self._lock:
             idx = self._index.get(key)
             if idx is not None:
-                return self._row(idx)
+                return self._rows[idx]
         vec = self.model.embed(key)
         with self._lock:
             idx = self._index.get(key)
             if idx is not None:  # another thread won the race
-                return self._row(idx)
-            self._index[key] = len(self._keys)
+                return self._rows[idx]
+            n = len(self._keys)
+            self._reserve(n + 1)
+            self._rows[n] = vec
+            self._index[key] = n
             self._keys.append(key)
-            self._tail.append(vec)
             return vec
 
     def add_many(self, keys: list[str]) -> None:
-        for key in keys:
+        """:meth:`add` each key in order, reserving rows for all at once."""
+        fresh = dict.fromkeys(keys)
+        with self._lock:
+            self._reserve(len(self._keys) + sum(k not in self._index for k in fresh))
+        for key in fresh:
             self.add(key)
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows in all (caller holds the lock).
+
+        When the buffer is too small, the filled rows move to one of
+        ``rows`` rows or of twice the old capacity, whichever is more: a
+        fresh store filled by one :meth:`add_many` holds no spare row, and
+        ``n`` rows added a few at a time copy O(n) rows in all.  A store
+        decoded from a payload holds no spare row either, so its first
+        add moves it off the read-only payload.
+        """
+        if rows > len(self._rows):
+            n = len(self._keys)
+            grown = np.empty((max(rows, 2 * len(self._rows)), self.model.dim))
+            grown[:n] = self._rows[:n]
+            self._rows = grown
 
     def get(self, key: str) -> np.ndarray:
         """Vector for ``key``, embedding on demand if absent."""
         with self._lock:
             idx = self._index.get(key)
             if idx is not None:
-                return self._row(idx)
+                return self._rows[idx]
         return self.add(key)
 
     def matrix(self) -> np.ndarray:
-        """All stored vectors stacked row-wise (cached until mutation)."""
+        """All stored vectors stacked row-wise: a view, not a copy.
+
+        Later adds never change the rows of a view already returned.
+        """
         with self._lock:
-            if self._tail:
-                self._matrix = np.concatenate([self._matrix, np.stack(self._tail)])
-                self._tail = []
-            return self._matrix
+            return self._rows[: len(self._keys)]
 
     def snapshot(self) -> tuple[list[str], np.ndarray]:
         """Consistent (keys, matrix) pair taken under one lock hold.
@@ -175,8 +197,8 @@ class EmbeddingStore:
     ) -> "EmbeddingStore":
         """Reconstruct a store from :meth:`to_bytes` output.
 
-        The matrix is a read-only view of ``payload``, not a copy; adding
-        a key later stacks a new, writable matrix.  Raises
+        The matrix is a read-only view of ``payload``, not a copy; the
+        first key added later copies its rows into a writable buffer.  Raises
         :class:`ValueError` on a payload that is not a well-formed raw
         embedding store.  ``model`` overrides the stored configuration.
         """
@@ -241,4 +263,4 @@ class EmbeddingStore:
             raise ValueError("embedding keys are duplicated or do not match the rows")
         self._keys = keys
         self._index = index
-        self._matrix = matrix
+        self._rows = matrix

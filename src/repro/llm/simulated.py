@@ -17,13 +17,9 @@ from repro.errors import LLMError
 from repro.llm import knowledge
 from repro.llm.prompts import extract_payload, task_name
 from repro.nlp.chunker import expand_coordination, is_data_phrase
-from repro.nlp.lexicon import (
-    COLLECTION_VERBS,
-    ENTITY_TERMS,
-    SHARING_VERBS,
-)
+from repro.nlp.lexicon import COLLECTION_VERBS, SHARING_VERBS
 from repro.nlp.morphology import singularize_noun, singularize_phrase
-from repro.nlp.patterns import find_main_verbs, split_conditions
+from repro.nlp.patterns import ENTITY_PATTERNS, find_main_verbs, split_conditions
 from repro.nlp.tokenizer import sentences, tokenize
 
 _MAX_ITEMS_PER_VERB = 10
@@ -236,8 +232,8 @@ def _sender_from_region(region: str, company: str) -> str | None:
         candidates.append((match.start(), "user"))
     for match in re.finditer(re.escape(company.lower()), lowered):
         candidates.append((match.start(), company))
-    for entity in ENTITY_TERMS:
-        for match in re.finditer(r"\b" + re.escape(entity) + r"\b", lowered):
+    for entity, pattern in ENTITY_PATTERNS:
+        for match in pattern.finditer(lowered):
             candidates.append((match.start() + len(entity) - 1, entity))
     if not candidates:
         return None
@@ -277,11 +273,8 @@ def _receiver_in_region(region: str, company: str) -> tuple[str | None, str]:
         return None, region
     data_region, complement = split
     lowered = complement.lower()
-    # Longest first, ties broken alphabetically: ENTITY_TERMS is a set, so
-    # a bare key=len would leave equal-length ties to hash-randomized
-    # iteration order and extraction would differ across processes.
-    for entity in sorted(ENTITY_TERMS, key=lambda e: (-len(e), e)):
-        if re.search(r"\b" + re.escape(entity) + r"\b", lowered):
+    for entity, pattern in ENTITY_PATTERNS:  # longest first
+        if pattern.search(lowered):
             return entity, data_region
     if re.search(r"\b(?:you|your|users?)\b", lowered):
         return "user", data_region

@@ -243,6 +243,15 @@ _RECEIVER_PREP_RE = re.compile(
     r"\b(?:with|to)\s+((?:[a-z][\w'’-]*\s*){1,5})", re.IGNORECASE
 )
 
+#: Each of ENTITY_TERMS with its word-bounded pattern, compiled once and
+#: ordered longest first with ties broken alphabetically: ENTITY_TERMS is a
+#: set, so a bare key=len would leave equal-length ties to hash-randomized
+#: iteration order, and extraction would differ across processes.
+ENTITY_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = tuple(
+    (entity, re.compile(r"\b" + re.escape(entity) + r"\b"))
+    for entity in sorted(ENTITY_TERMS, key=lambda e: (-len(e), e))
+)
+
 
 def find_receiver(clause: str) -> str | None:
     """Find the receiver of a sharing verb via its with/to complement.
@@ -258,14 +267,9 @@ def find_receiver(clause: str) -> str | None:
         if tok.is_word
     ):
         return None
-    best: str | None = None
-    # Deterministic tiebreak over the frozenset (see _receiver_in_region).
-    for entity in sorted(ENTITY_TERMS, key=lambda e: (-len(e), e)):
-        if re.search(r"\b" + re.escape(entity) + r"\b", lowered):
-            best = entity
-            break
-    if best:
-        return best
+    for entity, pattern in ENTITY_PATTERNS:
+        if pattern.search(lowered):
+            return entity
     match = _RECEIVER_PREP_RE.search(clause)
     if match:
         from repro.nlp.chunker import _clean_item  # local import, no cycle

@@ -259,6 +259,56 @@ class TestEmbeddingStoreConcurrency:
         for key in store.keys:
             assert store.get(key).tobytes() == store.model.embed(key).tobytes()
 
+    def test_searchers_keep_valid_views_while_one_thread_appends(self):
+        # One appender fills the store past several regrowths while
+        # searchers hold on to every snapshot they take; no view may
+        # change under them, and every join is bounded.
+        store = EmbeddingStore()
+        store.add_many(["email address", "phone number"])
+        keys = [f"appended field {i}" for i in range(200)]
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def append() -> None:
+            try:
+                for key in keys:
+                    store.add(key)
+            except BaseException as exc:  # noqa: BLE001 - reported by the test
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def search() -> None:
+            held = []
+            try:
+                while not done.is_set() or len(held) < 5:
+                    assert top_k(store, "email", k=1)[0].key == "email address"
+                    snapshot_keys, matrix = store.snapshot()
+                    assert len(snapshot_keys) == matrix.shape[0]
+                    held.append((snapshot_keys, matrix, matrix.tobytes()))
+                for snapshot_keys, matrix, data in held:
+                    assert matrix.tobytes() == data
+                    last = snapshot_keys[-1]
+                    assert matrix[-1].tobytes() == store.model.embed(last).tobytes()
+            except BaseException as exc:  # noqa: BLE001 - reported by the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=append)] + [
+            threading.Thread(target=search) for _ in range(3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert store.keys == ["email address", "phone number", *keys]
+
     @pytest.mark.slow
     def test_sustained_mixed_workload(self):
         store = EmbeddingStore()

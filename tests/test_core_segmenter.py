@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.segmenter import Segment, diff_segments, segment_policy
 from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
@@ -120,3 +122,70 @@ class TestGoldenSegmentations:
         assert len(segments) == count
         encoded = json.dumps(segments).encode("utf-8")
         assert hashlib.sha256(encoded).hexdigest()[:16] == digest
+
+
+# Pieces that exercise every rule of the sentence splitter: abbreviations,
+# initials, dots inside tokens, doubled terminators, closing punctuation,
+# headings and duplicated sentences.
+_PIECES = [
+    "We collect your email address.", "We share data with partners!", "Do we sell it?",
+    "e.g.", "U.S.", "Mr.", "etc.", "www.example.com", "2.5", "..", ".", "!", "?",
+    ")", '"', "”", "]", "'", "x", "the", "Yes.", "A.", "_", "\n", "\n3. Data Use\n",
+    "\n\n", "  ", " ",
+]
+_texts = st.lists(st.sampled_from(_PIECES), max_size=40).map(" ".join)
+
+
+def _edit(text: str, edits: list[tuple[int, int, str]]) -> str:
+    for at, span, piece in edits:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at + span :]
+    return text
+
+
+_edits = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 30), st.sampled_from(_PIECES + [""])),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestSegmentationReuse:
+    """``segment_policy(text, previous, splits)`` against a fresh split."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_texts, chain=st.lists(_edits, min_size=1, max_size=4))
+    def test_reused_splits_equal_fresh_ones(self, text, chain):
+        previous: dict = {}
+        assert segment_policy(text, splits=previous) == segment_policy(text)
+        for edits in chain:
+            text = _edit(text, edits)
+            splits: dict = {}
+            fresh: dict = {}
+            assert segment_policy(text, previous, splits) == segment_policy(
+                text, splits=fresh
+            )
+            assert splits == fresh
+            previous = splits
+
+    def test_only_changed_text_is_split_again(self, monkeypatch):
+        import repro.core.segmenter as segmenter
+
+        old = (
+            "1. Data Use\nWe keep logs for a year.\n"
+            "We collect your email. We share it. We keep logs."
+        )
+        new = (
+            "1. Data Use\nWe keep logs for a year.\n"
+            "We collect your email. We sell it. We keep logs."
+        )
+        previous: dict = {}
+        segment_policy(old, splits=previous)
+        expected = segment_policy(new)
+        split: list[str] = []
+        real = segmenter.sentences
+        monkeypatch.setattr(
+            segmenter, "sentences", lambda text: split.append(text) or real(text)
+        )
+        assert segment_policy(new, previous) == expected
+        assert [text.strip() for text in split] == ["We sell it."]

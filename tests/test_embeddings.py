@@ -132,6 +132,56 @@ class TestCosineSimilarity:
         assert np.isclose(cosine_similarity(v, v), 1.0)
 
 
+class TestRowBuffer:
+    """Adds append rows in place; earlier views never change."""
+
+    KEYS = [f"data item {i}" for i in range(70)]
+
+    def test_views_keep_their_bytes_across_appends_and_regrowth(self, model):
+        store = EmbeddingStore(model)
+        views = []
+        for i, key in enumerate(self.KEYS):
+            store.add(key)
+            view = store.matrix() if i % 2 else store.snapshot()[1]
+            views.append((view, view.tobytes()))
+        for view, data in views:
+            assert view.tobytes() == data
+        assert views[0][0].shape == (1, model.dim)
+
+    def test_matrix_stacks_the_rows(self, model):
+        store = EmbeddingStore(model)
+        for i, key in enumerate(self.KEYS):
+            store.add(key)
+            if i % 9 == 0:
+                store.matrix()
+        expected = np.stack([model.embed(key) for key in self.KEYS])
+        assert np.array_equal(store.matrix(), expected)
+        assert store.matrix().flags.c_contiguous
+
+    def test_bytes_equal_a_store_built_in_one_go(self, model):
+        interleaved = EmbeddingStore(model)
+        for key in self.KEYS:
+            interleaved.add(key)
+            interleaved.snapshot()
+        whole = EmbeddingStore(model)
+        whole.add_many(self.KEYS)
+        assert interleaved.to_bytes() == whole.to_bytes()
+
+    def test_decoded_store_appends_like_a_fresh_one(self, model):
+        half = len(self.KEYS) // 2
+        seeded = EmbeddingStore(model)
+        seeded.add_many(self.KEYS[:half])
+        loaded = EmbeddingStore.from_bytes(seeded.to_bytes())
+        decoded_view = loaded.matrix()
+        data = decoded_view.tobytes()
+        loaded.add_many(self.KEYS[half:])
+        whole = EmbeddingStore(model)
+        whole.add_many(self.KEYS)
+        assert loaded.to_bytes() == whole.to_bytes()
+        assert decoded_view.tobytes() == data
+        assert not decoded_view.flags.writeable
+
+
 class TestEmbeddingStore:
     def test_add_and_contains(self, model):
         store = EmbeddingStore(model)

@@ -1,9 +1,13 @@
 """Unit tests for the simulated LLM's task handlers."""
 
 import json
+import re
 
 import pytest
 
+import repro.llm.simulated
+from repro.core.segmenter import segment_policy
+from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
 from repro.errors import LLMError
 from repro.llm.simulated import (
     SimulatedLLM,
@@ -12,6 +16,7 @@ from repro.llm.simulated import (
     terms_equivalent,
 )
 from repro.llm.tasks import TaskRunner
+from repro.nlp.lexicon import ENTITY_TERMS
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +251,56 @@ class TestErrorPaths:
         )
         parsed = json.loads(raw)
         assert "practices" in parsed
+
+
+def _sender_per_call(region, company):
+    """``_sender_from_region`` as it was: one pattern built per entity and call."""
+    lowered = region.lower()
+    candidates = []
+    for match in re.finditer(r"\b(?:you|your|users?)\b", lowered):
+        candidates.append((match.start(), "user"))
+    for match in re.finditer(re.escape(company.lower()), lowered):
+        candidates.append((match.start(), company))
+    for entity in ENTITY_TERMS:
+        for match in re.finditer(r"\b" + re.escape(entity) + r"\b", lowered):
+            candidates.append((match.start() + len(entity) - 1, entity))
+    if not candidates:
+        return None
+    return max(candidates, key=lambda c: (c[0], len(c[1]), c[1]))[1]
+
+
+def _receiver_per_call(region, company):
+    """``_receiver_in_region`` as it was: the entities sorted on every call."""
+    split = repro.llm.simulated._RECEIVER_SPLIT_RE.split(region, maxsplit=1)
+    if len(split) != 2:
+        return None, region
+    data_region, complement = split
+    lowered = complement.lower()
+    for entity in sorted(ENTITY_TERMS, key=lambda e: (-len(e), e)):
+        if re.search(r"\b" + re.escape(entity) + r"\b", lowered):
+            return entity, data_region
+    if re.search(r"\b(?:you|your|users?)\b", lowered):
+        return "user", data_region
+    if company.lower() in lowered:
+        return company, data_region
+    candidate = repro.llm.simulated._strip_leading_particles(complement.strip(" ,"))
+    first_np = candidate.split(",")[0].strip()
+    if first_np and len(first_np.split()) <= 5:
+        return first_np.lower(), data_region
+    return None, region
+
+
+class TestCompiledEntityPatterns:
+    @pytest.mark.parametrize("policy", [tiktak_policy, metabook_policy, meditrack_policy])
+    def test_same_practices_as_per_call_patterns(self, policy, monkeypatch):
+        doc = policy()
+        statements = [
+            resolve_first_person(segment.text, doc.company)
+            for segment in segment_policy(doc.text)
+        ]
+        compiled = [extract_practices(s, doc.company) for s in statements]
+        monkeypatch.setattr(repro.llm.simulated, "_sender_from_region", _sender_per_call)
+        monkeypatch.setattr(repro.llm.simulated, "_receiver_in_region", _receiver_per_call)
+        per_call = [extract_practices(s, doc.company) for s in statements]
+        assert compiled == per_call
+        assert any(compiled)

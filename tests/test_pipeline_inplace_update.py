@@ -1,5 +1,7 @@
 """Tests for the in-place incremental model update path."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,9 @@ from repro import PolicyPipeline, Verdict
 from repro.core.segmenter import segment_policy
 from repro.corpus.versions import make_version
 from repro.core.hierarchy import Taxonomy, extend_taxonomy
+from repro.corpus import meditrack_policy
+from repro.nlp.tokenizer import sentences
+from repro.store.serialize import model_artifacts
 
 
 class TestExtendTaxonomy:
@@ -72,9 +77,9 @@ class TestInPlaceUpdate:
         model = pipeline.process(small_policy_text)
         calls = []
 
-        def counted(text):
+        def counted(text, *reuse):
             calls.append(text)
-            return segment_policy(text)
+            return segment_policy(text, *reuse)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(repro.core.pipeline, "segment_policy", counted)
@@ -128,6 +133,67 @@ class TestInPlaceUpdate:
         _patched, stats = pipeline.update(model, small_policy_text, in_place=True)
         assert stats.segments_reextracted == 0
         assert model.statistics.total_edges == edges_before
+
+
+def _chain_revision(base: str, r: int) -> str:
+    """Revision ``r`` of a MediTrack chain: ``make_version`` edits, plus a
+    structural edit on some steps that section labels and indices see."""
+    lines = make_version(base, seed=r).text.splitlines()
+    if r == 4:  # a heading moves below its own paragraph
+        at = lines.index("5. Data Retention")
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    if r == 7:  # a sentence also opens an earlier line
+        first = sentences(lines[lines.index("3. How We Use Your Information") + 1])[0]
+        at = lines.index("2. Automatically Collected Information") + 1
+        lines[at] = first + " " + lines[at]
+    if r in (12, 13):  # a line that becomes a heading on the next step
+        at = lines.index("7. Data Security") + 1
+        lines.insert(at, "8. Questions and requests." if r == 12 else "8. Questions and Requests")
+    return "\n".join(lines) + "\n"
+
+
+def _fields(segments):
+    return [dataclasses.astuple(segment) for segment in segments]
+
+
+class TestSegmentationReuseChain:
+    """Twenty in-place updates of MediTrack reuse each revision's line
+    splits, and segment exactly like a from-scratch split at every step."""
+
+    def test_chain_segments_like_scratch(self, tmp_path, monkeypatch):
+        import repro.core.segmenter as segmenter
+
+        base = meditrack_policy().text
+        pipeline = PolicyPipeline()
+        model = pipeline.process(base)
+        assert model.extraction.line_splits
+        bare = pipeline.process(base)  # updated with its memo emptied
+        split_chars: list[int] = []
+        real = segmenter.sentences
+        monkeypatch.setattr(
+            segmenter, "sentences", lambda text: split_chars.append(len(text)) or real(text)
+        )
+        for r in range(20):
+            text = _chain_revision(base, r)
+            split_chars.clear()
+            model, _ = pipeline.update(model, text, in_place=True)
+            split_now = sum(split_chars)
+            bare.extraction.line_splits.clear()
+            bare, _ = pipeline.update(bare, text, in_place=True)
+            assert _fields(model.extraction.segments) == _fields(segment_policy(text))
+            assert model_artifacts(model) == model_artifacts(bare)
+            if r == 10:  # the first update after a load splits everything
+                assert split_now > 0.9 * len(text)
+            else:
+                assert split_now < 0.5 * len(text)
+            if r == 9:
+                for i, m in enumerate((model, bare)):
+                    pipeline.save_model(m, tmp_path / f"store{i}")
+                model = pipeline.load_model(tmp_path / "store0")
+                bare = pipeline.load_model(tmp_path / "store1")
+                assert model.extraction.line_splits == {}
+            else:
+                assert model.extraction.line_splits
 
 
 class TestPatchBuildParity:
