@@ -6,6 +6,11 @@ identify modified segments and only re-extract those."
 Edits k statements of the TikTok-scale policy and compares a full
 reprocess against the incremental update: segments re-extracted, LLM calls
 made, and wall time.  Asserts the reuse fraction and the LLM-call savings.
+
+A fixed set of questions is asked before and after each in-place update.
+An update keeps the verification answers (their cache key hashes the
+compiled script), so the solves after it must number exactly the
+questions whose script text the edit changed.
 """
 
 import time
@@ -14,6 +19,20 @@ from conftest import print_table
 
 from repro import PolicyPipeline
 from repro.corpus import tiktak_policy
+
+# Unrelated to the edit, except the last two, which ask about the
+# appended data types.
+QUESTIONS = [
+    "The user provides email to TikTak.",
+    "The user provides phone number to TikTak.",
+    "TikTak collects email address.",
+    "TikTak shares biometric identifiers with data brokers.",
+    "TikTak collects the location information.",
+    "TikTak shares the email address with advertisers.",
+    "Law enforcement receives the personal information.",
+    "TikTak collects the synthetic datapoint number 0.",
+    "TikTak shares the synthetic datapoint number 3 with advertisers.",
+]
 
 
 def _edit_policy(text: str, k: int) -> str:
@@ -54,6 +73,10 @@ def test_r4_incremental_updates(benchmark):
         # In-place update: patch the existing graph/taxonomies directly.
         patcher = PolicyPipeline()
         patch_model = patcher.process(base_text)
+        scripts = {
+            q: patcher.query(patch_model, q).verification.smtlib_text
+            for q in QUESTIONS
+        }
         start = time.perf_counter()
         patched_model, _patch_stats = patcher.update(
             patch_model, edited, in_place=True
@@ -63,6 +86,14 @@ def test_r4_incremental_updates(benchmark):
             patched_model.statistics.total_edges
             == rebuilt_model.statistics.total_edges
         )
+        after = [patcher.query(patched_model, q) for q in QUESTIONS]
+        changed = {
+            o.verification.smtlib_text
+            for q, o in zip(QUESTIONS, after)
+            if o.verification.smtlib_text != scripts[q]
+        }
+        assert not changed & set(scripts.values())
+        resolved = sum(o.metrics.verification_misses for o in after)
 
         rows.append(
             [
@@ -75,9 +106,13 @@ def test_r4_incremental_updates(benchmark):
                 f"{full_seconds:.2f}",
                 f"{incr_seconds:.2f}",
                 f"{inplace_seconds:.2f}",
+                f"{resolved}/{len(QUESTIONS)}",
             ]
         )
 
+        # Solved again: exactly the questions whose script changed.
+        assert resolved == len(changed)
+        assert resolved < len(QUESTIONS)
         assert stats.segments_reextracted == k
         assert stats.reuse_fraction > 0.9
         # The incremental path must save the vast majority of LLM calls.
@@ -95,6 +130,7 @@ def test_r4_incremental_updates(benchmark):
             "full s",
             "incr s",
             "in-place s",
+            "re-solved",
         ],
         rows,
     )

@@ -15,10 +15,15 @@ other queries on the model) share repeated work between queries:
   solver's work limits (not its wall-clock timeout) ->
   :class:`~repro.core.verify.VerificationResult`.
 
-Every key embeds the model's ``revision`` counter, so entries surviving an
-incremental update can never be served stale; :meth:`clear` additionally
-drops them eagerly.  Lookups and stores are lock-guarded; computations run
-outside the lock.  :meth:`get_or_compute` is additionally *single-flight*
+Translation and subgraph keys embed the model's ``revision`` counter
+(:attr:`ModelCaches.REVISIONED`), so their entries can never be served
+stale after an incremental update, and the update drops them eagerly.  A
+verification key is content-addressed: the script fully determines the
+verdict, whatever revision printed it.  So an update keeps that table
+(:meth:`ModelCaches.successor` copies it for a rebuilt model), and a
+question whose script the edit left unchanged is answered without a
+solve.  Lookups and stores are lock-guarded; computations run outside
+the lock.  :meth:`get_or_compute` is additionally *single-flight*
 per key: concurrent callers of an uncached key elect one leader to compute
 while the rest park on an event and reuse its result — a batch of repeated
 queries pays for each distinct problem exactly once, no matter how the
@@ -29,7 +34,7 @@ are woken to elect a new leader rather than inheriting the failure.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 _MISS = object()
 
@@ -49,6 +54,8 @@ class ModelCaches:
     """Thread-safe translation/subgraph/verification caches for one model."""
 
     KINDS = ("translation", "subgraph", "verification")
+    #: The kinds whose keys embed the model's revision: an update retires them.
+    REVISIONED = ("translation", "subgraph")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -136,11 +143,25 @@ class ModelCaches:
             flight.done.set()
             return value, True
 
-    def clear(self) -> None:
-        """Drop every entry (called on incremental model updates)."""
+    def clear(self, kinds: Iterable[str] = KINDS) -> None:
+        """Drop every entry of ``kinds`` (default: every table)."""
         with self._lock:
-            for table in self._tables.values():
-                table.clear()
+            for kind in kinds:
+                self._tables[kind].clear()
+
+    def successor(self) -> ModelCaches:
+        """Fresh caches for a rebuilt model that replaces this one's.
+
+        They start with a copy of every table an update keeps (the kinds
+        outside :attr:`REVISIONED`); the two objects share no table, so
+        either model may clear or fill its own.
+        """
+        heir = ModelCaches()
+        with self._lock:
+            for kind in self.KINDS:
+                if kind not in self.REVISIONED:
+                    heir._tables[kind] = dict(self._tables[kind])
+        return heir
 
     def size(self, kind: str) -> int:
         with self._lock:

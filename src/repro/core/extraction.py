@@ -40,6 +40,12 @@ class ExtractionResult:
     def num_practices(self) -> int:
         return len(self.practices)
 
+    def practice_dicts(self) -> list[dict[str, object]]:
+        """Every practice's :meth:`AnnotatedPractice.as_dict`, in order,
+        each joined to its segment's position."""
+        by_id = {segment.segment_id: segment for segment in self.segments}
+        return [p.as_dict(by_id[p.segment_id]) for p in self.practices]
+
 
 def extract_company(runner: TaskRunner, policy_text: str) -> str:
     """Company name from the policy's first 1000 characters."""
@@ -65,8 +71,6 @@ def extract_segment(
         annotate(
             params,
             segment_id=segment.segment_id,
-            segment_index=segment.index,
-            section=segment.section,
             opp115_categories=categories,
         )
         for params in raw
@@ -89,7 +93,8 @@ def extract_policy(
         company: skip company extraction when already known.
         cached: previously extracted practices keyed by segment id; segments
             whose id appears here are reused without an LLM call, which is
-            the incremental-update mechanism.
+            the incremental-update mechanism.  A practice carries no
+            position, so a reused one is valid wherever its segment moved.
         segments: ``segment_policy(policy_text)`` when the caller already
             has it (an update diffs the new segmentation before extracting);
             the caller then also sets the result's ``line_splits``.
@@ -101,29 +106,12 @@ def extract_policy(
     result = ExtractionResult(company=company, segments=segments, line_splits=splits)
     cached = cached or {}
     for segment in segments:
-        if segment.segment_id in cached:
-            practices = [
-                _rehome(p, segment) for p in cached[segment.segment_id]
-            ]
+        reused = cached.get(segment.segment_id)
+        if reused is not None:
+            # A copy: a rebuilding update leaves the old model live.
+            practices = list(reused)
         else:
             practices = extract_segment(runner, segment, company)
         result.practices_by_segment[segment.segment_id] = practices
         result.practices.extend(practices)
     return result
-
-
-def _rehome(practice: AnnotatedPractice, segment: Segment) -> AnnotatedPractice:
-    """Refresh positional provenance on a cache-reused practice."""
-    if (
-        practice.segment_index == segment.index
-        and practice.section == segment.section
-    ):
-        return practice
-    return AnnotatedPractice(
-        params=practice.params,
-        segment_id=segment.segment_id,
-        segment_index=segment.index,
-        section=segment.section,
-        opp115_categories=practice.opp115_categories,
-        vague_terms=practice.vague_terms,
-    )

@@ -3,12 +3,18 @@
 Wraps the raw seven-field extraction with segment provenance, OPP-115
 category tags, and the vague terms found in the condition — the explicit
 ambiguity markers that later become uninterpreted predicates.
+
+A practice names its segment by content hash only.  Its position (index
+and section heading) lives on the :class:`~repro.core.segmenter.Segment`,
+so a practice reused across policy revisions stays valid however far its
+segment moves; :meth:`AnnotatedPractice.as_dict` joins the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.core.segmenter import Segment
 from repro.llm.tasks import ExtractedParameters
 from repro.nlp.lexicon import find_vague_terms
 
@@ -19,8 +25,6 @@ class AnnotatedPractice:
 
     params: ExtractedParameters
     segment_id: str
-    segment_index: int
-    section: str = ""
     opp115_categories: tuple[str, ...] = ()
     vague_terms: tuple[tuple[str, str], ...] = ()  # (phrase, predicate name)
 
@@ -56,12 +60,13 @@ class AnnotatedPractice:
     def has_vague_condition(self) -> bool:
         return bool(self.vague_terms)
 
-    def as_dict(self) -> dict[str, object]:
+    def as_dict(self, segment: Segment) -> dict[str, object]:
+        """JSON form, positioned by ``segment``, the segment it came from."""
         return {
             **self.params.as_dict(),
             "segment_id": self.segment_id,
-            "segment_index": self.segment_index,
-            "section": self.section,
+            "segment_index": segment.index,
+            "section": segment.section,
             "opp115_categories": list(self.opp115_categories),
             "vague_terms": [list(v) for v in self.vague_terms],
         }
@@ -71,8 +76,6 @@ def annotate(
     params: ExtractedParameters,
     *,
     segment_id: str,
-    segment_index: int,
-    section: str = "",
     opp115_categories: tuple[str, ...] = (),
 ) -> AnnotatedPractice:
     """Attach provenance and vague-term annotations to raw parameters."""
@@ -82,8 +85,6 @@ def annotate(
     return AnnotatedPractice(
         params=params,
         segment_id=segment_id,
-        segment_index=segment_index,
-        section=section,
         opp115_categories=opp115_categories,
         vague_terms=vague,
     )

@@ -370,7 +370,9 @@ class PolicyPipeline:
         of added segments are inserted, and only genuinely new vocabulary
         runs through Chain-of-Layer — the paper's "update only those
         branches" behaviour.  The passed-in model object is mutated and
-        returned.
+        returned.  Either way the updated model keeps the verification
+        answers (their keys hash the compiled script), so a question whose
+        script the edit left unchanged is answered without a solve.
         """
         start = time.monotonic()
         old_segments = model.extraction.segments
@@ -393,15 +395,18 @@ class PolicyPipeline:
             segments=new_segments,
         )
         extraction.line_splits = splits
+        # Phase 3 memoization: the revision bump retires every translation
+        # and subgraph key (they embed it), and the clear releases those
+        # entries eagerly.  A verification key hashes the script itself,
+        # so an answer whose script the edit left unchanged carries over;
+        # a rebuilt model gets a copy, leaving the old model its own.
         if in_place:
             new_model = self._patch_model(model, extraction, diff)
+            new_model.caches.clear(ModelCaches.REVISIONED)
         else:
             new_model = self._build_model(extraction)
-        # Invalidate Phase 3 memoization: the revision bump retires every
-        # cache key derived from the old vocabulary/graph, and the clear
-        # releases the stale entries eagerly.
+            new_model.caches = model.caches.successor()
         new_model.revision = model.revision + 1
-        new_model.caches.clear()
         stats = UpdateStats(
             segments_total=len(new_segments),
             segments_reused=len(diff.unchanged),
@@ -857,7 +862,7 @@ class PolicyPipeline:
         )
         atomic_write_json(
             directory / "practices.json",
-            [p.as_dict() for p in model.extraction.practices],
+            model.extraction.practice_dicts(),
         )
         atomic_write_json(
             directory / "data_taxonomy.json", model.data_taxonomy.as_edges()

@@ -216,12 +216,13 @@ def verification_cache_key(
     """Memoization key for :func:`verify_encoded`.
 
     Content-hashing the script makes the key revision-independent: the
-    formulas fully determine the verdict, so a subgraph untouched by a
-    policy update could even hit across revisions (the pipeline clears
-    per-model caches on update regardless).  The budget's wall-clock
-    ``timeout_seconds`` is left out: a verdict reached inside the
-    deadline does not depend on it, and callers must not store a result
-    whose deadline ran out (see ``PolicyPipeline._verify``).
+    formulas fully determine the verdict, so a question whose script a
+    policy update left unchanged hits across revisions (an update keeps
+    the verification table and clears only the revision-keyed ones).
+    The budget's wall-clock ``timeout_seconds`` is left out: a verdict
+    reached inside the deadline does not depend on it, and callers must
+    not store a result whose deadline ran out (see
+    ``PolicyPipeline._verify``).
     """
     digest = hashlib.sha256(script_text.encode("utf-8")).hexdigest()
     budget = replace(budget or SolverBudget(), timeout_seconds=None)

@@ -217,8 +217,8 @@ def audit_parity(patched: PolicyModel, rebuilt: PolicyModel) -> AuditReport:
         )
 
     report.checks_run.append("practices")
-    patched_practices = [p.as_dict() for p in patched.extraction.practices]
-    rebuilt_practices = [p.as_dict() for p in rebuilt.extraction.practices]
+    patched_practices = patched.extraction.practice_dicts()
+    rebuilt_practices = rebuilt.extraction.practice_dicts()
     if patched_practices != rebuilt_practices:
         report.add(
             "practices",
@@ -268,7 +268,9 @@ def heal_model(patched: PolicyModel, rebuilt: PolicyModel) -> PolicyModel:
     The remedy for a failed parity audit: callers hold references to the
     patched model object, so healing mutates it rather than swapping it
     out.  The revision counter is preserved (healing is not a new policy
-    version) and the Phase 3 caches are cleared.
+    version) and every Phase 3 cache table is cleared, the
+    content-addressed verification table too: a heal keeps nothing
+    computed while the model was in the state it repairs.
     """
     patched.company = rebuilt.company
     patched.extraction = rebuilt.extraction

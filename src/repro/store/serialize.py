@@ -25,7 +25,10 @@ hashed against the manifest; nothing here reads a file.  Deserialization
 *replays* rather than trusts: taxonomies are rebuilt through
 :meth:`Taxonomy.add` (which rejects cycles and dangling parents) and the
 graph edges in one :meth:`PolicyGraph.restore_edges` call (which rebuilds
-node kinds and segment provenance), so a payload that hashes correctly
+node kinds and segment provenance).  A practice keeps no position of its
+own: ``practices.json`` still stores each one's ``segment_index`` and
+``section``, joined from its segment, and the loader checks them against
+``segments.json``.  So a payload that hashes correctly
 but is structurally inconsistent still fails the load instead of
 producing a silently broken model.  All structural failures surface as
 :class:`~repro.errors.SnapshotCorruptionError`.
@@ -92,6 +95,7 @@ def _edge_payload(edge: PracticeEdge) -> dict[str, object]:
 def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
     """Serialize every component of ``model`` to named byte payloads."""
     extraction = model.extraction
+    by_id = {segment.segment_id: segment for segment in extraction.segments}
     meta: dict[str, object] = {
         "company": model.company,
         "revision": model.revision,
@@ -117,7 +121,7 @@ def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
         ),
         "practices.json": _json_bytes(
             {
-                segment_id: [p.as_dict() for p in practices]
+                segment_id: [p.as_dict(by_id[segment_id]) for p in practices]
                 for segment_id, practices in extraction.practices_by_segment.items()
             }
         ),
@@ -166,12 +170,30 @@ def _restore_taxonomy(raw: object, name: str) -> Taxonomy:
         raise SnapshotCorruptionError(f"artifact {name!r} is inconsistent: {exc}") from exc
 
 
-def _restore_practice(raw: dict[str, object]) -> AnnotatedPractice:
+def _restore_practice(
+    raw: dict[str, object], segment_id: str, segments: Mapping[str, Segment]
+) -> AnnotatedPractice:
+    """One practice of segment ``segment_id``, whose stored position must
+    be that segment's in ``segments.json``."""
+    segment = segments.get(segment_id)
+    if segment is None:
+        raise SnapshotCorruptionError(
+            f"practices.json names segment {segment_id!r}, "
+            "which segments.json does not hold"
+        )
+    stored = (
+        str(raw["segment_id"]),
+        int(raw["segment_index"]),
+        str(raw.get("section", "")),
+    )
+    if stored != (segment_id, segment.index, segment.section):
+        raise SnapshotCorruptionError(
+            f"practices.json places a practice of segment {segment_id!r} at "
+            f"{stored}; segments.json has {(segment.index, segment.section)}"
+        )
     return AnnotatedPractice(
         params=ExtractedParameters.from_dict(raw),
-        segment_id=str(raw["segment_id"]),
-        segment_index=int(raw["segment_index"]),
-        section=str(raw.get("section", "")),
+        segment_id=segment_id,
         opp115_categories=tuple(str(c) for c in raw.get("opp115_categories", [])),
         vague_terms=tuple(
             (str(phrase), str(pred)) for phrase, pred in raw.get("vague_terms", [])
@@ -239,8 +261,9 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
             )
             for s in raw_segments
         ]
+        segments = {s.segment_id: s for s in extraction.segments}
         for segment_id, entries in raw_practices.items():
-            practices = [_restore_practice(p) for p in entries]
+            practices = [_restore_practice(p, str(segment_id), segments) for p in entries]
             extraction.practices_by_segment[str(segment_id)] = practices
             extraction.practices.extend(practices)
 

@@ -69,7 +69,7 @@ def model_digest(model) -> dict[str, object]:
                 for e in graph.edges()
             ]
         ),
-        "practices": _sha256_json([p.as_dict() for p in model.extraction.practices]),
+        "practices": _sha256_json(model.extraction.practice_dicts()),
         "embedding_keys": _sha256_json(model.store.keys),
         "matrix_shape": list(matrix.shape),
         "matrix": hashlib.sha256(matrix.tobytes()).hexdigest(),

@@ -31,7 +31,6 @@ def _practice(sender, action, data_type, receiver=None, condition=None, permissi
             permission=permission,
         ),
         segment_id=seg,
-        segment_index=0,
     )
 
 

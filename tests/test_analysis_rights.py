@@ -20,7 +20,6 @@ def _practice(sender, action, data_type, condition=None, permission=True, seg="s
             permission=permission,
         ),
         segment_id=seg,
-        segment_index=0,
     )
 
 

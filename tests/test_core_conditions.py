@@ -73,7 +73,6 @@ class TestEncodingIntegration:
                 permission=True,
             ),
             segment_id="s1",
-            segment_index=0,
         )
         graph = PolicyGraph("Acme")
         graph.add_practice(practice)

@@ -36,7 +36,7 @@ def _practice(
         condition=condition,
         permission=permission,
     )
-    return annotate(params, segment_id=segment_id, segment_index=0)
+    return annotate(params, segment_id=segment_id)
 
 
 class TestClassifyNode:

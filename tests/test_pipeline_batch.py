@@ -118,6 +118,10 @@ class TestBatchDeterminism:
             pipeline.query_batch(tiktak_model, ["x"], max_workers=0)
 
 
+def _revisioned_sizes(caches) -> list[int]:
+    return [caches.size(kind) for kind in caches.REVISIONED]
+
+
 class TestCacheInvalidation:
     """update -> query must never serve answers from a stale revision."""
 
@@ -134,7 +138,7 @@ class TestCacheInvalidation:
 
         pipeline.update(model, small_policy_text + self.ADDITION, in_place=True)
         assert model.revision == revision + 1
-        assert len(model.caches) == 0
+        assert _revisioned_sizes(model.caches) == [0, 0]
 
         after = pipeline.query(model, self.QUESTION)
         assert after.verdict is Verdict.VALID
@@ -148,8 +152,10 @@ class TestCacheInvalidation:
 
         updated, _ = pipeline.update(model, small_policy_text + self.ADDITION)
         assert updated.revision == model.revision + 1
-        assert len(updated.caches) == 0
-        assert pipeline.query(updated, self.QUESTION).verdict is Verdict.VALID
+        assert _revisioned_sizes(updated.caches) == [0, 0]
+        after = pipeline.query(updated, self.QUESTION)
+        assert after.verdict is Verdict.VALID
+        assert after.metrics.verification_hits == 0
 
     def test_update_retires_previously_valid_answer(self, small_policy_text):
         pipeline = PolicyPipeline()
@@ -191,6 +197,73 @@ class TestCacheInvalidation:
         pipeline.update(model, small_policy_text + self.ADDITION, in_place=True)
         batch = pipeline.query_batch(model, [self.QUESTION] * 4, max_workers=4)
         assert all(v is Verdict.VALID for v in batch.verdicts)
+
+
+class TestVerificationAnswersOutliveAnUpdate:
+    """Verification keys hash the script, so an update keeps the answers
+    whose script its edit left unchanged and solves only the others."""
+
+    ADDITION = TestCacheInvalidation.ADDITION
+    CHANGED = TestCacheInvalidation.QUESTION
+    UNCHANGED = "Acme shares the email address with advertisers."
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_unchanged_script_is_a_hit_with_the_fresh_verdict(
+        self, small_policy_text, in_place
+    ):
+        pipeline = PolicyPipeline()
+        model = pipeline.process(small_policy_text)
+        before = pipeline.query(model, self.UNCHANGED)
+        text = small_policy_text + self.ADDITION
+        updated, _ = pipeline.update(model, text, in_place=in_place)
+
+        after = pipeline.query(updated, self.UNCHANGED)
+        assert after.verification.smtlib_text == before.verification.smtlib_text
+        assert after.metrics.verification_hits == 1
+        assert after.metrics.verification_misses == 0
+        fresh = PolicyPipeline()
+        scratch = fresh.query(fresh.process(text), self.UNCHANGED)
+        assert scratch.verification.smtlib_text == after.verification.smtlib_text
+        assert after.verdict is scratch.verdict
+        assert after.as_dict() == scratch.as_dict()
+
+    @pytest.mark.parametrize("in_place", [True, False])
+    def test_changed_script_is_solved_again(self, small_policy_text, in_place):
+        pipeline = PolicyPipeline()
+        model = pipeline.process(small_policy_text)
+        before = pipeline.query(model, self.CHANGED)
+        updated, _ = pipeline.update(
+            model, small_policy_text + self.ADDITION, in_place=in_place
+        )
+        assert updated.caches.size("verification") >= 1
+
+        after = pipeline.query(updated, self.CHANGED)
+        assert after.verification.smtlib_text != before.verification.smtlib_text
+        assert after.metrics.verification_misses == 1
+        assert after.metrics.verification_hits == 0
+        assert (before.verdict, after.verdict) == (Verdict.INVALID, Verdict.VALID)
+
+    def test_rebuilt_and_old_model_tables_are_independent(self, small_policy_text):
+        pipeline = PolicyPipeline()
+        model = pipeline.process(small_policy_text)
+        pipeline.query(model, self.UNCHANGED)
+        pipeline.query(model, self.CHANGED)
+        updated, _ = pipeline.update(model, small_policy_text + self.ADDITION)
+        assert updated.caches is not model.caches
+        assert updated.caches.size("verification") == 2
+
+        updated.caches.clear()
+        assert model.caches.size("verification") == 2
+        assert pipeline.query(model, self.UNCHANGED).metrics.verification_hits == 1
+
+        refilled, _ = pipeline.update(model, small_policy_text + self.ADDITION)
+        pipeline.query(refilled, self.CHANGED)
+        assert refilled.caches.size("verification") == 3
+        model.caches.clear()
+        assert len(model.caches) == 0
+        assert refilled.caches.size("verification") == 3
+        hit = pipeline.query(refilled, self.UNCHANGED)
+        assert hit.metrics.verification_hits == 1
 
 
 class TestWallClockAndTheVerificationCache:

@@ -1,6 +1,7 @@
 """Tests for the in-place incremental model update path."""
 
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,54 @@ class TestSegmentationReuseChain:
                 assert model.extraction.line_splits == {}
             else:
                 assert model.extraction.line_splits
+
+
+def _artifact_digests(model) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(payload).hexdigest()
+        for name, payload in model_artifacts(model).items()
+    }
+
+
+class TestPracticePositions:
+    """A practice keeps no position; its segment does.  Along a 20-revision
+    MediTrack chain, in place and rebuilt, every practice names its
+    segment and the positions joined from it match a fresh build's."""
+
+    def test_chain_positions_match_fresh_build(self, tmp_path):
+        base = meditrack_policy().text
+        pipeline = PolicyPipeline()
+        patched = pipeline.process(base)
+        rebuilt = pipeline.process(base)
+        for r in range(20):
+            text = _chain_revision(base, r)
+            previous = rebuilt
+            before = previous.extraction.practice_dicts()
+            patched, stats = pipeline.update(patched, text, in_place=True)
+            rebuilt, _ = pipeline.update(rebuilt, text)
+            assert stats.segments_reused > 0.9 * stats.segments_total
+            fresh = pipeline.process(text).extraction
+            expected = fresh.practice_dicts()
+            for model in (patched, rebuilt):
+                extraction = model.extraction
+                assert [p.segment_id for p in extraction.practices] == [
+                    p.segment_id for p in fresh.practices
+                ]
+                assert extraction.practice_dicts() == expected
+            # A rebuild shares no practice list with the model it replaced,
+            # which stays live with its own positions.
+            old_lists = {id(v) for v in previous.extraction.practices_by_segment.values()}
+            new_lists = {id(v) for v in rebuilt.extraction.practices_by_segment.values()}
+            assert not old_lists & new_lists
+            assert previous.extraction.practice_dicts() == before
+            if r in (6, 13, 19):
+                for i, model in enumerate((patched, rebuilt)):
+                    digests = _artifact_digests(model)
+                    pipeline.save_model(model, tmp_path / f"r{r}-{i}")
+                    loaded = pipeline.load_model(tmp_path / f"r{r}-{i}")
+                    assert _artifact_digests(loaded) == digests
+                patched = pipeline.load_model(tmp_path / f"r{r}-0")
+                rebuilt = pipeline.load_model(tmp_path / f"r{r}-1")
 
 
 class TestPatchBuildParity:

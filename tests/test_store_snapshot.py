@@ -38,9 +38,7 @@ def assert_models_equal(a, b) -> None:
     assert [s.segment_id for s in a.extraction.segments] == [
         s.segment_id for s in b.extraction.segments
     ]
-    assert [p.as_dict() for p in a.extraction.practices] == [
-        p.as_dict() for p in b.extraction.practices
-    ]
+    assert a.extraction.practice_dicts() == b.extraction.practice_dicts()
     assert sorted(edge_key(e) for e in a.graph.edges()) == sorted(
         edge_key(e) for e in b.graph.edges()
     )
@@ -78,6 +76,62 @@ class TestSerializeRoundTrip:
         payloads["data_taxonomy.json"] = json.dumps(taxonomy).encode()
         with pytest.raises(SnapshotCorruptionError):
             model_from_artifacts(payloads)
+
+
+def _misplace_practice(payloads, field, value) -> str:
+    """Rewrite one stored practice's ``field``; returns its segment id."""
+    practices = json.loads(payloads["practices.json"])
+    segment_id = next(sid for sid, entries in practices.items() if entries)
+    practices[segment_id][0][field] = value
+    payloads["practices.json"] = json.dumps(practices).encode()
+    return segment_id
+
+
+class TestPracticePositionsOnLoad:
+    """``practices.json`` stores each practice's position, joined from its
+    segment; the loader checks it against ``segments.json``."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("segment_index", 10_000), ("section", "Nowhere"), ("segment_id", "0" * 16)],
+    )
+    def test_position_mismatch_is_corruption(self, small_model, field, value):
+        payloads = model_artifacts(small_model)
+        _misplace_practice(payloads, field, value)
+        with pytest.raises(SnapshotCorruptionError, match="practices.json"):
+            model_from_artifacts(payloads)
+
+    def test_practices_of_an_unknown_segment_are_corruption(self, small_model):
+        payloads = model_artifacts(small_model)
+        practices = json.loads(payloads["practices.json"])
+        practices["0" * 16] = practices.popitem()[1]
+        payloads["practices.json"] = json.dumps(practices).encode()
+        with pytest.raises(SnapshotCorruptionError, match="does not hold"):
+            model_from_artifacts(payloads)
+
+    def test_hash_valid_misplaced_practice_fails_the_load(
+        self, small_model, tmp_path
+    ):
+        store = SnapshotStore(tmp_path)
+        info = store.commit(small_model)
+        payloads = {"practices.json": (info.path / "practices.json").read_bytes()}
+        _misplace_practice(payloads, "segment_index", 10_000)
+        damaged = payloads["practices.json"]
+        (info.path / "practices.json").write_bytes(damaged)
+        manifest_path = info.path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest["artifacts"]["practices.json"]["sha256"] = hashlib.sha256(
+            damaged
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest), "utf-8")
+        with pytest.raises(SnapshotCorruptionError) as excinfo:
+            store.load()
+        assert "segments.json has" in excinfo.value.reports[0].failures[0]
+
+    def test_round_trip_keeps_practices_bytes(self, small_model):
+        payloads = model_artifacts(small_model)
+        restored = model_from_artifacts(payloads)
+        assert model_artifacts(restored)["practices.json"] == payloads["practices.json"]
 
 
 class TestSnapshotStore:
