@@ -135,7 +135,6 @@ def encode_query(
     query: ExtractedParameters,
     *,
     include_hierarchy_axioms: bool = True,
-    simplify_formulas: bool = True,
 ) -> EncodedQuery:
     """Compile a subgraph and query parameters into FOL formulas."""
     encoded = EncodedQuery()
@@ -170,10 +169,8 @@ def encode_query(
                     )
                 )
 
-    encoded.query_formula = _encode_query_atom(query, table)
-    if simplify_formulas:
-        encoded.policy_formulas = [simplify(f) for f in encoded.policy_formulas]
-        encoded.query_formula = simplify(encoded.query_formula)
+    encoded.policy_formulas = [simplify(f) for f in encoded.policy_formulas]
+    encoded.query_formula = simplify(_encode_query_atom(query, table))
     return encoded
 
 

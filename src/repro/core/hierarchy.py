@@ -182,51 +182,3 @@ def chain_of_layer(
             taxonomy.add(term, root)
     taxonomy.validate()
     return taxonomy
-
-
-def extend_taxonomy(
-    runner: TaskRunner,
-    taxonomy: Taxonomy,
-    new_terms: list[str],
-    *,
-    max_layers: int = _MAX_LAYERS,
-) -> int:
-    """Incrementally place ``new_terms`` into an existing taxonomy.
-
-    This is the Phase 2 incremental-update path: "when text changes, we
-    identify affected nodes through segment tracking and update only those
-    branches."  Existing placements are untouched; only the new terms run
-    through the Chain-of-Layer prompts.  Returns the number of terms added.
-    """
-    remaining = []
-    seen: set[str] = set()
-    for term in new_terms:
-        lowered = term.strip().lower()
-        if lowered and lowered not in taxonomy and lowered not in seen:
-            seen.add(lowered)
-            remaining.append(lowered)
-    added = 0
-    for _layer in range(max_layers):
-        if not remaining:
-            break
-        response = runner.taxonomy_layer(taxonomy.root, taxonomy.terms, remaining)
-        placed: set[str] = set()
-        for term, parent in response.assignments:
-            term = term.lower()
-            parent = parent.lower() if parent != taxonomy.root else parent
-            if term in taxonomy or term in placed or term not in seen:
-                continue
-            if parent not in taxonomy:
-                taxonomy.add(parent, taxonomy.root)
-            taxonomy.add(term, parent)
-            placed.add(term)
-            added += 1
-        remaining = [t for t in remaining if t not in placed]
-        if not placed:
-            break
-    for term in remaining:
-        if term not in taxonomy:
-            taxonomy.add(term, taxonomy.root)
-            added += 1
-    taxonomy.validate()
-    return added

@@ -58,7 +58,7 @@ from repro.resilience.degradation import (
     execute_ladder,
     is_budget_limited,
 )
-from repro.solver.interface import CertificationConfig, SolverBudget
+from repro.solver.interface import SolverBudget
 
 
 @contextmanager
@@ -89,8 +89,6 @@ class PipelineConfig:
     min_similarity: float = 0.3
     col_similarity_threshold: float = 0.0  # 0 disables the SciBERT-style filter
     include_hierarchy_axioms: bool = True
-    simplify_formulas: bool = True
-    check_conditional: bool = True
     solver_budget: SolverBudget = field(default_factory=SolverBudget)
     enable_query_caches: bool = True  # per-model Phase 3 memoization
     # Degradation ladder for budget-limited UNKNOWN verdicts; None disables
@@ -102,7 +100,6 @@ class PipelineConfig:
     # alarm).  Single queries certify by default; batches sample every
     # batch_certify_stride-th question (1 = every question).
     certify: bool = True
-    certification: CertificationConfig = field(default_factory=CertificationConfig)
     batch_certify_stride: int = 4
     # Directory for quarantined formulas whose verdict failed
     # certification; None disables quarantine (the alarm still fires).
@@ -589,7 +586,6 @@ class PolicyPipeline:
                 subgraph,
                 translated_params,
                 include_hierarchy_axioms=self.config.include_hierarchy_axioms,
-                simplify_formulas=self.config.simplify_formulas,
             )
         metrics.encode_seconds = time.perf_counter() - stage
 
@@ -619,8 +615,6 @@ class PolicyPipeline:
                     base_budget=effective_budget,
                     encoded=encoded,
                     include_hierarchy_axioms=self.config.include_hierarchy_axioms,
-                    simplify_formulas=self.config.simplify_formulas,
-                    check_conditional=self.config.check_conditional,
                     verify=lambda enc, b: self._verify(
                         enc,
                         caches,
@@ -717,12 +711,7 @@ class PolicyPipeline:
         if budget is None:
             budget = self.config.solver_budget
         script_text = compile_script_text(encoded)
-        key = verification_cache_key(
-            script_text,
-            budget,
-            check_conditional=self.config.check_conditional,
-            certify=certify,
-        )
+        key = verification_cache_key(script_text, budget, certify=certify)
 
         outlasted = False
 
@@ -732,9 +721,8 @@ class PolicyPipeline:
             verification = verify_encoded(
                 encoded,
                 budget=budget,
-                check_conditional=self.config.check_conditional,
                 script_text=script_text,
-                certification=self.config.certification if certify else None,
+                certify=certify,
                 quarantine_dir=self.config.certification_quarantine_dir
                 if certify
                 else None,

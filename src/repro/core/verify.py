@@ -38,11 +38,10 @@ from pathlib import Path
 
 from repro.core.encode import EncodedQuery
 from repro.errors import QueryError
-from repro.fol.builder import negate
 from repro.fol.formula import PredicateSymbol
 from repro.smtlib.printer import compile_validity_script
 from repro.smtlib.parser import execute_script
-from repro.solver.interface import CertificationConfig, Solver, SolverBudget
+from repro.solver.interface import Solver, SolverBudget
 from repro.solver.result import (
     CERTIFICATION_FAILED,
     CertificateReport,
@@ -210,7 +209,6 @@ def verification_cache_key(
     script_text: str,
     budget: SolverBudget | None,
     *,
-    check_conditional: bool = True,
     certify: bool = False,
 ) -> tuple:
     """Memoization key for :func:`verify_encoded`.
@@ -226,17 +224,16 @@ def verification_cache_key(
     """
     digest = hashlib.sha256(script_text.encode("utf-8")).hexdigest()
     budget = replace(budget or SolverBudget(), timeout_seconds=None)
-    return (digest, budget, check_conditional, certify)
+    return (digest, budget, certify)
 
 
 def verify_encoded(
     encoded: EncodedQuery,
     *,
     budget: SolverBudget | None = None,
-    via_smtlib: bool = True,
     check_conditional: bool = True,
     script_text: str | None = None,
-    certification: CertificationConfig | None = None,
+    certify: bool = False,
     quarantine_dir: str | Path | None = None,
 ) -> VerificationResult:
     """Check whether the encoded policy entails the encoded query.
@@ -244,7 +241,7 @@ def verify_encoded(
     ``script_text`` lets callers that already compiled the SMT-LIB script
     (e.g. to build a cache key) pass it in instead of compiling twice.
 
-    ``certification`` arms the solver's trust-but-verify layer on the main
+    ``certify`` arms the solver's trust-but-verify layer on the main
     validity check: the verdict is independently re-validated, and a failed
     certificate surfaces as UNKNOWN with the soundness alarm set (never as
     a possibly-wrong VALID / INVALID).  With ``quarantine_dir``, the
@@ -255,20 +252,13 @@ def verify_encoded(
         raise QueryError("encoded query has no query formula")
     text = script_text if script_text is not None else compile_script_text(encoded)
 
-    solver = Solver(budget=budget, certification=certification)
-    if via_smtlib:
-        solver_result = execute_script(text, solver=solver)[-1]
-    else:
-        for formula in encoded.policy_formulas:
-            solver.assert_formula(formula)
-        solver.push()
-        solver.assert_formula(negate(encoded.query_formula))
-        solver_result = solver.check_sat()
+    solver = Solver(budget=budget, certify=certify)
+    solver_result = execute_script(text, solver=solver)[-1]
     # The statistics describe the validity check alone: the follow-ups
     # below keep counting on the solver's own object.  They also stay
     # uncertified.
     solver_result.statistics = replace(solver_result.statistics)
-    solver.certification = None
+    solver.certify = False
 
     verdict = _status_to_verdict(solver_result.status)
     certification_failed = (

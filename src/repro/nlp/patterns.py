@@ -277,15 +277,3 @@ def find_receiver(clause: str) -> str | None:
         candidate = _clean_item(match.group(1).strip())
         return candidate.lower() or None
     return None
-
-
-def looks_like_data_practice(sentence: str) -> bool:
-    """Fast filter: does this sentence plausibly describe a data practice?"""
-    lowered = sentence.lower()
-    if len(lowered.split()) < 3:
-        return False
-    return _has_action_verb(sentence) and (
-        "information" in lowered
-        or "data" in lowered
-        or any(word in lowered for word in ("you", "we", "user"))
-    )

@@ -52,15 +52,6 @@ class TokenBucket:
         self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
         self._updated = now
 
-    def try_acquire(self) -> bool:
-        """Take a token if one is available; never blocks."""
-        with self._lock:
-            self._refill(self._clock())
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
-
     def acquire(self) -> float:
         """Take a token, sleeping until one accrues; returns seconds waited.
 

@@ -168,8 +168,6 @@ def execute_ladder(
     base_budget: SolverBudget | None = None,
     encoded: EncodedQuery | None = None,
     include_hierarchy_axioms: bool = True,
-    simplify_formulas: bool = True,
-    via_smtlib: bool = True,
     check_conditional: bool = True,
     verify=None,
 ) -> tuple[VerificationResult, DegradationReport]:
@@ -210,7 +208,6 @@ def execute_ladder(
             return verify_encoded(
                 enc,
                 budget=budget,
-                via_smtlib=via_smtlib,
                 check_conditional=check_conditional,
             )
 
@@ -237,7 +234,6 @@ def execute_ladder(
             subgraph,
             params,
             include_hierarchy_axioms=include_hierarchy_axioms,
-            simplify_formulas=simplify_formulas,
         )
 
     for multiplier in ladder.multipliers:
@@ -278,7 +274,6 @@ def execute_ladder(
                 component,
                 params,
                 include_hierarchy_axioms=include_hierarchy_axioms,
-                simplify_formulas=simplify_formulas,
             )
             started = time.perf_counter()
             attempt = verify(

@@ -42,7 +42,7 @@ from repro.smtlib.script import (
     SetLogic,
     SMTScript,
 )
-from repro.solver.interface import CertificationConfig, Solver, SolverBudget
+from repro.solver.interface import Solver, SolverBudget
 from repro.solver.result import SolverResult
 
 _BOOL = Sort("Bool")
@@ -215,18 +215,18 @@ def execute_script(
     script: str,
     *,
     budget: SolverBudget | None = None,
-    certification: CertificationConfig | None = None,
+    certify: bool = False,
     solver: Solver | None = None,
 ) -> list[SolverResult]:
     """Run script text against the bundled solver; one result per check command.
 
     ``solver`` runs the script on a caller-built :class:`Solver` instead
-    of a fresh one (its own budget and certification apply), and leaves
+    of a fresh one (its own budget and ``certify`` apply), and leaves
     it loaded, so the caller can ask follow-up questions of the same
     assertions without grounding them again.
     """
     results, _outputs = execute_script_verbose(
-        script, budget=budget, certification=certification, solver=solver
+        script, budget=budget, certify=certify, solver=solver
     )
     return results
 
@@ -235,7 +235,7 @@ def execute_script_verbose(
     script: str,
     *,
     budget: SolverBudget | None = None,
-    certification: CertificationConfig | None = None,
+    certify: bool = False,
     solver: Solver | None = None,
 ) -> tuple[list[SolverResult], list[str]]:
     """Like :func:`execute_script`, also returning get-model/get-value output.
@@ -244,16 +244,16 @@ def execute_script_verbose(
     last SAT answer, in SMT-LIB ``define-fun`` style; ``get-value``
     contributes one ``(term value)`` line per requested term.
 
-    ``certification`` arms the solver's trust-but-verify layer: every
-    check answer is independently re-validated, and a failed certificate
-    comes back as UNKNOWN with a :class:`CertificateReport` attached.
+    ``certify`` arms the solver's trust-but-verify layer: every check
+    answer is independently re-validated, and a failed certificate comes
+    back as UNKNOWN with a :class:`CertificateReport` attached.
     ``solver`` is as for :func:`execute_script`; it excludes ``budget``
-    and ``certification``.
+    and ``certify``.
     """
     if solver is None:
-        solver = Solver(budget=budget, certification=certification)
-    elif budget is not None or certification is not None:
-        raise ValueError("pass budget and certification or a solver, not both")
+        solver = Solver(budget=budget, certify=certify)
+    elif budget is not None or certify:
+        raise ValueError("pass budget and certify or a solver, not both")
     script = parse_script(script)
     env = _Environment()
     results: list[SolverResult] = []

@@ -16,7 +16,7 @@ a failed certificate demotes the verdict to UNKNOWN instead of surfacing
 a possibly-wrong answer.
 """
 
-from repro.solver.interface import CertificationConfig, Solver, SolverBudget
+from repro.solver.interface import Solver, SolverBudget
 from repro.solver.result import (
     CERTIFICATION_FAILED,
     CertificateReport,
@@ -29,7 +29,6 @@ from repro.solver.grounding import Universe
 __all__ = [
     "CERTIFICATION_FAILED",
     "CertificateReport",
-    "CertificationConfig",
     "Solver",
     "SolverBudget",
     "SolverResult",

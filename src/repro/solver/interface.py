@@ -119,27 +119,10 @@ class SolverBudget:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CertificationConfig:
-    """Trust-but-verify settings for one :class:`Solver`.
-
-    With certification enabled, every decided verdict is independently
-    re-checked (SAT answers by model evaluation against the original
-    formulas, UNSAT answers by clausal-proof replay, theory lemmas by an
-    independent congruence check) and demoted to UNKNOWN with reason
-    ``"certification failed: ..."`` when the check disagrees — a
-    soundness alarm, never a silently wrong answer.
-
-    ``max_proof_events`` caps proof replay: larger proofs report a
-    ``"skipped"`` certificate (verdict stands, but the certificate says
-    the proof was not replayed) instead of burning unbounded check time.
-    """
-
-    enabled: bool = True
-    check_models: bool = True
-    check_proofs: bool = True
-    check_grounding: bool = True
-    max_proof_events: int = 100_000
+#: Proof replay stops past this many logged events: a larger proof gets a
+#: ``"skipped"`` certificate (the verdict stands, but the certificate says
+#: the proof was not replayed) instead of unbounded check time.
+MAX_PROOF_EVENTS = 100_000
 
 
 @dataclass(slots=True)
@@ -158,6 +141,14 @@ class Solver:
 
     Not thread-safe: create one instance per worker (see the module
     docstring for the ownership contract the batch query engine relies on).
+
+    With ``certify``, every decided verdict is independently re-checked:
+    SAT answers by model evaluation against the original formulas, UNSAT
+    answers by clausal-proof replay, theory lemmas by an independent
+    congruence check, and every grounded assertion against its expansion
+    over the current universe.  A verdict the checks disagree with is
+    demoted to UNKNOWN with reason ``"certification failed: ..."``: a
+    soundness alarm, never a silently wrong answer.
     """
 
     def __init__(
@@ -165,11 +156,11 @@ class Solver:
         budget: SolverBudget | None = None,
         *,
         enable_preprocessing: bool = False,
-        certification: CertificationConfig | None = None,
+        certify: bool = False,
     ) -> None:
         self.budget = budget or SolverBudget()
         self.enable_preprocessing = enable_preprocessing
-        self.certification = certification
+        self.certify = certify
         self.universe = Universe()
         self._senders = Senders()
         self.statistics = SolverStatistics()
@@ -185,10 +176,6 @@ class Solver:
         # quantified axiom is small.  This is the mechanism behind the
         # full-policy UNKNOWNs (the paper's solver timeouts).
         self._ground_counter = GroundingCounter(self.budget.max_ground_instances)
-
-    @property
-    def _certifying(self) -> bool:
-        return self.certification is not None and self.certification.enabled
 
     # ------------------------------------------------------------------
     # Assertion stack
@@ -299,7 +286,7 @@ class Solver:
             raise SolverError("assertion has free variables after grounding")
         entry = _Grounded(
             formula,
-            raw if self._certifying else None,
+            raw if self.certify else None,
             tseitin(grounded, self._pool),
             self._pool.count,
             self._ground_counter.count,
@@ -330,7 +317,7 @@ class Solver:
             max_propagations=self.budget.max_propagations,
             decision_seed=self.budget.decision_seed,
         )
-        if self._certifying:
+        if self.certify:
             sat.proof = ProofLog()
         clauses = [clause for entry in self._grounded for clause in entry.clauses]
         if self.enable_preprocessing:
@@ -409,7 +396,7 @@ class Solver:
         result = SolverResult(
             status=verdict, model=model, statistics=self.statistics
         )
-        if self._certifying and verdict is not SatResult.UNKNOWN:
+        if self.certify and verdict is not SatResult.UNKNOWN:
             report = self._certify(
                 verdict, sat, pool, model, assumption_formulas, lits
             )
@@ -436,8 +423,7 @@ class Solver:
         assumptions: tuple[Formula, ...],
         lits: tuple[int, ...],
     ) -> CertificateReport:
-        """Independently re-check a decided verdict (see CertificationConfig)."""
-        config = self.certification
+        """Independently re-check a decided verdict (see :class:`Solver`)."""
         started = time.perf_counter()
         report = CertificateReport(verdict=verdict.value)
 
@@ -452,21 +438,20 @@ class Solver:
             # universe as it stands now, not as it stood when grounded.
             universe = self.universe.snapshot()
 
-            if config.check_grounding:
-                # An inheritance axiom may be grounded over the entities
-                # that can use it, recomputed here from the assertions and
-                # assumptions; everything else must match full expansion.
-                report.checks.append("grounding-parity")
-                senders = modelcheck.senders([*self.assertions, *assumptions])
-                for entry in self._grounded:
-                    message = modelcheck.grounding_mismatch(
-                        entry.formula, entry.raw, universe, senders
-                    )
-                    if message is not None:
-                        fail(message)
-                        break
+            # An inheritance axiom may be grounded over the entities that
+            # can use it, recomputed here from the assertions and
+            # assumptions; everything else must match full expansion.
+            report.checks.append("grounding-parity")
+            senders = modelcheck.senders([*self.assertions, *assumptions])
+            for entry in self._grounded:
+                message = modelcheck.grounding_mismatch(
+                    entry.formula, entry.raw, universe, senders
+                )
+                if message is not None:
+                    fail(message)
+                    break
 
-            if verdict is SatResult.SAT and config.check_models:
+            if verdict is SatResult.SAT:
                 raw = sat.model()
                 report.checks.append("assumptions")
                 for lit in lits:
@@ -496,7 +481,7 @@ class Solver:
                     if not modelcheck.euf_consistent(atoms):
                         fail("model is EUF-inconsistent under congruence")
 
-            if verdict is SatResult.UNSAT and config.check_proofs:
+            if verdict is SatResult.UNSAT:
                 if self.enable_preprocessing:
                     # Presolving rewrites the clause set before it reaches
                     # the proof log; the replayed axioms would not be the
@@ -513,7 +498,7 @@ class Solver:
                         events,
                         assumptions=lits,
                         variable_for=pool.variable_for,
-                        max_events=config.max_proof_events,
+                        max_events=MAX_PROOF_EVENTS,
                     )
                     report.lemmas_certified = outcome.lemmas_certified
                     if not outcome.ok:

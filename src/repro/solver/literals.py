@@ -1,6 +1,6 @@
 """Atom pool: bidirectional mapping between ground atoms and SAT variables.
 
-Literals use the DIMACS convention: variable ``v >= 1``, literal ``+v`` for
+Literals are signed integers: variable ``v >= 1``, literal ``+v`` for
 the positive phase and ``-v`` for the negative phase.  Each atom is
 interned under its printed key ("share(tiktok,email_address)"; a constant
 whose name is not an SMT-LIB simple symbol prints in bars), which names

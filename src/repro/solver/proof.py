@@ -14,7 +14,7 @@ alone from the surviving database plus the check's assumptions.
 
 This is deliberately the slow-and-obvious checker: a linear scan
 propagator over plain tuples.  Proof sizes are bounded by the solver's
-conflict budget, and :class:`repro.solver.interface.CertificationConfig`
+conflict budget, and :data:`repro.solver.interface.MAX_PROOF_EVENTS`
 caps how many events a single check will replay.
 """
 

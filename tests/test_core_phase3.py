@@ -238,8 +238,8 @@ class TestVerify:
         assert result.verdict is Verdict.UNKNOWN
         assert result.policy_consistent is False
 
-    @pytest.mark.parametrize("via_smtlib", [True, False])
-    def test_contradiction_over_a_query_constant_is_not_valid(self, via_smtlib):
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_contradiction_over_a_query_constant_is_not_valid(self, certify):
         # The policy contradicts itself only once `email` is in the
         # universe, and only the query brings it there.  The VALID is
         # vacuous, so the consistency check must judge the policy over
@@ -254,9 +254,10 @@ class TestVerify:
             ],
             query_formula=collect(tiktak, Constant("email", DATA)),
         )
-        result = verify_encoded(encoded, via_smtlib=via_smtlib)
+        result = verify_encoded(encoded, certify=certify)
         assert result.verdict is Verdict.UNKNOWN
         assert result.policy_consistent is False
+        assert (result.certificate is not None) is certify
 
     @pytest.mark.parametrize(
         "term, action, verdict",
@@ -305,7 +306,7 @@ class TestVerify:
         "term, action", [("location", "collect"), ("contact information", "share")]
     )
     def test_only_the_validity_check_is_certified(self, graph, monkeypatch, term, action):
-        from repro.solver.interface import CertificationConfig, Solver
+        from repro.solver.interface import Solver
 
         certified = []
         real_certify = Solver._certify
@@ -318,7 +319,7 @@ class TestVerify:
         encoded = encode_query(
             extract_subgraph(graph, [term], []), _query("acme", action, term)
         )
-        result = verify_encoded(encoded, certification=CertificationConfig())
+        result = verify_encoded(encoded, certify=True)
         assert (result.policy_consistent, result.conditionally_valid) != (None, None)
         assert len(certified) == 1
         assert result.certificate.certified
@@ -328,13 +329,6 @@ class TestVerify:
         encoded = encode_query(sub, _query("acme", "collect", "location"))
         result = verify_encoded(encoded)
         assert "(check-sat)" in result.smtlib_text
-
-    def test_direct_solver_path_matches_smtlib_path(self, graph):
-        sub = extract_subgraph(graph, ["location"], [])
-        encoded = encode_query(sub, _query("acme", "collect", "location"))
-        via_text = verify_encoded(encoded, via_smtlib=True)
-        direct = verify_encoded(encoded, via_smtlib=False)
-        assert via_text.verdict == direct.verdict
 
     def test_summary_mentions_vague_terms(self, graph):
         sub = extract_subgraph(graph, ["contact information"], [])

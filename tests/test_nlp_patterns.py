@@ -4,7 +4,6 @@ from repro.nlp.patterns import (
     ClauseSplit,
     find_main_verbs,
     find_receiver,
-    looks_like_data_practice,
     split_conditions,
 )
 
@@ -103,14 +102,3 @@ class TestFindReceiver:
     def test_unknown_receiver_falls_back_to_np(self):
         receiver = find_receiver("We transfer data to our parent organization")
         assert receiver is not None
-
-
-class TestLooksLikeDataPractice:
-    def test_positive(self):
-        assert looks_like_data_practice("We collect your email address.")
-
-    def test_negative_short(self):
-        assert not looks_like_data_practice("Privacy Policy")
-
-    def test_negative_no_verb(self):
-        assert not looks_like_data_practice("email address and phone number and cookies")

@@ -61,6 +61,13 @@ class TestQueryCertification:
         pipeline = PolicyPipeline(config=PipelineConfig(certify=False))
         outcome = pipeline.query(fresh_model, QUESTION)
         assert outcome.verification.certificate is None
+        assert outcome.metrics.certifications_run == 0
+
+    def test_certify_is_the_only_switch(self):
+        # A second switch could disagree with `certify`: a certification
+        # counted with no certificate attached.
+        with pytest.raises(TypeError):
+            PipelineConfig(certification=None)
 
     def test_mutation_demotes_to_unknown_with_report(self, fresh_model):
         pipeline = PolicyPipeline()
@@ -189,10 +196,11 @@ class TestBatchSampling:
         batch = pipeline.query_batch(
             fresh_model, self.QUESTIONS, max_workers=1
         )
-        certified = [
-            o.verification.certificate is not None for o in batch.outcomes
+        certificates = [o.verification.certificate for o in batch.outcomes]
+        assert [c is not None for c in certificates] == [
+            True, False, True, False, True, False
         ]
-        assert certified == [True, False, True, False, True, False]
+        assert all(c.certified for c in certificates if c is not None)
         assert batch.metrics.certifications_run == 3
 
     def test_stride_is_deterministic_across_worker_counts(

@@ -6,15 +6,6 @@ from repro import PipelineConfig, PolicyPipeline, SolverBudget, Verdict
 
 
 class TestConfigKnobs:
-    def test_check_conditional_disabled(self, small_policy_text):
-        pipeline = PolicyPipeline(config=PipelineConfig(check_conditional=False))
-        model = pipeline.process(small_policy_text)
-        outcome = pipeline.query(
-            model, "Acme shares the location information with advertisers."
-        )
-        assert outcome.verdict is Verdict.INVALID
-        assert outcome.verification.conditionally_valid is None
-
     def test_col_similarity_filter_flattens_taxonomy(self, small_policy_text):
         strict = PolicyPipeline(
             config=PipelineConfig(col_similarity_threshold=1.01)
@@ -23,17 +14,10 @@ class TestConfigKnobs:
         # Every term ends up directly under the root: depth 1.
         assert model.data_taxonomy.max_depth() <= 1
 
-    def test_simplify_disabled_still_correct(self, small_policy_text):
-        pipeline = PolicyPipeline(config=PipelineConfig(simplify_formulas=False))
-        model = pipeline.process(small_policy_text)
-        outcome = pipeline.query(model, "Acme collects the name.")
-        assert outcome.verdict is Verdict.VALID
-
     def test_tiny_solver_budget_yields_unknown(self, small_policy_text):
         pipeline = PolicyPipeline(
             config=PipelineConfig(
-                solver_budget=SolverBudget(max_ground_instances=1),
-                check_conditional=False,
+                solver_budget=SolverBudget(max_ground_instances=1)
             )
         )
         model = pipeline.process(small_policy_text)

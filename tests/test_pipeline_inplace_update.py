@@ -12,41 +12,9 @@ import repro.core.pipeline
 from repro import PolicyPipeline, Verdict
 from repro.core.segmenter import segment_policy
 from repro.corpus.versions import make_version
-from repro.core.hierarchy import Taxonomy, extend_taxonomy
 from repro.corpus import meditrack_policy
 from repro.nlp.tokenizer import sentences
 from repro.store.serialize import model_artifacts
-
-
-class TestExtendTaxonomy:
-    def test_new_terms_placed(self, runner):
-        taxonomy = Taxonomy(root="data")
-        taxonomy.add("personal data", "data")
-        taxonomy.add("email", "personal data")
-        added = extend_taxonomy(runner, taxonomy, ["phone number", "ip address"])
-        assert added == 2
-        assert taxonomy.parent("phone number") == "personal data"
-        assert "ip address" in taxonomy
-
-    def test_existing_terms_untouched(self, runner):
-        taxonomy = Taxonomy(root="data")
-        taxonomy.add("custom category", "data")
-        taxonomy.add("email", "custom category")
-        extend_taxonomy(runner, taxonomy, ["email", "email address"])
-        # "email" keeps its unusual manual placement.
-        assert taxonomy.parent("email") == "custom category"
-        # the new specialization attaches under the existing node.
-        assert taxonomy.parent("email address") == "email"
-
-    def test_unknown_terms_attach_to_root(self, runner):
-        taxonomy = Taxonomy(root="data")
-        extend_taxonomy(runner, taxonomy, ["quizzblat"])
-        assert taxonomy.parent("quizzblat") == "data"
-
-    def test_returns_zero_for_no_new_terms(self, runner):
-        taxonomy = Taxonomy(root="data")
-        taxonomy.add("email", "data")
-        assert extend_taxonomy(runner, taxonomy, ["email"]) == 0
 
 
 class TestInPlaceUpdate:

@@ -226,13 +226,6 @@ class TestTokenBucket:
             assert bucket.acquire() == 0.0
         assert bucket.acquire() == pytest.approx(1.0)
 
-    def test_try_acquire_never_blocks(self):
-        ft = FakeTime()
-        bucket = TokenBucket(1.0, burst=1.0, clock=ft.clock, sleep=ft.sleep)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        assert ft.sleeps == []
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TokenBucket(0.0)

@@ -74,7 +74,7 @@ class TestPublicDocstrings:
             ("repro.core.pipeline", ("PolicyPipeline.query", "PolicyPipeline.update")),
             ("repro.solver.interface", ("Solver", "Solver.check_sat_assuming")),
             ("repro.smtlib.printer", ("compile_validity_script",)),
-            ("repro.core.hierarchy", ("chain_of_layer", "extend_taxonomy")),
+            ("repro.core.hierarchy", ("chain_of_layer", "Taxonomy")),
             ("repro.analysis.contradictions", ("find_contradictions",)),
         ],
     )

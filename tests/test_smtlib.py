@@ -314,8 +314,6 @@ class TestExecuteScript:
 
     @pytest.mark.parametrize("certify", [False, True])
     def test_quoted_name_holding_a_comma_keeps_its_equality(self, certify):
-        from repro.solver import CertificationConfig
-
         text = """
         (declare-sort Entity 0)
         (declare-const |a,b| Entity)
@@ -326,8 +324,7 @@ class TestExecuteScript:
         (assert (not (p c)))
         (check-sat)
         """
-        certification = CertificationConfig() if certify else None
-        (result,) = execute_script(text, certification=certification)
+        (result,) = execute_script(text, certify=certify)
         assert result.is_unsat
         if certify:
             assert result.certificate.certified
@@ -336,8 +333,6 @@ class TestExecuteScript:
     def test_quoted_names_printing_as_applications_stay_constants(self, certify):
         # |f(a)|, |f(a| and |f(b| are free constants, not f applied to a
         # or b: a = b makes none of them equal to another or to (f a).
-        from repro.solver import CertificationConfig
-
         text = """
         (declare-sort E 0)
         (declare-const a E)
@@ -356,8 +351,7 @@ class TestExecuteScript:
         (assert (= |f(a)| (f b)))
         (check-sat)
         """
-        certification = CertificationConfig() if certify else None
-        results = execute_script(text, certification=certification)
+        results = execute_script(text, certify=certify)
         assert [r.status.value for r in results] == ["sat", "unsat"]
         if certify:
             assert all(r.certificate.certified for r in results)
@@ -450,8 +444,6 @@ class TestGetModelGetValue:
         # Both axioms are grounded over their senders only, so the model is
         # completed; that must go by the atoms, not by their printed keys.
         from repro.smtlib import execute_script_verbose
-        from repro.solver import CertificationConfig
-
         text = """
         (declare-sort Entity 0)
         (declare-sort Data 0)
@@ -469,8 +461,7 @@ class TestGetModelGetValue:
         (check-sat)
         (get-model)
         """
-        certification = CertificationConfig() if certify else None
-        results, outputs = execute_script_verbose(text, certification=certification)
+        results, outputs = execute_script_verbose(text, certify=certify)
         assert results[0].is_sat
         if certify:
             assert results[0].certificate.certified

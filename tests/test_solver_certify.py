@@ -22,7 +22,6 @@ from repro.fol.terms import Constant, FunctionSymbol, Sort, Variable
 from repro.solver import (
     CERTIFICATION_FAILED,
     CertificateReport,
-    CertificationConfig,
     SatResult,
     Solver,
     SolverBudget,
@@ -46,8 +45,8 @@ EQ = PredicateSymbol("=", (S, S))
 F = FunctionSymbol("f", (S,), S)
 
 
-def certified_solver(**overrides) -> Solver:
-    return Solver(certification=CertificationConfig(**overrides))
+def certified_solver() -> Solver:
+    return Solver(certify=True)
 
 
 def pigeonhole(pigeons: int, holes: int) -> list:
@@ -168,7 +167,8 @@ class TestCertifiedVerdicts:
         # a check: the axiom stays grounded over {a} alone, and the loaded
         # core wrongly finds p(c), not t(c) satisfiable.  The fol-model leg
         # evaluates every assertion over the check-time universe {a, c},
-        # so it raises the alarm instead of certifying the stale answer.
+        # so it raises the alarm instead of certifying the stale answer,
+        # even with the grounding-parity leg blinded.
         real_declare_all = Universe.declare_all
 
         def declare_all_unnoticed(universe, constants):
@@ -176,8 +176,11 @@ class TestCertifiedVerdicts:
             return False
 
         monkeypatch.setattr(Universe, "declare_all", declare_all_unnoticed)
+        monkeypatch.setattr(
+            modelcheck, "grounding_mismatch", lambda *args, **kwargs: None
+        )
         t = PredicateSymbol("t", (S,))
-        solver = certified_solver(check_grounding=False)
+        solver = certified_solver()
         solver.assert_formula(Forall(X, Implies(P(X), t(X))))
         solver.assert_formula(P(A))
         assert solver.check_sat().status is SatResult.SAT
@@ -210,21 +213,14 @@ class TestCertifiedVerdicts:
         assert "fol-model" in sat.certificate.checks
 
     def test_no_certification_config_means_no_report(self):
-        solver = Solver()
-        solver.assert_formula(Q())
-        result = solver.check_sat()
-        assert result.certificate is None
-
-    def test_disabled_certification_config_means_no_report(self):
-        solver = Solver(certification=CertificationConfig(enabled=False))
-        solver.assert_formula(Q())
-        result = solver.check_sat()
-        assert result.certificate is None
+        for solver in (Solver(), Solver(certify=False)):
+            solver.assert_formula(Q())
+            assert solver.check_sat().certificate is None
 
     def test_unknown_verdicts_are_not_certified(self):
         solver = Solver(
             budget=SolverBudget(max_ground_instances=1),
-            certification=CertificationConfig(),
+            certify=True,
         )
         for c in (A, B, C):
             solver.declare_constant(c)
@@ -234,14 +230,14 @@ class TestCertifiedVerdicts:
         assert result.certificate is None
 
     def test_preprocessing_skips_proof_replay_but_checks_models(self):
-        unsat = Solver(enable_preprocessing=True, certification=CertificationConfig())
+        unsat = Solver(enable_preprocessing=True, certify=True)
         unsat.assert_formula(Q())
         unsat.assert_formula(Not(Q()))
         result = unsat.check_sat()
         assert result.status is SatResult.UNSAT
         assert result.certificate.status == "skipped"
 
-        sat = Solver(enable_preprocessing=True, certification=CertificationConfig())
+        sat = Solver(enable_preprocessing=True, certify=True)
         sat.assert_formula(Or((Q(), R())))
         result = sat.check_sat()
         assert result.status is SatResult.SAT

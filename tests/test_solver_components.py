@@ -89,10 +89,8 @@ class TestAtomKey:
     def test_constant_printing_as_an_application_is_its_own_atom(self, certify):
         # A constant named "f(a)" and the application f(a) are different
         # terms, so p holding of one and not the other is satisfiable.
-        from repro.solver import CertificationConfig
-
         f = FunctionSymbol("f", (ENTITY,), ENTITY)
-        solver = Solver(certification=CertificationConfig() if certify else None)
+        solver = Solver(certify=certify)
         solver.assert_formula(P(Constant("f(a)", ENTITY)))
         solver.assert_formula(Not(P(f(E1))))
         result = solver.check_sat()

@@ -49,7 +49,7 @@ from repro.fol.terms import (
     Variable,
 )
 from repro.fol.visitor import collect_constants
-from repro.solver import CertificationConfig, SatResult, Solver
+from repro.solver import SatResult, Solver
 from repro.solver.modelcheck import brute_force_status, collect_atoms
 
 pytestmark = pytest.mark.fuzz
@@ -139,9 +139,7 @@ class FormulaGenerator:
 
 
 def solve(formulas, *, certify: bool = False, constants=CONSTANTS):
-    solver = Solver(
-        certification=CertificationConfig() if certify else None
-    )
+    solver = Solver(certify=certify)
     for constant in constants:
         solver.declare_constant(constant)
     for formula in formulas:
@@ -274,11 +272,12 @@ def fresh_follow_ups(policy, query, vague) -> tuple[bool | None, bool | None]:
 
 class TestSharedSolverFollowUps:
     """verify_encoded answers its follow-up checks from the validity
-    check's solver; fresh solvers over the same universe must agree."""
+    check's solver; fresh solvers over the same universe must agree,
+    whether or not the validity check was certified first."""
 
-    @pytest.mark.parametrize("via_smtlib", [True, False])
+    @pytest.mark.parametrize("certify", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_follow_ups_match_fresh_solvers(self, seed, via_smtlib):
+    def test_follow_ups_match_fresh_solvers(self, seed, certify):
         generator = FormulaGenerator(200 + seed, euf=seed == 2)
         vague = {prop.name: prop.name for prop in PROPS}
         seen = set()
@@ -292,7 +291,9 @@ class TestSharedSolverFollowUps:
             encoded = EncodedQuery(
                 policy_formulas=policy, query_formula=query, uninterpreted=vague
             )
-            result = verify_encoded(encoded, via_smtlib=via_smtlib)
+            result = verify_encoded(encoded, certify=certify)
+            if result.certificate is not None:
+                assert certify and result.certificate.certified, (policy, query)
             got = (result.policy_consistent, result.conditionally_valid)
             assert got == fresh_follow_ups(policy, query, vague), (policy, query)
             seen.add(got)

@@ -19,7 +19,6 @@ from repro.fol import (
 from repro.resilience.degradation import RESEED_SEEDS
 from repro.smtlib.parser import execute_script
 from repro.solver import SatResult, Solver, SolverBudget
-from repro.solver.interface import CertificationConfig
 
 E1 = Constant("tiktak", ENTITY)
 E2 = Constant("advertisers", ENTITY)
@@ -141,7 +140,7 @@ class TestIncrementalUniverse:
     def test_assert_with_new_constant_regrounds_earlier_axioms(self):
         # p(c) and not q(c) contradict the axiom only once it is
         # instantiated over c, which the first check never saw.
-        solver = Solver(certification=CertificationConfig())
+        solver = Solver(certify=True)
         solver.assert_formula(forall(X, implies(SHARE(E1, X), CONSENT(X))))
         solver.assert_formula(SHARE(E1, D1))
         assert solver.check_sat().is_sat
@@ -167,7 +166,7 @@ class TestIncrementalUniverse:
         (assert (not (consent location)))
         (check-sat)
         """
-        first, second = execute_script(script, certification=CertificationConfig())
+        first, second = execute_script(script, certify=True)
         assert first.is_sat
         assert second.is_unsat
 
@@ -333,11 +332,10 @@ class TestDecisionSeed:
     def test_reseed_seeds_rescue_the_guarded_pigeonhole(self):
         script = guarded_pigeonhole_script()
         budget = SolverBudget(max_conflicts=30)
-        certification = CertificationConfig()
         runs = []
         for _ in range(2):  # the same answers on a second run
             (canonical,) = execute_script(
-                script, budget=budget, certification=certification
+                script, budget=budget, certify=True
             )
             assert canonical.is_unknown
             assert canonical.cause is UnknownCause.CONFLICTS
@@ -346,7 +344,7 @@ class TestDecisionSeed:
                 (result,) = execute_script(
                     script,
                     budget=replace(budget, decision_seed=seed),
-                    certification=certification,
+                    certify=True,
                 )
                 assert result.is_sat, seed
                 assert result.certificate is not None

@@ -36,7 +36,7 @@ from repro.fol.formula import (
 from repro.fol.simplify import simplify
 from repro.fol.terms import Constant, Sort, Variable
 from repro.fol.visitor import collect_constants
-from repro.solver import CERTIFICATION_FAILED, CertificationConfig, SatResult, Solver
+from repro.solver import CERTIFICATION_FAILED, SatResult, Solver
 from repro.solver import SolverBudget, faults
 from repro.solver.cnf import atom_key, tseitin
 from repro.solver.grounding import Senders, Universe, ground
@@ -172,9 +172,7 @@ def encoder_shaped(draw) -> list:
 @given(encoder_shaped(), st.sampled_from((0, 1, 7)))
 @settings(max_examples=150, deadline=None)
 def test_restricted_grounding_agrees_with_eager_expansion(formulas, seed):
-    solver = Solver(
-        SolverBudget(decision_seed=seed), certification=CertificationConfig()
-    )
+    solver = Solver(SolverBudget(decision_seed=seed), certify=True)
     for formula in formulas:
         solver.assert_formula(formula)
     result = solver.check_sat()
@@ -188,7 +186,7 @@ def test_restricted_grounding_agrees_with_eager_expansion(formulas, seed):
 @settings(max_examples=100, deadline=None)
 def test_asserts_and_assumptions_after_a_check_agree_with_eager(formulas, data):
     split = data.draw(st.integers(0, len(formulas)))
-    solver = Solver(certification=CertificationConfig())
+    solver = Solver(certify=True)
     for formula in formulas[:split]:
         solver.assert_formula(formula)
     assert solver.check_sat().status is eager_status(formulas[:split])
@@ -213,7 +211,7 @@ D0, D1 = DATAS[:2]
 
 
 def test_a_new_sender_after_a_check_regrounds():
-    solver = Solver(certification=CertificationConfig())
+    solver = Solver(certify=True)
     solver.assert_formula(COLLECT(E0, D0))
     solver.assert_formula(axiom(COLLECT, D0, D1))
     solver.assert_formula(Not(COLLECT(E1, D1)))
@@ -235,9 +233,7 @@ def test_reported_model_is_completed_outside_the_senders(seed):
     # phases set a_collect(e1,d0) true (the guarded denial allows it); the
     # reported model must set it false, or the skipped instance
     # a_collect(e1,d0) -> a_collect(e1,d1) fails over the full universe.
-    solver = Solver(
-        SolverBudget(decision_seed=seed), certification=CertificationConfig()
-    )
+    solver = Solver(SolverBudget(decision_seed=seed), certify=True)
     solver.assert_formula(COLLECT(E0, D0))
     solver.assert_formula(axiom(COLLECT, D0, D1))
     solver.assert_formula(Implies(GUARDS[0], Not(COLLECT(E1, D0))))
@@ -264,7 +260,7 @@ def test_completion_touches_only_actions_grounded_over_their_senders():
 
 
 def test_a_new_sender_in_an_assumption_regrounds():
-    solver = Solver(certification=CertificationConfig())
+    solver = Solver(certify=True)
     solver.assert_formula(COLLECT(E0, D0))
     solver.assert_formula(axiom(COLLECT, D0, D1))
     solver.assert_formula(Not(COLLECT(E1, D1)))
@@ -275,7 +271,7 @@ def test_a_new_sender_in_an_assumption_regrounds():
 
 
 def test_pop_keeps_a_superset_that_still_certifies():
-    solver = Solver(certification=CertificationConfig())
+    solver = Solver(certify=True)
     solver.assert_formula(COLLECT(E0, D0))
     solver.assert_formula(axiom(COLLECT, D0, D1))
     solver.push()
@@ -342,7 +338,7 @@ def test_certifier_catches_a_skipped_sender_even_when_the_verdict_is_right():
         assert plain.check_sat().status is SatResult.UNSAT  # still right
     assert mutation.fires == 1
 
-    certified = Solver(certification=CertificationConfig())
+    certified = Solver(certify=True)
     for formula in formulas:
         certified.assert_formula(formula)
     with faults.installed(mutation):
@@ -360,7 +356,7 @@ def test_certifier_rejects_an_instance_at_an_undeclared_entity():
             return [*value, Implies(COLLECT(stranger, D0), COLLECT(stranger, D1))]
         return value
 
-    solver = Solver(certification=CertificationConfig())
+    solver = Solver(certify=True)
     solver.assert_formula(COLLECT(E0, D0))
     solver.assert_formula(axiom(COLLECT, D0, D1))
     with faults.installed(faults.Mutation("ground.instances", "add", swap_in_stranger)):

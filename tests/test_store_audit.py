@@ -140,8 +140,8 @@ class TestParityAudit:
             assert patched_verdict == rebuilt_verdict, question
 
     def test_detects_seeded_drift(self, small_policy_text):
-        # A deliberately buggy patch (the pre-fix `extend_taxonomy`
-        # behaviour: keep stale taxonomy nodes) must be caught.
+        # A deliberately buggy patch (one that skips re-inducing the
+        # taxonomies and so keeps stale nodes) must be caught.
         pipeline = PolicyPipeline()
         model = pipeline.process(small_policy_text)
         version = make_version(small_policy_text, seed=0, add=0, remove=2)

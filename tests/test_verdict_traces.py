@@ -16,6 +16,11 @@ SHA-256 of the SMT-LIB script each one is checked with, which ``as_dict()``
 leaves out: the text is the verification-cache key and the quarantine
 artifact, so a faster printer must print the same bytes (see
 ``tests/data/make_script_digests.py``).
+
+Every verification goes through that script.  Two checks over the same
+questions keep the round trip honest: the script read back re-prints its
+own bytes, comments aside, and a solver fed the encoded formulas directly,
+with no script between, reaches the verdict the script reached.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ import pytest
 
 from repro import PipelineConfig, PolicyPipeline
 from repro.corpus import meditrack_policy, metabook_policy, tiktak_policy
+from repro.fol.builder import negate
+from repro.smtlib import parse_script
+from repro.solver import SatResult, Solver
 
 TRACES = Path(__file__).parent / "data" / "verdict_traces.jsonl"
 DIGESTS = Path(__file__).parent / "data" / "script_digests.jsonl"
@@ -60,13 +68,17 @@ def processed(request):
 
 
 @pytest.fixture(scope="module")
-def answered(processed):
-    """(policy, [(question, verification)]) as a fresh pipeline answers them."""
+def outcomes(processed):
+    """(policy, [QueryOutcome]) as a fresh pipeline answers the questions."""
     policy, pipeline, model = processed
-    return policy, [
-        (row["question"], pipeline.query(model, row["question"]).verification)
-        for row in REFERENCE[policy]
-    ]
+    return policy, [pipeline.query(model, row["question"]) for row in REFERENCE[policy]]
+
+
+@pytest.fixture(scope="module")
+def answered(outcomes):
+    """(policy, [(question, verification)]) as a fresh pipeline answers them."""
+    policy, answers = outcomes
+    return policy, [(o.question, o.verification) for o in answers]
 
 
 def _mismatches(rows, verifications) -> list[str]:
@@ -126,3 +138,42 @@ def test_script_bytes_match_reference(answered):
         != row["sha256"]
     ]
     assert not mismatches, f"{len(mismatches)} scripts changed, e.g. {mismatches[:3]}"
+
+
+def test_script_reprints_its_uncommented_bytes(answered):
+    policy, answers = answered
+    for question, verification in answers:
+        text = verification.smtlib_text
+        uncommented = "".join(
+            line + "\n" for line in text.splitlines() if not line.startswith(";")
+        )
+        assert parse_script(text).to_text() == uncommented, (policy, question)
+
+
+def test_direct_solver_matches_script_path(outcomes):
+    # The validity check without the script: the policy formulas, then the
+    # negated query in its own scope; and, after a VALID, the consistency
+    # check that pops it.
+    policy, answers = outcomes
+    for outcome in answers:
+        encoded, verification = outcome.encoded, outcome.verification
+        solver = Solver(certify=True)
+        for formula in encoded.policy_formulas:
+            solver.assert_formula(formula)
+        solver.push()
+        solver.assert_formula(negate(encoded.query_formula))
+        direct = solver.check_sat()
+        expected = verification.solver_result
+        assert direct.status is expected.status, (policy, outcome.question)
+        if direct.status is not SatResult.UNKNOWN:
+            assert direct.certificate.certified, (policy, outcome.question)
+        if direct.status is SatResult.UNSAT:
+            solver.certify = False
+            solver.pop()
+            consistent = {SatResult.SAT: True, SatResult.UNSAT: False}.get(
+                solver.check_sat().status
+            )
+            assert consistent is verification.policy_consistent, (
+                policy,
+                outcome.question,
+            )
