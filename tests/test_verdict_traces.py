@@ -71,7 +71,9 @@ def processed(request):
 def outcomes(processed):
     """(policy, [QueryOutcome]) as a fresh pipeline answers the questions."""
     policy, pipeline, model = processed
-    return policy, [pipeline.query(model, row["question"]) for row in REFERENCE[policy]]
+    return policy, [
+        pipeline.query(model, row["question"]) for row in REFERENCE[policy]
+    ]
 
 
 @pytest.fixture(scope="module")
