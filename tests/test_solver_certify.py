@@ -213,9 +213,16 @@ class TestCertifiedVerdicts:
         assert "fol-model" in sat.certificate.checks
 
     def test_no_certification_config_means_no_report(self):
-        for solver in (Solver(), Solver(certify=False)):
-            solver.assert_formula(Q())
-            assert solver.check_sat().certificate is None
+        solver = Solver()
+        solver.assert_formula(Q())
+        result = solver.check_sat()
+        assert result.certificate is None
+
+    def test_disabled_certification_config_means_no_report(self):
+        solver = Solver(certify=False)
+        solver.assert_formula(Q())
+        result = solver.check_sat()
+        assert result.certificate is None
 
     def test_unknown_verdicts_are_not_certified(self):
         solver = Solver(
