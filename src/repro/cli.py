@@ -84,7 +84,6 @@ def _cmd_process(args: argparse.Namespace) -> int:
     for key, value in model.statistics.as_dict().items():
         print(f"{key}: {value}")
     print(f"data taxonomy: {len(model.data_taxonomy)} nodes, depth {model.data_taxonomy.max_depth()}")
-    print(f"entity taxonomy: {len(model.entity_taxonomy)} nodes")
     usage = pipeline.llm.stats
     print(f"llm calls: {usage.calls} ({usage.cache_hits} cache hits)")
     if args.artifacts:

@@ -106,7 +106,7 @@ def _phrase_kind(lowered: str) -> str:
 
 
 class PolicyGraph:
-    """Entity–data practice graph plus the two taxonomies (G_ED, G_DD).
+    """Entity–data practice graph plus the data taxonomy (G_DD).
 
     The multigraph lives in plain dicts:
 
@@ -125,11 +125,9 @@ class PolicyGraph:
         self,
         company: str,
         data_taxonomy: Taxonomy | None = None,
-        entity_taxonomy: Taxonomy | None = None,
     ) -> None:
         self.company = company
         self.data_taxonomy = data_taxonomy
-        self.entity_taxonomy = entity_taxonomy
         self._kinds: dict[str, str] = {}
         self._out: dict[str, dict[str, list[PracticeEdge]]] = {}
         self._in: dict[str, dict[str, list[PracticeEdge]]] = {}

@@ -130,7 +130,7 @@ def chain_of_layer(
     Args:
         runner: LLM task interface used for the per-layer prompts.
         terms: vocabulary to organize (duplicates and the root are ignored).
-        root: root concept ("data" or "entity").
+        root: root concept (the pipeline induces one, "data").
         similarity_model: when given, parent assignments whose
             term/parent similarity falls below ``similarity_threshold`` are
             rejected (the SciBERT filter); rejected terms attach to the root.

@@ -7,7 +7,7 @@ on the :class:`~repro.jobs.JobRunner` executor, sharing repeated work
 through the model's memoization caches; ``update``
 applies a new policy version incrementally, re-extracting only segments
 whose content hash changed.  Artifacts (segments, practices, graphs,
-embeddings) can be persisted as JSON for inspection, mirroring the paper's
+embeddings) can be written out for inspection, mirroring the paper's
 per-stage caching.
 
 Concurrency contract: a :class:`PolicyModel` and its substrates
@@ -31,7 +31,7 @@ from typing import Iterable
 from repro.core.caches import ModelCaches
 from repro.core.encode import EncodedQuery, encode_query
 from repro.core.extraction import ExtractionResult, extract_policy
-from repro.core.graphs import NODE_DATA, NODE_ENTITY, PolicyGraph
+from repro.core.graphs import NODE_DATA, PolicyGraph
 from repro.core.hierarchy import Taxonomy, chain_of_layer
 from repro.core.metrics import PipelineMetrics, merged
 from repro.core.segmenter import LineUnits, diff_segments, segment_policy
@@ -119,7 +119,6 @@ class PolicyModel:
     company: str
     extraction: ExtractionResult
     data_taxonomy: Taxonomy
-    entity_taxonomy: Taxonomy
     graph: PolicyGraph
     store: EmbeddingStore
     node_vocabulary: set[str] = field(default_factory=set)
@@ -311,9 +310,7 @@ class PolicyPipeline:
     def _build_model(self, extraction: ExtractionResult) -> PolicyModel:
         graph = PolicyGraph(extraction.company)
         graph.add_practices(extraction.practices)
-        data_taxonomy, entity_taxonomy = self._induce_taxonomies(graph)
-        graph.data_taxonomy = data_taxonomy
-        graph.entity_taxonomy = entity_taxonomy
+        graph.data_taxonomy = data_taxonomy = self._induce_taxonomy(graph)
 
         store = EmbeddingStore(self.embedding_model)
         vocabulary: set[str] = set()
@@ -323,7 +320,6 @@ class PolicyPipeline:
             company=extraction.company,
             extraction=extraction,
             data_taxonomy=data_taxonomy,
-            entity_taxonomy=entity_taxonomy,
             graph=graph,
             store=store,
             node_vocabulary=vocabulary,
@@ -434,14 +430,14 @@ class PolicyPipeline:
         # change when *other* vocabulary enters or leaves (e.g. "usage
         # information" reparents under a newly disclosed "usage data"), and
         # removed terms would otherwise linger in the hierarchy forever.  So
-        # whenever the node set changed at all, both taxonomies are re-induced
-        # over the merged vocabulary — the prompts run through the cached LLM,
-        # so unchanged layers cost no completions — which keeps a patched
-        # model's hierarchies identical (as edge sets) to a from-scratch
-        # rebuild's.  Segment re-extraction, the expensive phase, stays
-        # incremental.
+        # whenever the node set changed at all, the data taxonomy is
+        # re-induced over the merged vocabulary — the prompts run through the
+        # cached LLM, so unchanged layers cost no completions — which keeps a
+        # patched model's hierarchy identical (as an edge set) to a
+        # from-scratch rebuild's.  Segment re-extraction, the expensive
+        # phase, stays incremental.
         if set(graph.nodes()) != nodes_before:
-            self._rebuild_taxonomies(model)
+            self._rebuild_taxonomy(model)
         # The candidate graph materialized the same edges (primary and
         # derived) the main graph just gained, so indexing it keeps the
         # store identical to what a fresh build would produce.
@@ -454,33 +450,32 @@ class PolicyPipeline:
         model.extraction = extraction
         return model
 
-    def _rebuild_taxonomies(self, model: PolicyModel) -> None:
-        """Re-induce both hierarchies over the model's current vocabulary.
+    def _rebuild_taxonomy(self, model: PolicyModel) -> None:
+        """Re-induce the data hierarchy over the model's current vocabulary.
 
-        The graph holds references to the taxonomy objects (closure queries
-        go through them), so both the model fields and the graph fields are
+        The graph holds a reference to the taxonomy object (closure queries
+        go through it), so the model field and the graph field are
         re-pointed together.
         """
-        model.data_taxonomy, model.entity_taxonomy = self._induce_taxonomies(model.graph)
-        model.graph.data_taxonomy = model.data_taxonomy
-        model.graph.entity_taxonomy = model.entity_taxonomy
-
-    def _induce_taxonomies(self, graph: PolicyGraph) -> tuple[Taxonomy, Taxonomy]:
-        """Chain-of-Layer over the graph's data nodes, then its entity nodes."""
-        similarity_model = (
-            self.embedding_model if self.config.col_similarity_threshold > 0 else None
+        model.graph.data_taxonomy = model.data_taxonomy = self._induce_taxonomy(
+            model.graph
         )
 
-        def induce(kind: str, layer: str) -> Taxonomy:
-            return chain_of_layer(
-                self.runner,
-                graph.nodes_of_kind(kind),
-                layer,
-                similarity_model=similarity_model,
-                similarity_threshold=self.config.col_similarity_threshold,
-            )
+    def _induce_taxonomy(self, graph: PolicyGraph) -> Taxonomy:
+        """Chain-of-Layer over the graph's data nodes.
 
-        return induce(NODE_DATA, "data"), induce(NODE_ENTITY, "entity")
+        Only the data hierarchy is induced: subgraph extraction and the
+        inheritance axioms read it alone, so an entity hierarchy would
+        decide no verdict.
+        """
+        threshold = self.config.col_similarity_threshold
+        return chain_of_layer(
+            self.runner,
+            graph.nodes_of_kind(NODE_DATA),
+            "data",
+            similarity_model=self.embedding_model if threshold > 0 else None,
+            similarity_threshold=threshold,
+        )
 
     # ------------------------------------------------------------------
     # Phase 3
@@ -824,47 +819,33 @@ class PolicyPipeline:
     # ------------------------------------------------------------------
 
     def save_artifacts(self, model: PolicyModel, directory: str | Path) -> None:
-        """Write inspectable JSON artifacts for every pipeline stage.
+        """Write inspectable artifacts for every pipeline stage.
 
-        Every file goes through the atomic writer (temp file + fsync +
-        rename), so re-dumping over an existing artifact directory can
-        never leave a truncated JSON file behind, no matter where a crash
-        lands.  For durable, hash-verified, *loadable* persistence use
-        :meth:`save_model` instead — this dump is for human inspection.
+        The files are the snapshot artifacts of
+        :func:`repro.store.serialize.model_artifacts`, plus the graph's
+        statistics (``graph_stats.json``) and a Graphviz rendering
+        (``graph.dot``).  Every file goes through the atomic writer (temp
+        file + fsync + rename), so re-dumping over an existing artifact
+        directory can never leave a truncated file behind, no matter where
+        a crash lands.  For durable, hash-verified, *loadable* persistence
+        use :meth:`save_model` instead — this dump has no manifest.
         """
-        from repro.store.atomic import atomic_write_json, atomic_write_text
+        from repro.store.atomic import (
+            atomic_write_bytes,
+            atomic_write_json,
+            atomic_write_text,
+        )
+        from repro.store.serialize import model_artifacts
 
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            directory / "segments.json",
-            [
-                {
-                    "segment_id": s.segment_id,
-                    "index": s.index,
-                    "section": s.section,
-                    "text": s.text,
-                }
-                for s in model.extraction.segments
-            ],
-        )
-        atomic_write_json(
-            directory / "practices.json",
-            model.extraction.practice_dicts(),
-        )
-        atomic_write_json(
-            directory / "data_taxonomy.json", model.data_taxonomy.as_edges()
-        )
-        atomic_write_json(
-            directory / "entity_taxonomy.json", model.entity_taxonomy.as_edges()
-        )
+        for name, payload in model_artifacts(model).items():
+            atomic_write_bytes(directory / name, payload)
         atomic_write_json(
             directory / "graph_stats.json", model.statistics.as_dict()
         )
         atomic_write_text(
             directory / "graph.dot", model.graph.to_dot(max_edges=500)
         )
-        model.store.save(directory / "embeddings.bin")
 
     def save_model(
         self, model: PolicyModel, directory: str | Path, *, journaled: bool = False

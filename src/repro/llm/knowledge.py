@@ -2,7 +2,7 @@
 
 A real LLM carries privacy-domain knowledge in its weights; the simulated
 backend carries the equivalent in these curated tables: which broad category
-a data/entity term belongs under (seeded from the OPP-115 category scheme
+a data term belongs under (seeded from the OPP-115 category scheme
 the paper references), and which terms are privacy-context synonyms.
 """
 
@@ -200,87 +200,6 @@ SEED_SUBSUMPTION: dict[str, frozenset[str]] = {
             "group membership",
             "invitation",
         }
-    ),
-}
-
-#: Entity category -> member entity phrases; used when CoL builds the entity
-#: hierarchy.
-SEED_ENTITY_SUBSUMPTION: dict[str, frozenset[str]] = {
-    "company": frozenset({"platform", "corporate group", "affiliates", "subsidiaries"}),
-    "commercial partner": frozenset(
-        {
-            "advertisers",
-            "advertiser",
-            "advertising partners",
-            "measurement partners",
-            "marketing partners",
-            "analytics providers",
-            "analytics provider",
-            "business partners",
-            "trusted partners",
-            "partners",
-            "merchants",
-            "sellers",
-            "data brokers",
-            "integrated partners",
-            "api partners",
-            "app developers",
-            "developers",
-            "social media platforms",
-            "search engines",
-        }
-    ),
-    "service provider": frozenset(
-        {
-            "service providers",
-            "service provider",
-            "vendors",
-            "contractors",
-            "payment processors",
-            "payment service providers",
-            "cloud providers",
-            "hosting providers",
-            "security vendors",
-            "customer support providers",
-            "delivery partners",
-            "shipping providers",
-            "content moderators",
-            "moderators",
-            "fraud prevention services",
-            "identity verification services",
-            "device manufacturers",
-            "operating system providers",
-            "mobile carriers",
-            "internet service providers",
-        }
-    ),
-    "legal authority": frozenset(
-        {
-            "law enforcement",
-            "law enforcement agencies",
-            "government authorities",
-            "public authorities",
-            "regulators",
-            "courts",
-            "tax authorities",
-            "emergency services",
-        }
-    ),
-    "professional advisor": frozenset(
-        {
-            "auditors",
-            "legal advisors",
-            "professional advisors",
-            "insurers",
-            "financial institutions",
-            "banks",
-        }
-    ),
-    "corporate transaction party": frozenset(
-        {"successors", "acquirers", "prospective buyers"}
-    ),
-    "user community": frozenset(
-        {"other users", "other members", "the public", "researchers", "academic researchers"}
     ),
 }
 

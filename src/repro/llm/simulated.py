@@ -490,25 +490,20 @@ def _head_of(term: str) -> str:
     return singularize_noun(words[-1])
 
 
-def _seed_category(term: str, root: str) -> str | None:
-    """Which seed category (for the given root domain) contains ``term``?
+def _seed_category(term: str) -> str | None:
+    """Which data seed category contains ``term``?
 
     Exact and two-word-tail matches take priority over bare head-noun
     matches so that "ip address" lands under technical data even though
     "address" alone is a personal-data member.
     """
-    tables = (
-        knowledge.SEED_ENTITY_SUBSUMPTION
-        if "entity" in root.lower()
-        else knowledge.SEED_SUBSUMPTION
-    )
     lowered = singularize_phrase(term.lower())
     head = _head_of(term)
     tail2 = " ".join(lowered.split()[-2:])
-    for category, members in tables.items():
+    for category, members in knowledge.SEED_SUBSUMPTION.items():
         if lowered in members or tail2 in members:
             return category
-    for category, members in tables.items():
+    for category, members in knowledge.SEED_SUBSUMPTION.items():
         if head in members:
             return category
     return None
@@ -564,7 +559,7 @@ def _taxonomy_assignments(
             continue
         parent = _suffix_parent(lowered, existing_set)
         if parent is None:
-            parent = _seed_category(term, root)
+            parent = _seed_category(term)
         if parent is None:
             parent = root
         assignments.append((term, parent))

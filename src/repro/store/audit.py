@@ -10,8 +10,8 @@ Two audits, one report type:
 * :func:`audit_parity` compares an incrementally patched model against a
   from-scratch rebuild of the same extraction — the paper's "update only
   those branches" promise, checked component by component (graph edge
-  multisets, taxonomy edge sets, vocabulary, segments, practices, and the
-  embedding-index projection).
+  multisets, the data taxonomy's edge set, vocabulary, segments,
+  practices, and the embedding-index projection).
 
 Both return an :class:`AuditReport`; :func:`heal_model` is the remedy for
 a failed parity audit — it overwrites the patched model's derived state
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.graphs import NODE_DATA, NODE_ENTITY, PolicyGraph, PracticeEdge
+from repro.core.graphs import NODE_DATA, PolicyGraph, PracticeEdge
 from repro.core.hierarchy import Taxonomy
 from repro.core.pipeline import PolicyModel
 from repro.embeddings.search import edge_text
@@ -144,15 +144,11 @@ def audit_structure(model: PolicyModel) -> AuditReport:
     report.checks_run.append("taxonomy-consistency")
     report.checks_run.append("taxonomy-rooting")
     _audit_taxonomy(report, model.data_taxonomy, "data_taxonomy")
-    _audit_taxonomy(report, model.entity_taxonomy, "entity_taxonomy")
 
     report.checks_run.append("taxonomy-coverage")
     for node in model.graph.nodes():
-        kind = model.graph.kind(node)
-        if kind == NODE_DATA and node not in model.data_taxonomy:
+        if model.graph.kind(node) == NODE_DATA and node not in model.data_taxonomy:
             report.add("taxonomy-coverage", node, "data node missing from G_DD")
-        elif kind == NODE_ENTITY and node not in model.entity_taxonomy:
-            report.add("taxonomy-coverage", node, "entity node missing from G_ED")
 
     report.checks_run.append("edge-provenance")
     known_segments = {s.segment_id for s in model.extraction.segments}
@@ -234,16 +230,17 @@ def audit_parity(patched: PolicyModel, rebuilt: PolicyModel) -> AuditReport:
     for key in (rebuilt_edges - patched_edges):
         report.add("graph-edges", str(key[:3]), "edge present only in rebuilt model")
 
-    for name in ("data_taxonomy", "entity_taxonomy"):
-        report.checks_run.append(name)
-        patched_tax: Taxonomy = getattr(patched, name)
-        rebuilt_tax: Taxonomy = getattr(rebuilt, name)
-        p_edges = set(patched_tax.as_edges())
-        r_edges = set(rebuilt_tax.as_edges())
-        for parent, child in sorted(p_edges - r_edges):
-            report.add(name, child, f"patched places it under {parent!r}; rebuild does not")
-        for parent, child in sorted(r_edges - p_edges):
-            report.add(name, child, f"rebuild places it under {parent!r}; patch does not")
+    report.checks_run.append("data_taxonomy")
+    p_edges = set(patched.data_taxonomy.as_edges())
+    r_edges = set(rebuilt.data_taxonomy.as_edges())
+    for parent, child in sorted(p_edges - r_edges):
+        report.add(
+            "data_taxonomy", child, f"patched places it under {parent!r}; rebuild does not"
+        )
+    for parent, child in sorted(r_edges - p_edges):
+        report.add(
+            "data_taxonomy", child, f"rebuild places it under {parent!r}; patch does not"
+        )
 
     report.checks_run.append("vocabulary")
     for term in sorted(patched.node_vocabulary - rebuilt.node_vocabulary):
@@ -275,7 +272,6 @@ def heal_model(patched: PolicyModel, rebuilt: PolicyModel) -> PolicyModel:
     patched.company = rebuilt.company
     patched.extraction = rebuilt.extraction
     patched.data_taxonomy = rebuilt.data_taxonomy
-    patched.entity_taxonomy = rebuilt.entity_taxonomy
     patched.graph = rebuilt.graph
     patched.store = rebuilt.store
     patched.node_vocabulary = rebuilt.node_vocabulary

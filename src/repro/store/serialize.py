@@ -8,17 +8,18 @@ artifact, each hashed individually in the snapshot manifest:
 ``segments.json``         Phase 1 segmentation with content-hash ids
 ``practices.json``        extracted practices grouped by segment (in order)
 ``data_taxonomy.json``    G_DD as ordered (parent, child) edges
-``entity_taxonomy.json``  G_ED as ordered (parent, child) edges
 ``graph.json``            every materialized practice edge, insertion order
 ``embeddings.bin``        the embedding store: a JSON header (keys, dim, model
                           name, subword weight) then the raw ``<f8`` matrix
 ========================  =====================================================
 
-That is snapshot format version 2.  Version 1 stored the embeddings as
-``embeddings.npz``, a zip of ``.npy`` arrays with the keys pickled and no
-subword weight.  :func:`model_from_artifacts` still decodes a version-1
-artifact set, through :meth:`EmbeddingStore.from_npz_bytes`; nothing
-writes one.
+That is snapshot format version 3, the only one written.  Versions 1
+and 2 are read, never written.  Both also held ``entity_taxonomy.json``,
+an entity hierarchy (G_ED) that no verdict read; the snapshot store
+still hashes it against the manifest, and :func:`model_from_artifacts`
+never decodes it.  Version 1 stored the embeddings as ``embeddings.npz``,
+a zip of ``.npy`` arrays with the keys pickled and no subword weight,
+which :meth:`EmbeddingStore.from_npz_bytes` decodes.
 
 The snapshot store hands :func:`model_from_artifacts` the very bytes it
 hashed against the manifest; nothing here reads a file.  Deserialization
@@ -51,18 +52,20 @@ from repro.llm.tasks import ExtractedParameters
 
 EMBEDDINGS_ARTIFACT = "embeddings.bin"
 V1_EMBEDDINGS_ARTIFACT = "embeddings.npz"
+#: Listed and hashed by format versions 1 and 2, never decoded.
+OLD_ENTITY_TAXONOMY = "entity_taxonomy.json"
 _JSON_ARTIFACTS = (
     "meta.json",
     "segments.json",
     "practices.json",
     "data_taxonomy.json",
-    "entity_taxonomy.json",
     "graph.json",
 )
 #: Artifact names in write order; the manifest hashes each one.
 MODEL_ARTIFACTS = (*_JSON_ARTIFACTS, EMBEDDINGS_ARTIFACT)
-#: The artifact set of a format-version-1 snapshot (read, never written).
-V1_MODEL_ARTIFACTS = (*_JSON_ARTIFACTS, V1_EMBEDDINGS_ARTIFACT)
+#: The artifact sets of format versions 2 and 1 (read, never written).
+V2_MODEL_ARTIFACTS = (*_JSON_ARTIFACTS, OLD_ENTITY_TAXONOMY, EMBEDDINGS_ARTIFACT)
+V1_MODEL_ARTIFACTS = (*_JSON_ARTIFACTS, OLD_ENTITY_TAXONOMY, V1_EMBEDDINGS_ARTIFACT)
 
 
 def _json_bytes(obj: object) -> bytes:
@@ -126,7 +129,6 @@ def model_artifacts(model: PolicyModel) -> dict[str, bytes]:
             }
         ),
         "data_taxonomy.json": _json_bytes(_taxonomy_payload(model.data_taxonomy)),
-        "entity_taxonomy.json": _json_bytes(_taxonomy_payload(model.entity_taxonomy)),
         "graph.json": _json_bytes(
             {
                 "company": model.graph.company,
@@ -220,8 +222,9 @@ def _restore_edge(raw: dict[str, object]) -> PracticeEdge:
 def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
     """Reconstruct a :class:`PolicyModel` from :func:`model_artifacts` output.
 
-    ``payloads`` is a :data:`MODEL_ARTIFACTS` set or a version-1
-    :data:`V1_MODEL_ARTIFACTS` set.
+    ``payloads`` is a :data:`MODEL_ARTIFACTS` set, or a
+    :data:`V2_MODEL_ARTIFACTS` or :data:`V1_MODEL_ARTIFACTS` set, whose
+    entity taxonomy is not decoded.
 
     Raises :class:`~repro.errors.SnapshotCorruptionError` on any missing,
     unparsable, or structurally inconsistent payload.  A failure of the
@@ -235,9 +238,6 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
     raw_practices = _parse_json(payloads, "practices.json")
     data_taxonomy = _restore_taxonomy(
         _parse_json(payloads, "data_taxonomy.json"), "data_taxonomy.json"
-    )
-    entity_taxonomy = _restore_taxonomy(
-        _parse_json(payloads, "entity_taxonomy.json"), "entity_taxonomy.json"
     )
     raw_graph = _parse_json(payloads, "graph.json")
 
@@ -267,11 +267,7 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
             extraction.practices_by_segment[str(segment_id)] = practices
             extraction.practices.extend(practices)
 
-        graph = PolicyGraph(
-            str(raw_graph["company"]),
-            data_taxonomy=data_taxonomy,
-            entity_taxonomy=entity_taxonomy,
-        )
+        graph = PolicyGraph(str(raw_graph["company"]), data_taxonomy=data_taxonomy)
         graph.restore_edges(_restore_edge(raw_edge) for raw_edge in raw_graph["edges"])
 
         if V1_EMBEDDINGS_ARTIFACT in payloads:
@@ -287,7 +283,6 @@ def model_from_artifacts(payloads: Mapping[str, bytes]) -> PolicyModel:
         company=company,
         extraction=extraction,
         data_taxonomy=data_taxonomy,
-        entity_taxonomy=entity_taxonomy,
         graph=graph,
         store=store,
         node_vocabulary=vocabulary,

@@ -9,15 +9,17 @@ Directory layout::
         snap-000001/
           MANIFEST.json    # per-artifact sha256 + sizes, format version
           meta.json  segments.json  practices.json  data_taxonomy.json
-          entity_taxonomy.json  graph.json  embeddings.bin
+          graph.json  embeddings.bin
         .tmp-snap-000002/  # commit in progress (garbage-collected on open)
       quarantine/
         snap-000001/       # corrupt snapshot moved aside, with report.json
 
-**Format versions.**  Commits write format version 2, whose embedding
-artifact is ``embeddings.bin`` (see :mod:`repro.store.serialize`).  A
-version-1 snapshot, which lists ``embeddings.npz`` instead, still
-verifies and loads to the same model; it is never rewritten in place.
+**Format versions.**  Commits write format version 3, the artifacts
+above (see :mod:`repro.store.serialize`).  Versions 1 and 2 are read
+only: both also list ``entity_taxonomy.json``, which is hash-verified
+like every listed artifact but never decoded, and version 1 lists
+``embeddings.npz`` in place of ``embeddings.bin``.  Either still
+verifies and loads to the same model; neither is rewritten in place.
 
 **Commit protocol.**  A snapshot is staged in a ``.tmp-`` directory (every
 artifact written and fsync'd, then the manifest), renamed to its final
@@ -60,13 +62,18 @@ from repro.store.atomic import StepHook, atomic_write_json, atomic_write_text, f
 from repro.store.serialize import (
     MODEL_ARTIFACTS,
     V1_MODEL_ARTIFACTS,
+    V2_MODEL_ARTIFACTS,
     model_artifacts,
     model_from_artifacts,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 #: The artifact set a manifest of each readable format version lists.
-_FORMAT_ARTIFACTS = {1: V1_MODEL_ARTIFACTS, FORMAT_VERSION: MODEL_ARTIFACTS}
+_FORMAT_ARTIFACTS = {
+    1: V1_MODEL_ARTIFACTS,
+    2: V2_MODEL_ARTIFACTS,
+    FORMAT_VERSION: MODEL_ARTIFACTS,
+}
 MANIFEST_NAME = "MANIFEST.json"
 CURRENT_NAME = "CURRENT"
 JOURNAL_NAME = "JOURNAL.json"

@@ -10,8 +10,9 @@ reader and requires the same digest, before and after a round trip
 through the current writer.
 
 Only a commit that still writes format version 1 (``embeddings.npz`` in
-the manifest) can regenerate the fixture; the current writer cannot.
-The digest helpers run anywhere.  Run from the repository root:
+the manifest) can regenerate the fixture; the current writer cannot,
+and this script then refuses and leaves the fixture as it is.  The
+digest helpers run anywhere.  Run from the repository root:
 
     PYTHONPATH=src:. python tests/data/make_v1_snapshot.py
 """
@@ -81,7 +82,13 @@ def model_digest(model) -> dict[str, object]:
     }
 
 
-def main() -> int:
+def write_fixture(version: int, store: Path, digest: Path) -> int:
+    """Commit the minted company to ``store`` and its digest to ``digest``.
+
+    The commit is staged in a temporary store and checked first: when this
+    commit's writer does not write format ``version``, nothing under
+    ``store`` or ``digest`` is touched.
+    """
     from repro import PolicyPipeline
     from repro.registry import MintSpec, PolicyRegistry
     from repro.store import SnapshotStore
@@ -91,21 +98,26 @@ def main() -> int:
         registry.mint(MintSpec(count=1, seed=7, target_words=(340,)))
         (company,) = registry.companies()
         model = registry.get_model(company)
-    if STORE.exists():
-        shutil.rmtree(STORE)
-    info = SnapshotStore(STORE).commit(model)
-    manifest = json.loads((info.path / "MANIFEST.json").read_text("utf-8"))
-    if manifest["format_version"] != 1 or "embeddings.npz" not in manifest["artifacts"]:
-        shutil.rmtree(STORE)
-        print("this commit does not write format version 1; fixture not written")
-        return 1
-    loaded = SnapshotStore(STORE).load().model
-    DIGEST.write_text(
+        staged = Path(scratch) / "store"
+        info = SnapshotStore(staged).commit(model)
+        manifest = json.loads((info.path / "MANIFEST.json").read_text("utf-8"))
+        if manifest["format_version"] != version:
+            print(f"this commit does not write format version {version}; fixture not written")
+            return 1
+        if store.exists():
+            shutil.rmtree(store)
+        shutil.copytree(staged, store)
+    loaded = SnapshotStore(store).load().model
+    digest.write_text(
         json.dumps(model_digest(loaded), indent=1, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    print(f"wrote {info.path} and {DIGEST}")
+    print(f"wrote {store} and {digest}")
     return 0
+
+
+def main() -> int:
+    return write_fixture(1, STORE, DIGEST)
 
 
 if __name__ == "__main__":

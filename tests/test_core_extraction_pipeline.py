@@ -87,7 +87,6 @@ class TestPipelineProcess:
         assert stats.data_types >= 5
         assert len(small_model.data_taxonomy) > 3
         small_model.data_taxonomy.validate()
-        small_model.entity_taxonomy.validate()
 
     def test_embeddings_cover_nodes(self, small_model):
         for node in small_model.graph.nodes():
@@ -169,7 +168,6 @@ class TestArtifacts:
             "segments.json",
             "practices.json",
             "data_taxonomy.json",
-            "entity_taxonomy.json",
             "graph_stats.json",
             "embeddings.bin",
         ):
@@ -179,9 +177,12 @@ class TestArtifacts:
         import json
 
         pipeline.save_artifacts(small_model, tmp_path)
-        practices = json.loads((tmp_path / "practices.json").read_text())
+        by_segment = json.loads((tmp_path / "practices.json").read_text())
+        practices = [p for entries in by_segment.values() for p in entries]
         assert len(practices) == small_model.extraction.num_practices
         assert {"sender", "action", "data_type"} <= set(practices[0])
+        segments = json.loads((tmp_path / "segments.json").read_text())
+        assert set(by_segment) <= {s["segment_id"] for s in segments}
 
 
 class TestLLMUsageAccounting:

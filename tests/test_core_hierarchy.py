@@ -122,11 +122,3 @@ class TestChainOfLayer:
     def test_duplicates_and_root_ignored(self, runner):
         taxonomy = chain_of_layer(runner, ["email", "Email", "data"], "data")
         assert len([t for t in taxonomy.terms if t == "email"]) == 1
-
-    def test_entity_taxonomy(self, runner):
-        taxonomy = chain_of_layer(
-            runner, ["advertisers", "service providers", "law enforcement"], "entity"
-        )
-        assert taxonomy.parent("advertisers") == "commercial partner"
-        assert taxonomy.parent("law enforcement") == "legal authority"
-        taxonomy.validate()

@@ -223,10 +223,6 @@ class TestTaxonomyHandler:
         assert "location information" in terms
         assert "precise location information" not in terms  # waits a layer
 
-    def test_entity_root_uses_entity_seeds(self, runner):
-        resp = runner.taxonomy_layer("entity", ["entity"], ["advertisers"])
-        assert dict(resp.assignments)["advertisers"] == "commercial partner"
-
 
 class TestErrorPaths:
     def test_unknown_task_raises(self):

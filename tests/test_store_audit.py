@@ -3,7 +3,7 @@
 The parity suite is the paper's "update only those branches" promise made
 testable: for every edit mix ``corpus.versions.make_version`` can
 produce, an in-place patched model must be indistinguishable — graph
-edges, both taxonomies, vocabulary, and query verdicts — from a model
+edges, the data taxonomy, vocabulary, and query verdicts — from a model
 rebuilt from scratch on the same extraction.
 """
 
@@ -141,22 +141,19 @@ class TestParityAudit:
 
     def test_detects_seeded_drift(self, small_policy_text):
         # A deliberately buggy patch (one that skips re-inducing the
-        # taxonomies and so keeps stale nodes) must be caught.
+        # taxonomy and so keeps stale nodes) must be caught.
         pipeline = PolicyPipeline()
         model = pipeline.process(small_policy_text)
         version = make_version(small_policy_text, seed=0, add=0, remove=2)
-        saved = pipeline._rebuild_taxonomies
-        pipeline._rebuild_taxonomies = lambda model: None  # seed the bug
+        saved = pipeline._rebuild_taxonomy
+        pipeline._rebuild_taxonomy = lambda model: None  # seed the bug
         try:
             pipeline.update(model, version.text, in_place=True)
         finally:
-            pipeline._rebuild_taxonomies = saved
+            pipeline._rebuild_taxonomy = saved
         report = audit_parity(model, rebuild_twin(pipeline, model))
         assert not report.passed
-        assert any(
-            f.check in ("data_taxonomy", "entity_taxonomy")
-            for f in report.findings
-        )
+        assert any(f.check == "data_taxonomy" for f in report.findings)
 
 
 class TestHeal:
@@ -164,12 +161,12 @@ class TestHeal:
         pipeline = PolicyPipeline()
         model = pipeline.process(small_policy_text)
         version = make_version(small_policy_text, seed=0)
-        saved = pipeline._rebuild_taxonomies
-        pipeline._rebuild_taxonomies = lambda model: None
+        saved = pipeline._rebuild_taxonomy
+        pipeline._rebuild_taxonomy = lambda model: None
         try:
             pipeline.update(model, version.text, in_place=True)
         finally:
-            pipeline._rebuild_taxonomies = saved
+            pipeline._rebuild_taxonomy = saved
         rebuilt = rebuild_twin(pipeline, model)
         revision = model.revision
         reference = model  # callers keep references to the patched object
@@ -180,7 +177,7 @@ class TestHeal:
 
     def test_drift_after_removal_is_found_and_healed(self, small_policy_text):
         class BuggyPipeline(PolicyPipeline):
-            def _rebuild_taxonomies(self, model):
+            def _rebuild_taxonomy(self, model):
                 pass  # drift: stale taxonomy survives segment removal
 
         pipeline = BuggyPipeline()

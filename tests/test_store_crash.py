@@ -41,7 +41,6 @@ def signature(model) -> tuple:
         model.revision,
         tuple(sorted(edge_key(e) for e in model.graph.edges())),
         tuple(sorted(model.data_taxonomy.as_edges())),
-        tuple(sorted(model.entity_taxonomy.as_edges())),
         tuple(sorted(model.node_vocabulary)),
     )
 
