@@ -258,12 +258,40 @@ def _resilient_pipeline(args: argparse.Namespace) -> PolicyPipeline:
 
 
 def _print_stats(
-    args: argparse.Namespace, pipeline: PolicyPipeline, *parts: PipelineMetrics
+    args: argparse.Namespace,
+    pipeline: PolicyPipeline,
+    *parts: PipelineMetrics,
+    scrubber=None,
 ) -> None:
-    """The ``--stats`` block: ``parts`` merged with the pipeline's metrics."""
-    if args.stats:
-        print("\n--- pipeline metrics ---")
-        print(pipeline.metrics_report(*parts).render())
+    """The ``--stats`` block: ``parts`` merged with the pipeline's
+    metrics, then the counters whose owners keep them (the LLM wrapper
+    stack's, and the background scrubber's when one ran)."""
+    if not args.stats:
+        return
+    from repro.providers.introspect import llm_stack_state
+
+    print("\n--- pipeline metrics ---")
+    print(pipeline.metrics_report(*parts).render())
+    llm = llm_stack_state(pipeline.llm)
+    usage = llm["usage"]
+    print(
+        f"llm boundary: breaker {llm['breaker_state']}; "
+        f"{usage['retries']} retries "
+        f"({usage['retry_after_honored']} on server hints), "
+        f"{usage['retry_giveups']} giveups; "
+        f"provider: {usage['provider_calls']} calls, "
+        f"{usage['provider_rate_limited']} rate-limited; "
+        f"cassette: {usage['cassette_records']} recorded, "
+        f"{usage['cassette_replays']} replayed, "
+        f"{usage['cassette_misses']} misses"
+    )
+    if scrubber is not None:
+        scrub = scrubber.stats()
+        print(
+            f"scrub: {scrub['passes']} passes, "
+            f"{scrub['artifacts_verified']} artifacts verified, "
+            f"{scrub['paused_ticks']} paused ticks"
+        )
 
 
 def _write_json(path: str | None, payload: dict, what: str) -> None:
@@ -657,7 +685,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     report = server.serve_until_drained()
     print(report.summary())
-    _print_stats(args, server.pipeline, server.metrics)
+    _print_stats(
+        args, server.pipeline, server.metrics, scrubber=server.scrubber
+    )
     return 0
 
 

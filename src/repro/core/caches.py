@@ -63,22 +63,11 @@ class ModelCaches:
         self._inflight: dict[str, dict[Any, _Flight]] = {
             kind: {} for kind in self.KINDS
         }
-        self.hits: dict[str, int] = {kind: 0 for kind in self.KINDS}
-        self.misses: dict[str, int] = {kind: 0 for kind in self.KINDS}
 
     def get(self, kind: str, key: Any) -> Any:
         """Cached value for ``key``, or the :data:`MISS` sentinel."""
         with self._lock:
-            value = self._tables[kind].get(key, _MISS)
-            if value is _MISS:
-                self.misses[kind] += 1
-            else:
-                self.hits[kind] += 1
-            return value
-
-    def put(self, kind: str, key: Any, value: Any) -> None:
-        with self._lock:
-            self._tables[kind][key] = value
+            return self._tables[kind].get(key, _MISS)
 
     def get_or_compute(
         self,
@@ -93,11 +82,12 @@ class ModelCaches:
 
         Concurrent callers of an uncached key elect one leader; the rest
         wait on its flight and return the leader's result.  ``computed``
-        is True only for the caller that actually ran ``compute``, so
-        callers can attribute hit/miss (and any per-computation side
-        accounting) correctly.  A leader whose ``compute`` raises clears
-        the flight before re-raising; parked waiters wake, re-check the
-        table, and elect a new leader.
+        is True only for the caller that actually ran ``compute``; the
+        caches keep no hit or miss counts of their own, so that flag is
+        what callers count (the pipeline, into
+        :class:`~repro.core.metrics.PipelineMetrics`).  A leader whose
+        ``compute`` raises clears the flight before re-raising; parked
+        waiters wake, re-check the table, and elect a new leader.
 
         A value that ``keep`` rejects is not stored, but the waiters of
         that flight still receive it rather than recomputing it one
@@ -112,7 +102,6 @@ class ModelCaches:
             with self._lock:
                 value = self._tables[kind].get(key, _MISS)
                 if value is not _MISS:
-                    self.hits[kind] += 1
                     return value, False
                 flight = self._inflight[kind].get(flight_key)
                 if flight is None:
@@ -124,8 +113,6 @@ class ModelCaches:
                 flight.done.wait()
                 if flight.value is _MISS:
                     continue  # the leader failed: re-check and re-elect
-                with self._lock:
-                    self.hits[kind] += 1
                 return flight.value, False
             try:
                 value = compute()
@@ -139,7 +126,6 @@ class ModelCaches:
                 if keep is None or keep(value):
                     self._tables[kind][key] = value
                 self._inflight[kind].pop(flight_key, None)
-                self.misses[kind] += 1
             flight.done.set()
             return value, True
 

@@ -193,30 +193,13 @@ class PipelineMetrics:
     server_reloads: int = 0  # hot epoch swaps performed by /reload
     server_drains: int = 0  # graceful drains begun (signal or /drain)
     deadline_refusals: int = 0  # requests refused because the deadline expired
-    queue_depth: int = 0  # admission depth gauge (merged by max, like high-water)
-    # LLM provider boundary accounting (repro.providers + repro.resilience):
-    # synced onto PolicyPipeline.metrics from the wrapper stack's UsageStats
-    # by sync_resilience_metrics(), so they are lifetime absolutes like the
-    # snapshot counters above.
-    llm_retries: int = 0  # failed completions replayed by RetryingLLM
-    llm_giveups: int = 0  # completions abandoned after the retry budget
-    retry_after_honored: int = 0  # retries that slept on a server-advised hint
-    breaker_state: int = 0  # gauge: 0 closed, 1 half-open, 2 open (merged by max)
-    provider_calls: int = 0  # completions served by a remote HTTP provider
-    provider_rate_limited: int = 0  # 429 rejections the provider surfaced
-    cassette_records: int = 0  # prompt->completion pairs appended to a cassette
-    cassette_replays: int = 0  # completions served from a cassette
-    cassette_misses: int = 0  # replay lookups the cassette could not serve
     # Fleet-integrity accounting (repro.integrity): typed damage findings
-    # surfaced by loads/scans, repairs that healed them, and background
-    # scrubber progress.  Tracked on PolicyPipeline.metrics (lifetime
+    # surfaced by loads, scans and the background scrubber, and repairs
+    # that healed them.  Tracked on PolicyPipeline.metrics (lifetime
     # absolutes) and on the serving daemon's own metrics for the scrubber.
     integrity_findings: int = 0  # typed damage findings surfaced
     integrity_repairs: int = 0  # findings healed (quarantine + fallback/rebuild)
     integrity_unrepairable: int = 0  # findings with no valid artifact to heal from
-    scrub_passes: int = 0  # full sweeps the background scrubber completed
-    scrub_paused: int = 0  # scrub ticks skipped because queries were in flight
-    scrub_artifacts: int = 0  # snapshots hash-verified by the scrubber
     #: Tail-latency sketch (p50/p95/p99) for served requests; ``None``
     #: everywhere metrics must stay byte-identical to prior releases —
     #: only the serving layer allocates one.
@@ -241,18 +224,9 @@ class PipelineMetrics:
             return 0.0
         return self.cache_hits / total
 
-    #: Gauges folded by max instead of sum: a batch's peak queue depth is
-    #: the largest any constituent saw, not their total; a merged breaker
-    #: state reports the most degraded constituent (open > half-open >
-    #: closed, by encoding).
-    _MAX_MERGED = frozenset({"queue_high_water", "queue_depth", "breaker_state"})
-
-    #: Human-readable names for the ``breaker_state`` gauge encoding.
-    BREAKER_STATES = ("closed", "half-open", "open")
-
     def merge(self, other: "PipelineMetrics") -> None:
-        """Fold ``other`` into this instance (counters add, gauges max,
-        latency reservoirs bucket-merge)."""
+        """Fold ``other`` into this instance (counters add, the queue
+        high-water mark maxes, latency reservoirs bucket-merge)."""
         for spec in fields(self):
             mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
             if spec.name == "latency":
@@ -261,7 +235,9 @@ class PipelineMetrics:
                         mine = LatencyReservoir()
                         self.latency = mine
                     mine.merge(theirs)
-            elif spec.name in self._MAX_MERGED:
+            elif spec.name == "queue_high_water":
+                # A batch's peak queue depth is the largest any
+                # constituent saw, not their total.
                 setattr(self, spec.name, max(mine, theirs))
             else:
                 setattr(self, spec.name, mine + theirs)
@@ -275,9 +251,6 @@ class PipelineMetrics:
                 # stay byte-identical to prior releases.
                 if value is not None:
                     out[spec.name] = value.as_dict()
-                continue
-            if spec.name == "breaker_state":
-                out[spec.name] = self.BREAKER_STATES[value]
                 continue
             out[spec.name] = round(value, 6) if isinstance(value, float) else value
         out["cache_hit_rate"] = round(self.hit_rate, 4)
@@ -329,23 +302,10 @@ class PipelineMetrics:
             f"{self.fleet_companies} companies",
             f"serving: {self.server_requests} served, "
             f"{self.deadline_refusals} deadline refusals, "
-            f"{self.server_reloads} reloads, {self.server_drains} drains; "
-            f"queue depth {self.queue_depth}",
-            f"llm boundary: breaker {self.BREAKER_STATES[self.breaker_state]}; "
-            f"{self.llm_retries} retries "
-            f"({self.retry_after_honored} on server hints), "
-            f"{self.llm_giveups} giveups; "
-            f"provider: {self.provider_calls} calls, "
-            f"{self.provider_rate_limited} rate-limited; "
-            f"cassette: {self.cassette_records} recorded, "
-            f"{self.cassette_replays} replayed, "
-            f"{self.cassette_misses} misses",
+            f"{self.server_reloads} reloads, {self.server_drains} drains",
             f"integrity: {self.integrity_findings} findings "
             f"({self.integrity_repairs} repaired, "
-            f"{self.integrity_unrepairable} unrepairable); "
-            f"scrub: {self.scrub_passes} passes, "
-            f"{self.scrub_artifacts} artifacts verified, "
-            f"{self.scrub_paused} paused ticks",
+            f"{self.integrity_unrepairable} unrepairable)",
         ]
         if self.latency is not None and self.latency.count:
             lines.append(

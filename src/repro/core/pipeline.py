@@ -98,9 +98,8 @@ class PipelineConfig:
     # answers against the original formulas, replay UNSAT proofs, and
     # demote any verdict whose certificate fails to UNKNOWN (soundness
     # alarm).  Single queries certify by default; batches sample every
-    # batch_certify_stride-th question (1 = every question).
+    # fourth question (repro.jobs.runner.BATCH_CERTIFY_STRIDE).
     certify: bool = True
-    batch_certify_stride: int = 4
     # Directory for quarantined formulas whose verdict failed
     # certification; None disables quarantine (the alarm still fires).
     certification_quarantine_dir: str | Path | None = None
@@ -288,14 +287,10 @@ class PolicyPipeline:
         """``parts`` and the lifetime metrics merged into a new report.
 
         The one report behind every ``--stats`` block and the daemon's
-        ``/stats``.  It first folds the LLM wrapper stack's current state
-        (breaker, retries, provider and cassette counters) into
-        ``self.metrics`` as absolutes, idempotent under repeated calls;
-        none of ``parts`` is changed.
+        ``/stats``; none of ``parts`` is changed.  The LLM boundary's
+        counters are not in it: they stay on the wrapper stack, read
+        through :func:`~repro.providers.introspect.llm_stack_state`.
         """
-        from repro.providers.introspect import sync_resilience_metrics
-
-        sync_resilience_metrics(self.llm, self.metrics)
         return merged([*parts, self.metrics])
 
     # ------------------------------------------------------------------

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import struct
-import tempfile
 import threading
-from pathlib import Path
 
 import numpy as np
 
@@ -164,33 +161,6 @@ class EmbeddingStore:
             )
         )
 
-    def save(self, path: str | Path) -> None:
-        """Persist :meth:`to_bytes` to a file, atomically.
-
-        The payload lands in a temporary file in the destination directory
-        and is renamed into place, so an existing store file is either
-        fully replaced or left untouched — never truncated by a crash
-        mid-write.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = self.to_bytes()
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
     @classmethod
     def from_bytes(
         cls, payload: bytes, model: EmbeddingModel | None = None
@@ -234,11 +204,6 @@ class EmbeddingStore:
         )
         store._adopt(keys, matrix.reshape(len(keys), dim))
         return store
-
-    @classmethod
-    def load(cls, path: str | Path, model: EmbeddingModel | None = None) -> "EmbeddingStore":
-        """Load a store persisted by :meth:`save`."""
-        return cls.from_bytes(Path(path).read_bytes(), model)
 
     @classmethod
     def from_npz_bytes(cls, payload: bytes) -> "EmbeddingStore":

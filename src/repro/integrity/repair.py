@@ -444,17 +444,15 @@ def _consistent_num_shards(
 ) -> int:
     """The smallest shard count under which every observed company hashes
     to the shard directory it sits in (falling back to ``default``)."""
-    import hashlib
+    from repro.registry.manifest import shard_of
 
-    for candidate in range(1, 65):
-        ok = True
-        for company, shard in companies_by_shard:
-            digest = int(hashlib.sha256(company.encode("utf-8")).hexdigest(), 16)
-            if f"shard-{digest % candidate:02d}" != shard:
-                ok = False
-                break
-        if ok and companies_by_shard:
-            return candidate
+    if companies_by_shard:
+        for candidate in range(1, 65):
+            if all(
+                shard_of(company, candidate) == shard
+                for company, shard in companies_by_shard
+            ):
+                return candidate
     return default
 
 
@@ -501,14 +499,13 @@ def _store_entry(root: Path, store_dir: Path):
 def _apply_registry(
     root: Path, actions: list[RepairAction], rebuilder: Rebuilder | None
 ) -> None:
-    import hashlib
-
     from repro.errors import RegistryError
     from repro.integrity.walkers import _registry_store_dirs
     from repro.registry.manifest import (
         MANIFEST_NAME,
         Manifest,
         read_manifest,
+        shard_of,
         write_manifest,
     )
 
@@ -594,10 +591,7 @@ def _apply_registry(
                 action.status = "skipped"
                 action.result = "entry no longer present"
                 continue
-            digest = int(
-                hashlib.sha256(entry.company.encode("utf-8")).hexdigest(), 16
-            )
-            shard = f"shard-{digest % manifest.num_shards:02d}"
+            shard = shard_of(entry.company, manifest.num_shards)
             from dataclasses import replace
 
             manifest.entries[action.subject] = replace(entry, shard=shard)

@@ -5,8 +5,10 @@ for days without re-reading a cold shard from disk.
 :class:`BackgroundScrubber` closes that window: a daemon thread walks the
 registry's stores one snapshot per tick, hash-verifying every artifact
 against its manifest, and surfaces damage as typed
-:class:`~repro.integrity.findings.Finding`\\ s plus ``integrity``/``scrub``
-counters in :class:`~repro.core.metrics.PipelineMetrics`.
+:class:`~repro.integrity.findings.Finding`\\ s, counted into the shared
+``integrity_findings`` total of :class:`~repro.core.metrics.PipelineMetrics`.
+Its own progress (passes, paused ticks, artifacts verified) it keeps
+itself and reports through :meth:`BackgroundScrubber.stats`.
 
 Three properties keep it safe to run under live traffic:
 
@@ -54,10 +56,11 @@ class BackgroundScrubber:
         Seconds between ticks when driven by :meth:`start`'s thread.
     gate:
         Optional admission gate; a tick observing ``gate.depth > 0``
-        pauses instead of verifying (counted in ``scrub_paused``).
+        pauses instead of verifying (counted in ``paused``).
     metrics / metrics_lock:
-        Optional :class:`~repro.core.metrics.PipelineMetrics` to update
-        under ``metrics_lock`` (the serving daemon passes its own).
+        Optional :class:`~repro.core.metrics.PipelineMetrics` whose
+        ``integrity_findings`` the scrubber adds its findings to, under
+        ``metrics_lock`` (the serving daemon passes its own).
     """
 
     def __init__(
@@ -133,7 +136,6 @@ class BackgroundScrubber:
         if self._gate is not None and self._gate.depth > 0:
             with self._state_lock:
                 self.paused += 1
-            self._count(scrub_paused=1)
             return []
         from repro.errors import RegistryError
         from repro.registry.manifest import read_manifest
@@ -176,7 +178,6 @@ class BackgroundScrubber:
                 index = 0
                 with self._state_lock:
                     self.passes += 1
-                self._count(scrub_passes=1)
             with self._state_lock:
                 self._cursor = {"company": companies[index], "position": 0}
                 self._save_cursor()
@@ -210,7 +211,6 @@ class BackgroundScrubber:
             self.artifacts_verified += verified_files
             self._cursor = {"company": company, "position": position + 1}
             self._save_cursor()
-        self._count(scrub_artifacts=verified_files)
         if findings:
             self._record(findings)
         return findings
@@ -220,14 +220,9 @@ class BackgroundScrubber:
             self.findings_total += len(findings)
             self.recent_findings.extend(findings)
             del self.recent_findings[:-MAX_RECENT_FINDINGS]
-        self._count(integrity_findings=len(findings))
-
-    def _count(self, **deltas: int) -> None:
-        if self._metrics is None:
-            return
-        with self._metrics_lock:
-            for name, delta in deltas.items():
-                setattr(self._metrics, name, getattr(self._metrics, name) + delta)
+        if self._metrics is not None:
+            with self._metrics_lock:
+                self._metrics.integrity_findings += len(findings)
 
     # -- thread lifecycle --------------------------------------------------
 

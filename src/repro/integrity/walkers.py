@@ -280,10 +280,8 @@ def _registry_store_dirs(root: Path) -> list[Path]:
 def walk_registry(root: str | Path) -> IntegrityReport:
     """Cross-verify ``REGISTRY.json`` against the shard tree, then walk
     every referenced store (and report unreferenced ones as orphans)."""
-    import hashlib
-
     from repro.errors import RegistryError
-    from repro.registry.manifest import MANIFEST_NAME, read_manifest
+    from repro.registry.manifest import MANIFEST_NAME, read_manifest, shard_of
 
     root = Path(root)
     report = IntegrityReport(root=str(root))
@@ -316,8 +314,7 @@ def walk_registry(root: str | Path) -> IntegrityReport:
         entry = manifest.entries[company]
         store_dir = root / entry.store_dir
         referenced.add(store_dir.resolve())
-        digest = hashlib.sha256(company.encode("utf-8")).hexdigest()
-        expected_shard = f"shard-{int(digest, 16) % manifest.num_shards:02d}"
+        expected_shard = shard_of(company, manifest.num_shards)
         if entry.shard != expected_shard:
             report.add(
                 Finding(

@@ -23,15 +23,21 @@ is safe from a signal handler that interrupts the main thread while it
 holds the lock inside :meth:`~AdmissionGate.enter`.
 
 Counters (``admitted`` / ``shed`` / ``refused_draining`` /
-``refused_deadline`` / ``high_water``) are maintained under the lock;
-the callers mirror them into :class:`~repro.core.metrics.PipelineMetrics`.
+``refused_deadline`` / ``high_water``) are maintained under the lock and
+read from the gate: the daemon's ``/stats`` reports them as ``queue``.
+
+Both callers also drain on SIGINT/SIGTERM; :func:`drain_signals` routes
+those signals to the caller's drain for the length of a run.
 """
 
 from __future__ import annotations
 
+import signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 
 def check_bounds(max_pending: int, shed_above: int | None) -> None:
@@ -150,3 +156,33 @@ class AdmissionGate:
         """Block until every admission has exited (drain barrier)."""
         with self._cv:
             return self._cv.wait_for(lambda: self._depth == 0, timeout)
+
+
+@contextmanager
+def drain_signals(
+    on_signal: Callable[[int], None], *, enabled: bool = True
+) -> Iterator[None]:
+    """Route SIGINT and SIGTERM to ``on_signal(signum)`` inside the block.
+
+    Installs nothing when ``enabled`` is false or off the main thread
+    (where :func:`signal.signal` raises); the previous handlers come back
+    on exit.  ``on_signal`` runs in handler context, so it must take no
+    lock the interrupted code may hold: flip a flag, or stop a gate.
+    """
+    handlers = {}
+    if enabled and threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            try:
+                handlers[signum] = signal.signal(
+                    signum, lambda received, _frame: on_signal(received)
+                )
+            except (ValueError, OSError):  # pragma: no cover - exotic hosts
+                pass
+    try:
+        yield
+    finally:
+        for signum, handler in handlers.items():
+            try:
+                signal.signal(signum, handler)
+            except (ValueError, OSError):  # pragma: no cover
+                pass

@@ -35,7 +35,6 @@ admission slots back before :meth:`JobRunner.run` returns or raises.
 from __future__ import annotations
 
 import queue
-import signal
 import threading
 import time
 from collections import Counter
@@ -51,7 +50,7 @@ from repro.core.pipeline import (
 )
 from repro.core.verify import Verdict
 from repro.errors import JobError
-from repro.jobs.admission import AdmissionGate
+from repro.jobs.admission import AdmissionGate, drain_signals
 from repro.jobs.checkpoint import (
     JOURNAL_NAME,
     KIND_ERROR,
@@ -74,6 +73,10 @@ from repro.jobs.watchdog import (
     WorkerHeartbeat,
 )
 from repro.store.atomic import StepHook
+
+#: A batch certifies every ``BATCH_CERTIFY_STRIDE``-th question by input
+#: index, so which questions certify does not depend on worker timing.
+BATCH_CERTIFY_STRIDE = 4
 
 
 @dataclass(slots=True)
@@ -252,7 +255,7 @@ class JobRunner:
     again, each call is a fresh execution over the same pipeline/model).
     ``query_fn(index, question, certify, heartbeat)`` is the execution
     seam: the default calls :meth:`PolicyPipeline.query`, certifying every
-    ``PipelineConfig.batch_certify_stride``-th question by input index;
+    :data:`BATCH_CERTIFY_STRIDE`-th question by input index;
     tests substitute hanging or counting functions.  ``journal_step`` is
     the crash-injection hook threaded into every checkpoint append (see
     :mod:`repro.store.faults`).
@@ -451,48 +454,50 @@ class JobRunner:
 
         gate = self._gate
         started = time.perf_counter()
-        old_handlers = self._install_signal_handlers()
         try:
-            with self._lock:
-                for _ in range(min(max_workers, max(1, self._remaining))):
-                    self._spawn_worker()
-            if self._watchdog is not None and self.config.watchdog_thread:
-                self._watchdog.start(self.scan_stalls)
+            with drain_signals(
+                lambda _signum: self.request_drain(),
+                enabled=self.config.handle_signals,
+            ):
+                with self._lock:
+                    for _ in range(min(max_workers, max(1, self._remaining))):
+                        self._spawn_worker()
+                if self._watchdog is not None and self.config.watchdog_thread:
+                    self._watchdog.start(self.scan_stalls)
 
-            # Feed (main thread): backpressure-blocking; a drain or a
-            # fatal worker exception stops the gate, which ends feeding.
-            for index in pending_indices:
-                if self._drain_flag or self._fatal is not None:
-                    break
-                refusal = gate.enter()
-                if refusal is None:
-                    self._items.put((index, questions[index]))
-                elif refusal.reason == "draining":
-                    break
-                else:
-                    # Load shedding: answer immediately instead of queueing.
-                    outcome = ShedOutcome(
-                        question=questions[index],
-                        pending_at_admission=refusal.pending_at_admission,
-                        shed_above=refusal.shed_above,
-                    )
-                    with self._lock:
-                        self.job_metrics.shed_queries += 1
-                        self._commit(index, questions[index], outcome, KIND_SHED)
+                # Feed (main thread): backpressure-blocking; a drain or a
+                # fatal worker exception stops the gate, which ends feeding.
+                for index in pending_indices:
+                    if self._drain_flag or self._fatal is not None:
+                        break
+                    refusal = gate.enter()
+                    if refusal is None:
+                        self._items.put((index, questions[index]))
+                    elif refusal.reason == "draining":
+                        break
+                    else:
+                        # Load shedding: answer immediately instead of queueing.
+                        outcome = ShedOutcome(
+                            question=questions[index],
+                            pending_at_admission=refusal.pending_at_admission,
+                            shed_above=refusal.shed_above,
+                        )
+                        with self._lock:
+                            self.job_metrics.shed_queries += 1
+                            self._commit(index, questions[index], outcome, KIND_SHED)
 
-            # Wait for completion, drain, or a fatal worker exception.
-            while not self._done.is_set():
-                if self._fatal is not None:
-                    break
-                if self._drain_flag and not self._drain_applied:
-                    self._apply_drain()
-                if self._drain_applied:
-                    with self._lock:
-                        if not any(hb.busy for hb in self._heartbeats):
-                            break
-                self._done.wait(0.02)
+                # Wait for completion, drain, or a fatal worker exception.
+                while not self._done.is_set():
+                    if self._fatal is not None:
+                        break
+                    if self._drain_flag and not self._drain_applied:
+                        self._apply_drain()
+                    if self._drain_applied:
+                        with self._lock:
+                            if not any(hb.busy for hb in self._heartbeats):
+                                break
+                    self._done.wait(0.02)
         finally:
-            self._restore_signal_handlers(old_handlers)
             if self._watchdog is not None:
                 self._watchdog.stop()
             # Registered workers exit promptly on the closed queue, and a
@@ -555,7 +560,6 @@ class JobRunner:
         return hb
 
     def _worker(self, hb: WorkerHeartbeat) -> None:
-        stride = max(1, self.pipeline.config.batch_certify_stride)
         while True:
             item = self._items.get()
             if item is None:
@@ -566,7 +570,8 @@ class JobRunner:
                 hb.begin(index, question, self.clock.now())
             try:
                 certify = (
-                    self.pipeline.config.certify and index % stride == 0
+                    self.pipeline.config.certify
+                    and index % BATCH_CERTIFY_STRIDE == 0
                 )
                 outcome = self._query_fn(index, question, certify, hb)
                 kind = KIND_OUTCOME
@@ -670,7 +675,7 @@ class JobRunner:
         return reports
 
     # ------------------------------------------------------------------
-    # Drain + signals
+    # Drain
     # ------------------------------------------------------------------
 
     def _apply_drain(self) -> None:
@@ -699,28 +704,3 @@ class JobRunner:
                 self._gate.exit()
         self._items.put(None)
 
-    def _install_signal_handlers(self):
-        if not self.config.handle_signals:
-            return None
-        if threading.current_thread() is not threading.main_thread():
-            return None
-        handlers = {}
-
-        def on_signal(signum, frame):  # noqa: ARG001 - signal API
-            self.request_drain()
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                handlers[signum] = signal.signal(signum, on_signal)
-            except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                pass
-        return handlers
-
-    def _restore_signal_handlers(self, handlers) -> None:
-        if not handlers:
-            return
-        for signum, handler in handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass

@@ -17,8 +17,8 @@ machinery that makes it operable:
 * :class:`ProfiledLLM` + named :data:`PROFILES` (``flaky-429``,
   ``brownout``, ``flapping``) — deterministic, content-keyed fault and
   latency injection for end-to-end resilience stress.
-* :func:`llm_stack_state` / :func:`sync_resilience_metrics` —
-  operational introspection over a composed wrapper stack.
+* :func:`llm_stack_state` — operational introspection over a composed
+  wrapper stack.
 """
 
 from repro.providers.cassette import (
@@ -30,7 +30,7 @@ from repro.providers.cassette import (
     load_cassette,
 )
 from repro.providers.http import HTTPProvider, parse_retry_after
-from repro.providers.introspect import llm_stack_state, sync_resilience_metrics
+from repro.providers.introspect import llm_stack_state
 from repro.providers.profiles import (
     PROFILES,
     ProfiledLLM,
@@ -54,5 +54,4 @@ __all__ = [
     "llm_stack_state",
     "load_cassette",
     "parse_retry_after",
-    "sync_resilience_metrics",
 ]

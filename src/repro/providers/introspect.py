@@ -6,24 +6,19 @@ each layer keeps its own counters (some share a
 :class:`~repro.llm.client.UsageStats`, some allocate their own).  This
 module walks the ``_inner``/``_fallback`` chain and folds everything
 into one answer to "what is the LLM boundary doing right now": one
-aggregated usage dict plus the circuit breaker's state.
-
-:func:`sync_resilience_metrics` then projects that view onto a
-:class:`~repro.core.metrics.PipelineMetrics` instance as *absolute*
-values (the usage counters are lifetime totals, so assignment — not
-merge — keeps repeated syncs idempotent).
-:meth:`~repro.core.pipeline.PolicyPipeline.metrics_report` calls it just
-before every stats report.
+aggregated usage dict plus the circuit breaker's state.  These counters
+have no copy elsewhere: the daemon's ``/stats`` reports this view as
+``llm``, and the CLI's ``--stats`` block prints its "llm boundary:" line
+from it.
 """
 
 from __future__ import annotations
 
-from repro.core.metrics import PipelineMetrics
 from repro.llm.client import UsageStats
 from repro.resilience.breaker import CircuitBreaker
 
-#: Breaker-state encoding used by the ``PipelineMetrics.breaker_state``
-#: gauge; ordered by degradation so merged gauges keep the worst state.
+#: Breaker states ordered by degradation, so a stack with several
+#: breakers reports the worst one.
 BREAKER_STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
 
 
@@ -66,21 +61,3 @@ def llm_stack_state(llm: object) -> dict[str, object]:
         "has_breaker": breaker_state is not None,
     }
 
-
-def sync_resilience_metrics(llm: object, metrics: PipelineMetrics) -> dict[str, object]:
-    """Project the stack's current state onto ``metrics`` (absolute set).
-
-    Returns the :func:`llm_stack_state` dict it projected.
-    """
-    state = llm_stack_state(llm)
-    usage = state["usage"]
-    metrics.llm_retries = usage["retries"]
-    metrics.llm_giveups = usage["retry_giveups"]
-    metrics.retry_after_honored = usage["retry_after_honored"]
-    metrics.breaker_state = BREAKER_STATE_CODES[state["breaker_state"]]
-    metrics.provider_calls = usage["provider_calls"]
-    metrics.provider_rate_limited = usage["provider_rate_limited"]
-    metrics.cassette_records = usage["cassette_records"]
-    metrics.cassette_replays = usage["cassette_replays"]
-    metrics.cassette_misses = usage["cassette_misses"]
-    return state

@@ -19,9 +19,12 @@ recycling them on eviction would open a window where two threads hold
 
 Eviction order is a pure function of the access sequence: every ``get``
 moves its key to the MRU end under the table lock, and inserting beyond
-``capacity`` pops LRU keys.  Counters (``hits`` / ``misses`` /
-``evictions``) are maintained under the table lock; the registry mirrors
-them into :class:`~repro.core.metrics.PipelineMetrics`.
+``capacity`` pops LRU keys.  The registry counts each ``get``'s
+``was_hit`` and each ``on_evict`` into
+:class:`~repro.core.metrics.PipelineMetrics` (``registry_*``), which
+every report reads.  The cache's own ``hits`` / ``misses`` /
+``evictions``, kept under the table lock, are read only by perfbench's
+``fleet`` workload.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ manifest entry pointing at a store that does not exist.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,17 @@ MANIFEST_NAME = "REGISTRY.json"
 
 #: Bumped when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
+
+
+def company_digest(company: str) -> str:
+    """Hex sha256 of a company name: its shard and its store's suffix."""
+    return hashlib.sha256(company.encode("utf-8")).hexdigest()
+
+
+def shard_of(company: str, num_shards: int) -> str:
+    """The company's shard: ``sha256(company) mod num_shards``, as
+    ``shard-NN``.  Minting assigns it; fsck and repair check against it."""
+    return f"shard-{int(company_digest(company), 16) % num_shards:02d}"
 
 
 @dataclass(frozen=True, slots=True)

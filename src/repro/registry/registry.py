@@ -25,7 +25,6 @@ to load (quarantined/corrupt snapshots) surfaces as that company's
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -45,7 +44,9 @@ from repro.registry.lru import WarmCache
 from repro.registry.manifest import (
     Manifest,
     RegistryEntry,
+    company_digest,
     read_manifest,
+    shard_of,
     write_manifest,
 )
 from repro.registry.sectors import DEFAULT_SECTORS, SECTOR_PROFILES
@@ -55,10 +56,6 @@ from repro.store.snapshot import SnapshotStore
 #: Derives per-company generator seeds from (spec seed, company index);
 #: a large odd multiplier keeps neighbouring spec seeds from colliding.
 _SEED_STRIDE = 1_000_003
-
-
-def _company_digest(company: str) -> str:
-    return hashlib.sha256(company.encode("utf-8")).hexdigest()
 
 
 @dataclass(slots=True)
@@ -195,11 +192,6 @@ class PolicyRegistry:
             raise RegistryError(f"company {company!r} is not registered")
         return entry
 
-    def shard_of(self, company: str) -> str:
-        """Stable shard assignment: sha256(company) mod ``num_shards``."""
-        bucket = int(_company_digest(company), 16) % self.num_shards
-        return f"shard-{bucket:02d}"
-
     def store_for(self, company: str) -> SnapshotStore:
         """The snapshot store behind a registered company."""
         entry = self.entry(company)
@@ -226,6 +218,10 @@ class PolicyRegistry:
         :class:`~repro.errors.SnapshotError` when no valid snapshot
         survives in the shard.
         """
+        return self._get(company)[0]
+
+    def _get(self, company: str) -> tuple[PolicyModel, bool]:
+        """``(model, was_hit)``, counted into ``registry_hits``/``_misses``."""
         entry = self.entry(company)
         directory = self.root / entry.store_dir
         model, hit = self._cache.get(
@@ -236,7 +232,7 @@ class PolicyRegistry:
                 self.pipeline.metrics.registry_hits += 1
             else:
                 self.pipeline.metrics.registry_misses += 1
-        return model
+        return model, hit
 
     def invalidate(self, company: str) -> bool:
         """Drop a company's warm model (call after updating its store)."""
@@ -246,9 +242,7 @@ class PolicyRegistry:
         """Pre-load models into the LRU; returns how many loads ran."""
         loads = 0
         for company in companies if companies is not None else self.companies():
-            before = self._cache.misses
-            self.get_model(company)
-            loads += self._cache.misses - before
+            loads += not self._get(company)[1]
         return loads
 
     # ------------------------------------------------------------------
@@ -279,10 +273,8 @@ class PolicyRegistry:
             provenance["sector"] = spec.sector_of(index)
             provenance["target_words"] = words
             model.provenance = provenance
-            shard = self.shard_of(company)
-            store_dir = (
-                f"shards/{shard}/{company}-{_company_digest(company)[:8]}"
-            )
+            shard = shard_of(company, self.num_shards)
+            store_dir = f"shards/{shard}/{company}-{company_digest(company)[:8]}"
             store = SnapshotStore(self.root / store_dir, step=self._step)
             store.commit(model)
             entry = RegistryEntry(

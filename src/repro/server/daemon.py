@@ -50,7 +50,7 @@ from repro.errors import RegistryError, ReproError, ServerError, SnapshotError
 from repro.jobs.config import JobConfig
 from repro.providers.introspect import llm_stack_state
 from repro.registry.registry import PolicyRegistry
-from repro.jobs.admission import AdmissionGate, ShedDecision
+from repro.jobs.admission import AdmissionGate, ShedDecision, drain_signals
 from repro.server.config import ServerConfig
 from repro.server.epochs import EpochSwitch
 
@@ -417,42 +417,17 @@ class PolicyServer:
         path encodes); this loop notices and runs the actual drain in
         normal context.
         """
-        old_handlers = self._install_signal_handlers()
-        try:
+
+        def on_signal(signum: int) -> None:
+            self._signal_reason = signal.Signals(signum).name
+
+        with drain_signals(on_signal, enabled=self.config.handle_signals):
             while not self._drain_requested.is_set():
                 if self._signal_reason is not None:
                     self.begin_drain(self._signal_reason)
                     break
                 self._drain_requested.wait(0.05)
-        finally:
-            self._restore_signal_handlers(old_handlers)
         return self.await_drained()
-
-    def _install_signal_handlers(self):
-        if not self.config.handle_signals:
-            return None
-        if threading.current_thread() is not threading.main_thread():
-            return None
-        handlers = {}
-
-        def on_signal(signum, frame):  # noqa: ARG001 - signal API
-            self._signal_reason = signal.Signals(signum).name
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                handlers[signum] = signal.signal(signum, on_signal)
-            except (ValueError, OSError):  # pragma: no cover - exotic hosts
-                pass
-        return handlers
-
-    def _restore_signal_handlers(self, handlers) -> None:
-        if not handlers:
-            return
-        for signum, handler in handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
 
     # ------------------------------------------------------------------
     # Introspection
@@ -470,7 +445,6 @@ class PolicyServer:
     def stats(self) -> dict[str, object]:
         epochs = self._epochs
         with self._metrics_lock:
-            self.metrics.queue_depth = self.gate.depth
             merged_metrics = self.pipeline.metrics_report(self.metrics)
         llm_state = llm_stack_state(self.pipeline.llm)
         latency = self.metrics.latency
@@ -528,9 +502,6 @@ class PolicyServer:
     def _record(self, seconds: float) -> None:
         with self._metrics_lock:
             self.metrics.server_requests += 1
-            self.metrics.queue_high_water = max(
-                self.metrics.queue_high_water, self.gate.high_water
-            )
             if self.metrics.latency is not None:
                 self.metrics.latency.record(seconds)
 

@@ -41,9 +41,10 @@ def _sha256_json(obj: object) -> str:
 def model_digest(model) -> dict[str, object]:
     """Content digest of every part a snapshot load rebuilds.
 
-    Node order and kinds, edges in insertion order, practices, embedding
-    keys (in order) and the embedding matrix's little-endian float64
-    bytes, plus the embedding model's configuration.
+    Node order and kinds, edges in insertion order, practices, the data
+    taxonomy's (parent, child) edges, embedding keys (in order) and the
+    embedding matrix's little-endian float64 bytes, plus the embedding
+    model's configuration.
     """
     graph = model.graph
     matrix = np.ascontiguousarray(model.store.matrix(), dtype="<f8")
@@ -71,6 +72,9 @@ def model_digest(model) -> dict[str, object]:
             ]
         ),
         "practices": _sha256_json(model.extraction.practice_dicts()),
+        "data_taxonomy": _sha256_json(
+            [list(edge) for edge in model.data_taxonomy.as_edges()]
+        ),
         "embedding_keys": _sha256_json(model.store.keys),
         "matrix_shape": list(matrix.shape),
         "matrix": hashlib.sha256(matrix.tobytes()).hexdigest(),

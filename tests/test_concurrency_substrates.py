@@ -362,14 +362,14 @@ class TestModelCachesSingleFlight:
         # The whole stampede paid for one solve; everyone shares the object.
         assert state["calls"] == 1
         assert len({id(value) for value, _ in results}) == 1
-        assert sum(1 for _, computed in results if computed) == 1
-        assert caches.misses["verification"] == 1
-        assert caches.hits["verification"] == 15
+        assert [computed for _, computed in results].count(True) == 1
+        assert [computed for _, computed in results].count(False) == 15
 
     def test_distinct_keys_each_compute_once(self):
         caches = ModelCaches()
         keys = [f"problem-{i}" for i in range(8)]
         calls: dict[str, int] = {key: 0 for key in keys}
+        served: list[bool] = []
         calls_lock = threading.Lock()
 
         def work(index: int) -> None:
@@ -381,14 +381,18 @@ class TestModelCachesSingleFlight:
                         calls[key] += 1
                     return key.upper()
 
-                value, _ = caches.get_or_compute("translation", key, compute)
+                value, computed = caches.get_or_compute(
+                    "translation", key, compute
+                )
                 assert value == key.upper()
+                with calls_lock:
+                    served.append(computed)
 
         errors = _hammer(16, work)
         assert not errors
         assert calls == {key: 1 for key in keys}
-        assert caches.misses["translation"] == len(keys)
-        assert caches.hits["translation"] == 16 * len(keys) - len(keys)
+        assert served.count(True) == len(keys)
+        assert served.count(False) == 16 * len(keys) - len(keys)
 
     def test_leader_failure_wakes_followers_to_retry(self):
         caches = ModelCaches()
@@ -416,7 +420,6 @@ class TestModelCachesSingleFlight:
 
         with pytest.raises(ReproError):
             caches.get_or_compute("subgraph", "k", compute)
-        assert caches.misses["subgraph"] == 0
         assert caches.size("subgraph") == 0
         # The flight was cleared: a later caller computes fresh.
         value, computed = caches.get_or_compute("subgraph", "k", lambda: 7)

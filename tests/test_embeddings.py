@@ -208,41 +208,6 @@ class TestEmbeddingStore:
         assert matrix.shape[0] == 2
         assert np.allclose(matrix[0], store.get("a"))
 
-    def test_save_load_round_trip(self, model, tmp_path):
-        store = EmbeddingStore(model)
-        store.add_many(["email", "phone number"])
-        path = tmp_path / "store.bin"
-        store.save(path)
-        loaded = EmbeddingStore.load(path)
-        assert loaded.keys == store.keys
-        assert np.allclose(loaded.matrix(), store.matrix())
-
-    def test_save_load_empty_store(self, model, tmp_path):
-        store = EmbeddingStore(model)
-        path = tmp_path / "empty.bin"
-        store.save(path)
-        loaded = EmbeddingStore.load(path)
-        assert loaded.keys == []
-        assert len(loaded) == 0
-        assert loaded.matrix().shape == (0, model.dim)
-
-    def test_save_overwrites_existing_file(self, model, tmp_path):
-        path = tmp_path / "store.bin"
-        first = EmbeddingStore(model)
-        first.add_many(["email", "phone number", "location"])
-        first.save(path)
-        second = EmbeddingStore(model)
-        second.add("cookie")
-        second.save(path)
-        loaded = EmbeddingStore.load(path)
-        assert loaded.keys == ["cookie"]
-
-    def test_save_leaves_no_temp_files(self, model, tmp_path):
-        store = EmbeddingStore(model)
-        store.add("email")
-        store.save(tmp_path / "store.bin")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.bin"]
-
     def test_bytes_round_trip(self, model):
         store = EmbeddingStore(model)
         store.add_many(["email", "location"])

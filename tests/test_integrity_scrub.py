@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -111,7 +112,9 @@ class TestAdmissionAwareness:
         assert scrubber.run_once() == []
         assert scrubber.paused == 1
         assert scrubber.snapshots_verified == 0
-        assert metrics.scrub_paused == 1
+        assert scrubber.stats()["paused_ticks"] == 1
+        # The scrubber owns its pause count; the metrics get no copy.
+        assert metrics.as_dict() == PipelineMetrics().as_dict()
 
     def test_idle_gate_lets_tick_proceed(self, scrub_root, tmp_path):
         root = copy_fleet(scrub_root, tmp_path)
@@ -159,6 +162,34 @@ class TestThreadLifecycle:
         scrubber.stop()
         scrubber.stop()  # no-op
         assert not scrubber.stats()["running"]
+
+
+class TestRaisingTick:
+    def test_raising_tick_is_one_paused_tick_in_one_place(
+        self, scrub_root, tmp_path, monkeypatch
+    ):
+        def broken_tick(self):
+            raise RuntimeError("disk went away")
+
+        monkeypatch.setattr(BackgroundScrubber, "run_once", broken_tick)
+        root = copy_fleet(scrub_root, tmp_path)
+        server = PolicyServer(
+            ServerConfig(
+                root=root, port=0, handle_signals=False, scrub_interval=0.01
+            ),
+            pipeline=PolicyPipeline(),
+        )
+        server.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            while server.scrubber.paused == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            server.scrubber.stop()
+            stats = server.stats()
+        finally:
+            server.stop()
+        assert stats["scrub"]["paused_ticks"] == server.scrubber.paused >= 1
+        assert not any(key.startswith("scrub") for key in stats["metrics"])
 
 
 class TestScrubUnderLoad:
@@ -229,3 +260,54 @@ class TestScrubUnderLoad:
             assert server.stats()["scrub"] is None
         finally:
             server.stop()
+
+
+class TestServeStats:
+    """``serve --stats`` prints the scrubber's own numbers when one ran."""
+
+    def _serve(self, root, monkeypatch, capsys, *extra):
+        from repro.cli import main
+
+        original = PolicyServer.serve_until_drained
+
+        def drain_after_a_tick(server):
+            deadline = time.monotonic() + 10.0
+            while (
+                server.scrubber is not None
+                and server.scrubber.snapshots_verified == 0
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            server.begin_drain("test")
+            return original(server)
+
+        monkeypatch.setattr(
+            PolicyServer, "serve_until_drained", drain_after_a_tick
+        )
+        code = main(
+            ["serve", "--root", str(root), "--port", "0", "--stats", *extra]
+        )
+        assert code == 0
+        return capsys.readouterr().out.split("--- pipeline metrics ---\n", 1)[1]
+
+    def test_scrub_line_when_a_scrubber_ran(
+        self, scrub_root, tmp_path, monkeypatch, capsys
+    ):
+        root = copy_fleet(scrub_root, tmp_path)
+        metrics = self._serve(
+            root, monkeypatch, capsys, "--scrub-interval", "0.01"
+        )
+        assert "llm boundary: breaker closed" in metrics
+        scrub = [line for line in metrics.splitlines() if line.startswith("scrub: ")]
+        assert len(scrub) == 1
+        verified = int(scrub[0].split(", ")[1].split()[0])
+        assert verified >= 1
+        assert scrub[0].endswith("paused ticks")
+
+    def test_no_scrub_line_without_a_scrubber(
+        self, scrub_root, tmp_path, monkeypatch, capsys
+    ):
+        root = copy_fleet(scrub_root, tmp_path)
+        metrics = self._serve(root, monkeypatch, capsys)
+        assert "llm boundary: breaker closed" in metrics
+        assert "scrub:" not in metrics

@@ -233,13 +233,13 @@ class TestPipelineMetricsIntegration:
         # Sources untouched by the fold.
         assert a.latency.count == 1 and b.latency.count == 1
 
-    def test_queue_depth_is_max_merged_not_summed(self):
-        a = PipelineMetrics(queries=0, queue_depth=3)
-        b = PipelineMetrics(queries=0, queue_depth=5)
+    def test_queue_high_water_is_max_merged_not_summed(self):
+        a = PipelineMetrics(queries=0, queue_high_water=3)
+        b = PipelineMetrics(queries=0, queue_high_water=5)
         merged = PipelineMetrics(queries=0)
         merged.merge(a)
         merged.merge(b)
-        assert merged.queue_depth == 5
+        assert merged.queue_high_water == 5
 
     def test_render_mentions_latency_when_present(self):
         metrics = PipelineMetrics(queries=0, latency=LatencyReservoir())

@@ -190,26 +190,22 @@ class TestBatchSampling:
     ]
 
     def test_stride_samples_by_input_index(self, fresh_model):
-        pipeline = PolicyPipeline(
-            config=PipelineConfig(batch_certify_stride=2)
-        )
+        pipeline = PolicyPipeline()
         batch = pipeline.query_batch(
             fresh_model, self.QUESTIONS, max_workers=1
         )
         certificates = [o.verification.certificate for o in batch.outcomes]
         assert [c is not None for c in certificates] == [
-            True, False, True, False, True, False
+            True, False, False, False, True, False
         ]
         assert all(c.certified for c in certificates if c is not None)
-        assert batch.metrics.certifications_run == 3
+        assert batch.metrics.certifications_run == 2
 
     def test_stride_is_deterministic_across_worker_counts(
         self, small_policy_text
     ):
         def flags(workers):
-            pipeline = PolicyPipeline(
-                config=PipelineConfig(batch_certify_stride=3)
-            )
+            pipeline = PolicyPipeline()
             model = PolicyPipeline().process(small_policy_text)
             batch = pipeline.query_batch(
                 model, self.QUESTIONS, max_workers=workers
@@ -218,14 +214,12 @@ class TestBatchSampling:
                 o.verification.certificate is not None for o in batch.outcomes
             ]
 
-        assert flags(1) == flags(4) == [True, False, False, True, False, False]
+        assert flags(1) == flags(4) == [True, False, False, False, True, False]
 
     def test_certify_off_skips_sampling_entirely(self, fresh_model):
-        pipeline = PolicyPipeline(
-            config=PipelineConfig(certify=False, batch_certify_stride=1)
-        )
+        pipeline = PolicyPipeline(config=PipelineConfig(certify=False))
         batch = pipeline.query_batch(
-            fresh_model, self.QUESTIONS[:3], max_workers=1
+            fresh_model, self.QUESTIONS, max_workers=1
         )
         assert all(
             o.verification.certificate is None for o in batch.outcomes

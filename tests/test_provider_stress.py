@@ -324,8 +324,7 @@ class TestServingUnderChaos:
             assert llm["has_breaker"] is True
             usage = llm["usage"]
             assert usage["retry_giveups"] == 0
-            metrics = payload["metrics"]
-            assert metrics["breaker_state"] == "closed"
-            assert metrics["llm_giveups"] == 0
+            # The wrapper stack owns these counters; metrics keeps no copy.
+            assert "breaker_state" not in payload["metrics"]
         finally:
             client.close()

@@ -444,6 +444,62 @@ class TestEndpoints:
         assert client.query(company, QUESTION)[1]["epoch"] == 1
 
 
+class TestStatsKeysTheBenchmarkReads:
+    """perfbench's ``serve`` workload reads these ``/stats`` keys with
+    ``.get(key, 0)``: a key that went missing would read 0 there, not
+    fail, so this checks each is present and counts what it names."""
+
+    def test_queue_and_registry_counters_move(self, serving_root):
+        hold, entered, release = (threading.Event() for _ in range(3))
+
+        def query_fn(model, question, budget, certify):
+            if hold.is_set():
+                entered.set()
+                release.wait(timeout=10.0)
+            return srv.pipeline.query(
+                model, question, budget=budget, certify=certify
+            )
+
+        srv = make_server(
+            serving_root, query_fn=query_fn, max_warm=1, shed_above=1
+        )
+        srv.start()
+        host, port = srv.address
+        client = ServingClient(host, port, timeout=10.0)
+        try:
+            a, b = srv.companies()[:2]
+            before = client.stats()
+            assert client.query(a, QUESTION)[0] == 200  # load a
+            assert client.query(b, QUESTION)[0] == 200  # load b, evict a
+            assert client.query(b, QUESTION)[0] == 200  # warm b
+            hold.set()
+            held = threading.Thread(
+                target=srv.handle_query,
+                args=({"company": a, "question": QUESTION},),
+            )
+            held.start()  # loads a, evicts b, and stays in flight
+            assert entered.wait(timeout=10.0)
+            status, body = client.query(b, QUESTION)
+            release.set()
+            held.join(timeout=10.0)
+            after = client.stats()
+        finally:
+            release.set()
+            client.close()
+            srv.stop()
+        assert status == 503 and body["error"] == "shed"
+
+        def moved(section, key):
+            assert key in after[section], f"/stats lost {section}.{key}"
+            return after[section][key] - before[section].get(key, 0)
+
+        assert moved("queue", "admitted") == 4
+        assert moved("queue", "shed") == 1
+        assert moved("metrics", "registry_misses") == 3
+        assert moved("metrics", "registry_hits") == 1
+        assert moved("metrics", "registry_evictions") == 2
+
+
 class TestDeadlines:
     def test_client_can_tighten_but_not_loosen(self, serving_root):
         srv = make_server(serving_root, default_deadline=5.0)
@@ -512,6 +568,13 @@ class TestDeadlines:
         # Every request tightens the solver budget to its own remaining
         # deadline; that must not split the verification cache.
         srv = make_server(serving_root, warm_on_start=-1)
+        query, outcomes = srv.pipeline.query, []
+
+        def recording_query(*args, **kwargs):
+            outcomes.append(query(*args, **kwargs))
+            return outcomes[-1]
+
+        srv.pipeline.query = recording_query
         srv.start()
         try:
             host, port = srv.address
@@ -519,7 +582,6 @@ class TestDeadlines:
             company = srv.companies()[0]
             caches = srv._epochs.current_registry.get_model(company).caches
             entries = caches.size("verification")
-            hits = caches.hits["verification"]
             replies = [client.query(company, QUESTION) for _ in range(5)]
             client.close()
         finally:
@@ -527,7 +589,7 @@ class TestDeadlines:
         assert [status for status, _ in replies] == [200] * 5
         assert len({body["verdict"] for _, body in replies}) == 1
         assert caches.size("verification") == entries + 1
-        assert caches.hits["verification"] == hits + 4
+        assert [o.metrics.verification_hits for o in outcomes] == [0, 1, 1, 1, 1]
 
     def test_short_deadline_never_waits_out_a_longer_solve(
         self, server, monkeypatch
